@@ -358,7 +358,7 @@ def gen_linear_tasks(
     calibration = []
     for k in range(n_tasks):
         X = rng.standard_normal((n_samples, sizes[0]))
-        Y = np.stack([forward(finetuned[k], x) for x in X])
+        Y = forward(finetuned[k], X)
         if noise > 0:
             Y = Y + noise * rng.standard_normal(Y.shape)
         calibration.append(CalibrationSet.for_task(k, X, Y))
@@ -422,7 +422,7 @@ def gen_shared_direction_instance(
         updates.append(ResidualUpdate(1, delta, k))
     X = rng.standard_normal((n_samples, input_dim))
     target_net = LinearNetwork([W1 + updates[target_task].delta, L])
-    Y = np.stack([forward(target_net, x) for x in X])
+    Y = forward(target_net, X)
     calibration = [CalibrationSet.for_task(target_task, X, Y)]
     meta = {
         "generator": "shared_direction",
@@ -472,10 +472,6 @@ def validate_shared_direction_bundle(
     defect = np.abs(L.T @ L - np.eye(L.shape[1])).max()
     if defect > iso_tol:
         raise ValueError(f"downstream map is not an isometry (defect {defect:.3e})")
-
-
-def _softmax_free_logit_targets(net, X):
-    return np.stack([forward(net, x) for x in X])
 
 
 def _class_batch(rng, means, classes, n, input_noise):
@@ -564,7 +560,7 @@ def gen_relu_tasks(
     calibration = []
     for k in range(n_tasks):
         X, _ = _class_batch(rng, means, groups[k], n_samples, input_noise)
-        Y = _softmax_free_logit_targets(finetuned[k], X)
+        Y = forward(finetuned[k], X)
         calibration.append(CalibrationSet.for_task(k, X, Y))
 
     meta = {

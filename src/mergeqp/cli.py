@@ -117,19 +117,14 @@ def _fisher_diagonals(bundle: ModelBundle, layer: int):
 
     Surrogate for honest Fisher information: squared gradients of the
     squared-error loss with respect to layer N's weights, summed over the
-    task's calibration samples.  grad_j = 2 L_j^T b_j u_j^T.
+    task's calibration samples.  grad_j = 2 m_j u_j^T with m_j = L_j^T b_j,
+    so the sum of squares is 4 (M^2)^T (U^2) over the stacked samples.
     """
     fishers = []
     for cs in bundle.calibration:
         geom = merge_geometry(bundle.base, layer, cs)
-        total = np.zeros(bundle.base.layer_shape(layer))
-        for j in range(len(cs)):
-            g = 2.0 * np.outer(
-                geom.downstream[j].matrix.T @ geom.residuals[j],
-                geom.hidden_inputs[j],
-            )
-            total += g * g
-        fishers.append(total)
+        M = np.einsum("jcr,jc->jr", geom.downstream.matrix, geom.residuals)
+        fishers.append(4.0 * (M * M).T @ (geom.hidden_inputs * geom.hidden_inputs))
     return fishers
 
 
@@ -237,6 +232,8 @@ def cmd_gen(args) -> int:
 
 def _run_baseline_merge(bundle, layers, method, args, calib):
     current = bundle.base
+    n = len(calib)
+    pooled, per_task = calibration_mse(current, calib)
     records = []
     for layer in layers:
         params = _baseline_params(args, method, layer)
@@ -245,20 +242,18 @@ def _run_baseline_merge(bundle, layers, method, args, calib):
         delta = baseline_delta(method, bundle.residuals[layer], params)
         if not np.all(np.isfinite(delta)):
             raise NumericalError(f"{method} produced non-finite weights at layer {layer}")
-        before, _ = calibration_mse(current, calib)
+        before = pooled
         current = apply_merged_residual(current, layer, delta)
-        after, _ = calibration_mse(current, calib)
-        n = len(calib)
+        pooled, per_task = calibration_mse(current, calib)
         records.append(
             LayerMergeRecord(
                 layer_index=layer,
                 basis_id=method,
                 objective_before=before * n,
-                objective_after=after * n,
+                objective_after=pooled * n,
                 coefficients=np.zeros((0, 0)),
             )
         )
-    pooled, per_task = calibration_mse(current, calib)
     return current, MergeReport(method, records, pooled, per_task)
 
 
@@ -397,10 +392,10 @@ def cmd_diagnose(args) -> int:
         for p in range(1, chain.p + 1):
             Q = chain.prefix(p)
             if geometry.fixed_downstream:
-                P_model = output_projector(geometry.downstream[0].matrix, Q)
+                P_model = output_projector(geometry.downstream.matrix[0], Q)
                 captured = float(np.einsum("ij,ji->", S.S, P_model))
             else:
-                projectors = [output_projector(d.matrix, Q) for d in geometry.downstream]
+                projectors = [output_projector(L, Q) for L in geometry.downstream.matrix]
                 captured = captured_energy_pointwise(geometry.residuals, projectors)
             fraction = 1.0 if S.total_energy == 0 else captured / S.total_energy
             relaxed = S.total_energy - captured
@@ -436,11 +431,8 @@ def cmd_eval(args) -> int:
         and np.all(targets.sum(axis=1) == 1.0)
     )
     if one_hot:
-        hits = 0
-        for j in range(len(calib)):
-            pred = forward(net, calib.inputs[j])
-            hits += int(np.argmax(pred) == np.argmax(targets[j]))
-        metrics["accuracy"] = hits / len(calib)
+        hits = np.argmax(forward(net, calib.inputs), axis=1) == np.argmax(targets, axis=1)
+        metrics["accuracy"] = int(np.count_nonzero(hits)) / len(calib)
     text = json.dumps(metrics, indent=1, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:

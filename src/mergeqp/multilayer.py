@@ -91,8 +91,8 @@ def layer_basis(kind, p, seed, deltas, geometry):
     if kind == "random":
         return random_basis(r, min(p, r), seed)
     S = energy_matrix(geometry.residuals)
-    mats = [d.matrix for d in geometry.downstream]
-    Lbar = mats[0] if geometry.fixed_downstream else np.mean(mats, axis=0)
+    maps = geometry.downstream.matrix
+    Lbar = maps[0] if geometry.fixed_downstream else maps.mean(axis=0)
     if kind == "standard":
         order = coordinate_energy_order(S, Lbar)
         return standard_basis(r, min(p, r), order)
@@ -109,10 +109,10 @@ def basis_fraction(basis, geometry):
     if S.total_energy == 0.0:
         return 1.0
     if geometry.fixed_downstream:
-        P = output_projector(geometry.downstream[0].matrix, basis)
+        P = output_projector(geometry.downstream.matrix[0], basis)
         captured = float(np.einsum("ij,ji->", S.S, P))
     else:
-        projectors = [output_projector(d.matrix, basis) for d in geometry.downstream]
+        projectors = [output_projector(L, basis) for L in geometry.downstream.matrix]
         captured = captured_energy_pointwise(geometry.residuals, projectors)
     return captured / S.total_energy
 
@@ -286,13 +286,6 @@ def interaction_error(
     net_a = apply_merged_residual(net, delta_a.layer_index, scale * delta_a.delta)
     net_b = apply_merged_residual(net, delta_b.layer_index, scale * delta_b.delta)
     net_ab = apply_merged_residual(net_a, delta_b.layer_index, scale * delta_b.delta)
-    total = 0.0
-    n = len(calib)
-    for j in range(n):
-        x = calib.inputs[j]
-        h00 = forward(net, x)
-        h10 = forward(net_a, x)
-        h01 = forward(net_b, x)
-        h11 = forward(net_ab, x)
-        total += float(np.linalg.norm(h11 - h10 - h01 + h00))
-    return total / n
+    X = calib.inputs
+    coupling = forward(net_ab, X) - forward(net_a, X) - forward(net_b, X) + forward(net, X)
+    return float(np.linalg.norm(coupling, axis=1).mean())

@@ -35,6 +35,26 @@ def _as_float_vector(value, name):
     return vec
 
 
+def _input_columns(net, x):
+    """x as one column (d,) or as columns (d, n) of an (n, d) sample matrix.
+
+    Working on columns keeps the one-vector case the plain W @ x it always
+    was; a sample matrix goes through the same products as one GEMM.
+    """
+    a = np.asarray(x, dtype=float)
+    if a.ndim not in (1, 2):
+        raise ValueError(
+            f"input must be a vector or an (n, d) sample matrix, got shape {a.shape}"
+        )
+    if not np.all(np.isfinite(a)):
+        raise ValueError("input contains non-finite entries")
+    if a.shape[-1] != net.input_dim:
+        raise ValueError(
+            f"input has dim {a.shape[-1]}, network expects {net.input_dim}"
+        )
+    return a.T
+
+
 @dataclass
 class LinearNetwork:
     """Stack of dense layers with per-gap activation flags.
@@ -128,49 +148,64 @@ class DownstreamMap:
     kind is "exact" when the downstream gaps are all identity (the map is the
     plain weight product, independent of the input) and "jacobian" when it is
     a local linearisation at a particular input's activation pattern.
+
+    matrix is (c, r) for one input.  For an (n, d) sample matrix it is
+    (n, c, r), one map per sample; an exact map is then the one (c, r)
+    matrix broadcast over the samples, never n copies.  Indexing a stack,
+    ``maps[j]``, gives the map at sample j.
     """
 
     matrix: np.ndarray
     kind: str = "exact"
 
     def __post_init__(self):
-        self.matrix = _as_float_matrix(self.matrix, "downstream matrix")
+        self.matrix = np.asarray(self.matrix, dtype=float)
+        if self.matrix.ndim not in (2, 3):
+            raise ValueError(
+                f"downstream matrix must be 2-D or a 3-D stack, got shape "
+                f"{self.matrix.shape}"
+            )
+        if not np.all(np.isfinite(self.matrix)):
+            raise ValueError("downstream matrix contains non-finite entries")
         if self.kind not in ("exact", "jacobian"):
             raise ValueError(f"unknown downstream map kind {self.kind!r}")
 
+    def __getitem__(self, j) -> "DownstreamMap":
+        if self.matrix.ndim != 3:
+            raise TypeError("only a per-sample stack of maps can be indexed")
+        return DownstreamMap(self.matrix[j], self.kind)
+
+
+def _propagate(net: LinearNetwork, cols, n_layers: int):
+    """Feed input columns through layers 1..n_layers, activations included.
+
+    Returns the activation after layer n_layers (the input for 0 layers) and
+    the pre-activations W_l a_{l-1}, all as columns.
+    """
+    a = cols
+    pre = []
+    for i in range(n_layers):
+        a = net.layers[i] @ a
+        pre.append(a)
+        if i < net.depth - 1 and net.activations[i] == RELU:
+            a = np.maximum(a, 0.0)
+    return a, pre
+
 
 def forward(net: LinearNetwork, x) -> np.ndarray:
-    """Evaluate the network on a single input vector."""
-    a = _as_float_vector(x, "input")
-    if a.shape[0] != net.input_dim:
-        raise ValueError(
-            f"input has dim {a.shape[0]}, network expects {net.input_dim}"
-        )
-    last = net.depth - 1
-    for i, W in enumerate(net.layers):
-        a = W @ a
-        if i < last and net.activations[i] == RELU:
-            a = np.maximum(a, 0.0)
-    return a
+    """Evaluate the network on one input vector or on an (n, d) sample matrix."""
+    return _propagate(net, _input_columns(net, x), net.depth)[0].T
 
 
 def layer_input(net: LinearNetwork, layer_index: int, x) -> np.ndarray:
-    """The vector actually fed into layer N, activations below included.
+    """The input actually fed into layer N, activations below included.
 
+    x is one vector or an (n, d) sample matrix (one row out per row in).
     For N = 1 this is x itself; on an all-identity network it equals Z @ x
     with Z from factorize.
     """
     net._check_layer_index(layer_index)
-    a = _as_float_vector(x, "input")
-    if a.shape[0] != net.input_dim:
-        raise ValueError(
-            f"input has dim {a.shape[0]}, network expects {net.input_dim}"
-        )
-    for i in range(layer_index - 1):
-        a = net.layers[i] @ a
-        if net.activations[i] == RELU:
-            a = np.maximum(a, 0.0)
-    return a
+    return _propagate(net, _input_columns(net, x), layer_index - 1)[0].T
 
 
 def factorize(net: LinearNetwork, layer_index: int) -> tuple:
@@ -200,34 +235,27 @@ def linearize_downstream(net: LinearNetwork, layer_index: int, x) -> DownstreamM
     ReLU gaps contribute diagonal 0/1 masks fixed by the base activation
     pattern; a pre-activation sitting exactly at zero masks to 0.  When every
     downstream gap is identity the result is the exact weight product and is
-    independent of x.
+    independent of x.  For an (n, d) sample matrix the result stacks one map
+    per sample (see DownstreamMap).
     """
     net._check_layer_index(layer_index)
-    a = _as_float_vector(x, "input")
-    if a.shape[0] != net.input_dim:
-        raise ValueError(
-            f"input has dim {a.shape[0]}, network expects {net.input_dim}"
-        )
-    pre = []
-    last = net.depth - 1
-    for i, W in enumerate(net.layers):
-        z = W @ a
-        pre.append(z)
-        a = z
-        if i < last and net.activations[i] == RELU:
-            a = np.maximum(a, 0.0)
-
+    cols = _input_columns(net, x)
+    gaps = range(layer_index - 1, net.depth - 1)
+    has_relu = any(net.activations[i] == RELU for i in gaps)
+    pre = _propagate(net, cols, net.depth - 1)[1] if has_relu else None
     out_n = net.layers[layer_index - 1].shape[0]
     A = np.eye(out_n)
-    kind = "exact"
-    for i in range(layer_index - 1, net.depth - 1):
+    for i in gaps:
         if net.activations[i] == RELU:
-            mask = (pre[i] > 0.0).astype(float)
-            A = net.layers[i + 1] @ (mask[:, None] * A)
-            kind = "jacobian"
+            mask = (pre[i] > 0.0).astype(float).T
+            A = net.layers[i + 1] @ (mask[..., None] * A)
         else:
             A = net.layers[i + 1] @ A
-    return DownstreamMap(A, kind)
+    if has_relu:
+        return DownstreamMap(A, "jacobian")
+    if cols.ndim == 2:
+        A = np.broadcast_to(A, (cols.shape[1],) + A.shape)
+    return DownstreamMap(A, "exact")
 
 
 def hidden_residual(delta: ResidualUpdate, Z, x) -> np.ndarray:

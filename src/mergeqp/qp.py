@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .networks import (
-    IDENTITY,
+    DownstreamMap,
     LinearNetwork,
     ResidualUpdate,
     forward,
@@ -155,49 +155,44 @@ class MergeCoefficients:
 
 @dataclass
 class MergeGeometry:
-    """Per-sample ingredients of the layer-N merge objective.
+    """Stacked ingredients of the layer-N merge objective over n samples.
 
-    hidden_inputs[j] is the vector entering layer N on sample j, downstream[j]
-    the map from layer N's output to the model output (shared "exact" matrix
-    when no ReLU sits above N), residuals[j] the base model's output error.
+    hidden_inputs
+        (n, r_in): row j is the input entering layer N on sample j.
+    downstream
+        DownstreamMap with an (n, c, r) matrix: downstream[j].matrix maps
+        layer N's output (dim r) to the model output (dim c) on sample j.
+        With fixed_downstream (no ReLU above N) it is one shared (c, r) map
+        broadcast over the samples; otherwise one Jacobian per sample.
+    residuals
+        (n, c): base model output minus target, one row per sample.
     """
 
     layer_index: int
-    hidden_inputs: list
-    downstream: list
+    hidden_inputs: np.ndarray
+    downstream: DownstreamMap
     residuals: np.ndarray
     fixed_downstream: bool
 
 
 def base_residuals(net: LinearNetwork, calib: CalibrationSet) -> np.ndarray:
     """b_j = h(x_j) - y_j for the unmerged base model, stacked as rows."""
-    out = np.empty((len(calib), net.output_dim))
-    for j in range(len(calib)):
-        out[j] = forward(net, calib.inputs[j]) - calib.targets[j]
-    return out
+    return forward(net, calib.inputs) - calib.targets
 
 
 def merge_geometry(
     net: LinearNetwork, layer_index: int, calib: CalibrationSet
 ) -> MergeGeometry:
-    """Precompute hidden inputs, downstream maps and residuals per sample."""
+    """Hidden inputs, downstream maps and residuals for all samples at once."""
     net._check_layer_index(layer_index)
-    fixed = all(a == IDENTITY for a in net.activations[layer_index - 1 :])
-    hidden, down = [], []
-    shared = None
-    n = len(calib)
-    residuals = np.empty((n, net.output_dim))
-    for j in range(n):
-        x = calib.inputs[j]
-        hidden.append(layer_input(net, layer_index, x))
-        if fixed:
-            if shared is None:
-                shared = linearize_downstream(net, layer_index, x)
-            down.append(shared)
-        else:
-            down.append(linearize_downstream(net, layer_index, x))
-        residuals[j] = forward(net, x) - calib.targets[j]
-    return MergeGeometry(layer_index, hidden, down, residuals, fixed)
+    down = linearize_downstream(net, layer_index, calib.inputs)
+    return MergeGeometry(
+        layer_index,
+        layer_input(net, layer_index, calib.inputs),
+        down,
+        base_residuals(net, calib),
+        down.kind == "exact",
+    )
 
 
 def _check_deltas(net, deltas):
@@ -229,39 +224,12 @@ def build_diagonal_qp(
     """QP over per-task diagonal masks D_k applied to each residual update.
 
     The merged update is sum_k diag(d_k) delta_k, so each task contributes a
-    per-output-coordinate scaling.  Sample j contributes the block row
-    A_j = [L_j diag(r_1j) ... L_j diag(r_Kj)] with r_kj = delta_k @ u_j and
-    u_j the input entering layer N.
+    per-output-coordinate scaling.  This is the general-basis QP with the
+    full standard basis Q = I.
     """
     layer = _check_deltas(net, deltas)
-    if geometry is None:
-        geometry = merge_geometry(net, layer, calib)
-    elif geometry.layer_index != layer:
-        raise ValueError("geometry was computed for a different layer")
-    K = len(deltas)
     r = deltas[0].delta.shape[0]
-    dim = K * r
-    H = np.zeros((dim, dim))
-    g = np.zeros(dim)
-    const = 0.0
-    mats = [d.delta for d in deltas]
-    # overflow here surfaces as a NumericalError from the objective validation
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(len(calib)):
-            u = geometry.hidden_inputs[j]
-            L = geometry.downstream[j].matrix
-            b = geometry.residuals[j]
-            blocks = [L * (dm @ u)[None, :] for dm in mats]
-            A = np.hstack(blocks)
-            H += A.T @ A
-            g += A.T @ b
-            const += b @ b
-    H *= 2.0
-    g *= 2.0
-    H = 0.5 * (H + H.T)
-    return QuadraticObjective(
-        H, g, const, n_tasks=K, n_directions=r, basis_id="standard", layer_index=layer
-    )
+    return _build_qp(net, layer, deltas, calib, np.eye(r), "standard", geometry)
 
 
 def _basis_columns(basis):
@@ -287,11 +255,8 @@ def build_general_basis_qp(
 ) -> QuadraticObjective:
     """QP restricting every task's update to shared orthonormal directions.
 
-    The merged update is sum_{k,p} d_{kp} q_p q_p^T delta_k.  With
-    alpha_{kp}^j = q_p^T delta_k u_j, beta_p^j = (L_j q_p)^T b_j and the Gram
-    matrix G^j = (L_j Q)^T (L_j Q), sample j contributes
-    H += 2 outer(alpha^j, alpha^j) * tile(G^j) and g += 2 alpha^j * beta^j.
-    With the full standard basis this reproduces the diagonal QP exactly.
+    The merged update is sum_{k,p} d_{kp} q_p q_p^T delta_k.  With the full
+    standard basis this reproduces the diagonal QP exactly.
     """
     layer = _check_deltas(net, deltas)
     Q = _basis_columns(basis)
@@ -300,6 +265,26 @@ def build_general_basis_qp(
         raise ValueError(
             f"basis lives in dim {Q.shape[0]} but layer output dim is {r}"
         )
+    basis_id = getattr(basis, "origin", "custom")
+    return _build_qp(net, layer, deltas, calib, Q, basis_id, geometry)
+
+
+# Samples per chunk of the per-sample-Jacobian build are chosen so the
+# stacked design rows of one chunk take about this many bytes.
+_CHUNK_BYTES = 1 << 19
+
+
+def _build_qp(net, layer, deltas, calib, Q, basis_id, geometry):
+    """J(d) = sum_j ||A_j d + b_j||^2 over coefficients of directions Q.
+
+    With alpha[j, k, p] = q_p^T delta_k u_j, M_j = L_j Q and b_j the base
+    residual, A_j[i, (k, p)] = M_j[i, p] alpha[j, k, p], so
+    H = 2 sum_j outer(alpha_j, alpha_j) * tile(M_j^T M_j) and
+    g = 2 sum_j alpha_j * (M_j^T b_j).  A fixed map takes the tile out of the
+    sum: H = 2 (A^T A) * tile(M^T M) with A = alpha reshaped to (n, K P), one
+    GEMM.  Per-sample Jacobians stack the rows of A_j over a chunk of samples
+    and add their Gram matrix, one GEMM per chunk.
+    """
     if geometry is None:
         geometry = merge_geometry(net, layer, calib)
     elif geometry.layer_index != layer:
@@ -307,27 +292,31 @@ def build_general_basis_qp(
     K = len(deltas)
     P = Q.shape[1]
     dim = K * P
-    H = np.zeros((dim, dim))
-    g = np.zeros(dim)
-    const = 0.0
-    mats = [d.delta for d in deltas]
-    basis_id = getattr(basis, "origin", "custom")
+    B = geometry.residuals
+    n, c = B.shape
+    # overflow here surfaces as a NumericalError from the objective validation
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(len(calib)):
-            u = geometry.hidden_inputs[j]
-            L = geometry.downstream[j].matrix
-            b = geometry.residuals[j]
-            LQ = L @ Q
-            alpha = np.stack([Q.T @ (dm @ u) for dm in mats])  # (K, P)
-            beta = LQ.T @ b  # (P,)
-            G = LQ.T @ LQ  # (P, P)
-            aflat = alpha.ravel()
-            H += np.outer(aflat, aflat) * np.tile(G, (K, K))
-            g += (alpha * beta[None, :]).ravel()
-            const += b @ b
-    H *= 2.0
-    g *= 2.0
-    H = 0.5 * (H + H.T)
+        U = geometry.hidden_inputs
+        alpha = np.stack([U @ d.delta.T for d in deltas], axis=1) @ Q  # (n, K, P)
+        if geometry.fixed_downstream:
+            M = geometry.downstream.matrix[0] @ Q  # (c, P)
+            A = alpha.reshape(n, dim)
+            H = A.T @ A
+            # tile(M^T M) multiplied into the K x K blocks in place
+            H.reshape(K, P, K, P)[...] *= (M.T @ M)[None, :, None, :]
+            g = np.einsum("jkp,jp->kp", alpha, B @ M).ravel()
+        else:
+            H = np.zeros((dim, dim))
+            g = np.zeros(dim)
+            step = max(1, _CHUNK_BYTES // (8 * c * dim))
+            for s in range(0, n, step):
+                M = geometry.downstream.matrix[s : s + step] @ Q  # (m, c, P)
+                rows = (M[:, :, None, :] * alpha[s : s + step, None]).reshape(-1, dim)
+                H += rows.T @ rows
+                g += rows.T @ B[s : s + step].ravel()
+        H *= 2.0
+        g *= 2.0
+        const = float(np.einsum("jc,jc->", B, B))
     return QuadraticObjective(
         H, g, const, n_tasks=K, n_directions=P, basis_id=basis_id, layer_index=layer
     )
@@ -513,14 +502,9 @@ def linearized_delta_objective(
     delta = np.asarray(merged_delta, dtype=float)
     if geometry is None:
         geometry = merge_geometry(net, layer_index, calib)
-    total = 0.0
-    for j in range(geometry.residuals.shape[0]):
-        u = geometry.hidden_inputs[j]
-        L = geometry.downstream[j].matrix
-        b = geometry.residuals[j]
-        e = L @ (delta @ u) + b
-        total += float(e @ e)
-    return total
+    moved = geometry.hidden_inputs @ delta.T  # (n, r)
+    E = np.einsum("jcr,jr->jc", geometry.downstream.matrix, moved) + geometry.residuals
+    return float(np.einsum("jc,jc->", E, E))
 
 
 def calibration_mse(net: LinearNetwork, calib: CalibrationSet):
@@ -529,15 +513,14 @@ def calibration_mse(net: LinearNetwork, calib: CalibrationSet):
     Returns (pooled, per_task) where pooled = sum_j ||h(x_j) - y_j||^2 / n
     and per_task maps each task label to the same average over its samples.
     """
-    n = len(calib)
-    sq = np.empty(n)
-    for j in range(n):
-        e = forward(net, calib.inputs[j]) - calib.targets[j]
-        sq[j] = e @ e
+    E = forward(net, calib.inputs) - calib.targets
+    sq = np.einsum("jc,jc->j", E, E)
     pooled = float(sq.mean())
     per_task = {}
     if calib.task_ids is not None:
-        for t in sorted(set(calib.task_ids), key=repr):
-            mask = np.array([tid == t for tid in calib.task_ids])
-            per_task[t] = float(sq[mask].mean())
+        labels = sorted(set(calib.task_ids), key=repr)
+        code = {t: i for i, t in enumerate(labels)}
+        codes = np.array([code[t] for t in calib.task_ids])
+        for i, t in enumerate(labels):
+            per_task[t] = float(sq[codes == i].mean())
     return pooled, per_task

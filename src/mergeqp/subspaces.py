@@ -156,12 +156,16 @@ def coordinate_energy_order(S, L=None) -> np.ndarray:
     return np.argsort(-scores, kind="stable")
 
 
-def _orthonormalize(columns: np.ndarray, tol_scale: float | None = None):
+def _orthonormalize(
+    columns: np.ndarray, tol_scale: float | None = None, max_columns: int | None = None
+):
     """Modified Gram-Schmidt with one re-orthogonalisation pass.
 
     Columns are processed in order; a column whose residual falls below
     1e-10 times the tolerance scale (largest input column norm by default)
-    is dropped as linearly dependent.
+    is dropped as linearly dependent.  Processing stops once max_columns
+    columns are kept, so the result is the first max_columns columns of the
+    full pass.
     """
     cols = np.asarray(columns, dtype=float)
     if cols.ndim != 2:
@@ -179,6 +183,8 @@ def _orthonormalize(columns: np.ndarray, tol_scale: float | None = None):
         nrm = np.linalg.norm(v)
         if nrm > tol and nrm > 0.0:
             kept.append(v / nrm)
+            if len(kept) == max_columns:
+                break
     if kept:
         return np.stack(kept, axis=1)
     return np.zeros((cols.shape[0], 0))
@@ -213,7 +219,7 @@ def svd_basis(deltas, p: int) -> OrthonormalBasis:
         if entries
         else np.zeros((mats[0].shape[0], 0))
     )
-    Q = _orthonormalize(weighted, tol_scale=sig_max if sig_max > 0 else 1.0)
+    Q = _orthonormalize(weighted, tol_scale=sig_max if sig_max > 0 else 1.0, max_columns=p)
     achieved = Q.shape[1]
     deficient = achieved < p
     if deficient:
@@ -221,7 +227,7 @@ def svd_basis(deltas, p: int) -> OrthonormalBasis:
             f"requested p={p} but task updates only span {achieved} directions",
             stacklevel=2,
         )
-    return OrthonormalBasis(Q[:, : min(p, achieved)], "svd_residuals", deficient)
+    return OrthonormalBasis(Q, "svd_residuals", deficient)
 
 
 def random_basis(dim: int, p: int, seed: int) -> OrthonormalBasis:
