@@ -17,7 +17,6 @@ from .networks import (
     apply_merged_residual,
     factorize,
     forward,
-    hidden_residual,
     layer_input,
     linearize_downstream,
 )
@@ -36,6 +35,7 @@ from .qp import (
     merged_delta_from_coefficients,
     objective_gradient,
     objective_value,
+    prefix_objective,
     solve_1d,
     solve_box_constrained,
     solve_unconstrained,
@@ -44,12 +44,12 @@ from .subspaces import (
     OrthonormalBasis,
     ResidualEnergyMatrix,
     SubspaceDiagnostics,
-    captured_energy_pointwise,
     coordinate_energy_order,
     diagnostics,
     energy_matrix,
     optimal_basis,
     output_projector,
+    prefix_captured_energy,
     pullback_basis,
     random_basis,
     standard_basis,
@@ -72,12 +72,12 @@ from .baselines import (
 )
 from .multilayer import (
     LayerMergeRecord,
-    MergePlan,
     MergeReport,
     basis_fraction,
     hybrid_refine,
     interaction_error,
     layer_basis,
+    prefix_sweep,
     sequential_merge,
 )
 from .bundles import (

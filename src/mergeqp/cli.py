@@ -31,9 +31,9 @@ from .bundles import (
 from .multilayer import (
     LayerMergeRecord,
     MergeReport,
-    basis_fraction,
     hybrid_refine,
     layer_basis,
+    prefix_sweep,
     sequential_merge,
 )
 from .networks import apply_merged_residual, forward
@@ -45,14 +45,7 @@ from .qp import (
     linearized_delta_objective,
     merge_geometry,
     merged_delta_from_coefficients,
-    objective_value,
     solve_unconstrained,
-)
-from .subspaces import (
-    energy_matrix,
-    optimal_basis,
-    output_projector,
-    captured_energy_pointwise,
 )
 
 EXIT_OK = 0
@@ -87,7 +80,7 @@ def _fmt(value):
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 
@@ -361,10 +354,8 @@ def cmd_diagnose(args) -> int:
     calib = bundle.pooled_calibration()
     deltas = bundle.residuals[layer]
     geometry = merge_geometry(bundle.base, layer, calib)
-    S = energy_matrix(geometry.residuals)
     c = bundle.base.output_dim
     r = deltas[0].delta.shape[0]
-    n = len(calib)
     p_cap = min(r, c)
     p_max = args.p_max if args.p_max is not None else p_cap
     if p_max > p_cap:
@@ -382,27 +373,11 @@ def cmd_diagnose(args) -> int:
         basis = layer_basis("random", p_max, seed, deltas, geometry)
         chains.append((f"random({seed})", basis))
 
-    opt_relaxed = {}
-    for p in range(1, min(p_max, c) + 1):
-        P_opt = output_projector(np.eye(c), optimal_basis(S, p))
-        opt_relaxed[p] = S.total_energy - float(np.einsum("ij,ji->", S.S, P_opt))
-
-    rows = []
-    for label, chain in chains:
-        for p in range(1, chain.p + 1):
-            Q = chain.prefix(p)
-            if geometry.fixed_downstream:
-                P_model = output_projector(geometry.downstream.matrix[0], Q)
-                captured = float(np.einsum("ij,ji->", S.S, P_model))
-            else:
-                projectors = [output_projector(L, Q) for L in geometry.downstream.matrix]
-                captured = captured_energy_pointwise(geometry.residuals, projectors)
-            fraction = 1.0 if S.total_energy == 0 else captured / S.total_energy
-            relaxed = S.total_energy - captured
-            gap = relaxed - opt_relaxed[min(p, c)]
-            qp = build_general_basis_qp(bundle.base, deltas, calib, Q, geometry=geometry)
-            qp_mse = objective_value(qp, solve_unconstrained(qp)) / n
-            rows.append([label, p, fraction, relaxed, qp_mse, gap])
+    rows = [
+        [label, *row]
+        for label, chain in chains
+        for row in prefix_sweep(bundle.base, deltas, calib, chain, geometry)
+    ]
 
     header = ["basis", "p", "fraction", "relaxed_loss", "qp_mse", "gap"]
     if args.out:

@@ -24,15 +24,15 @@ from .qp import (
     merge_geometry,
     merged_delta_from_coefficients,
     objective_value,
+    prefix_objective,
     solve_box_constrained,
     solve_unconstrained,
 )
 from .subspaces import (
-    captured_energy_pointwise,
     coordinate_energy_order,
     energy_matrix,
     optimal_basis,
-    output_projector,
+    prefix_captured_energy,
     pullback_basis,
     random_basis,
     standard_basis,
@@ -61,18 +61,6 @@ class MergeReport:
     final_mse: float
     task_mse: dict
     baseline_mse: float | None = None
-
-
-@dataclass
-class MergePlan:
-    """Ordered (layer_index, method, params) steps, bottom-up."""
-
-    steps: list
-
-    def __post_init__(self):
-        indices = [s[0] for s in self.steps]
-        if any(b <= a for a, b in zip(indices, indices[1:])):
-            raise ValueError("plan layer indices must be strictly increasing")
 
 
 def _solve(qp, solver, lo, hi, steps, step_size):
@@ -108,13 +96,37 @@ def basis_fraction(basis, geometry):
     S = energy_matrix(geometry.residuals)
     if S.total_energy == 0.0:
         return 1.0
-    if geometry.fixed_downstream:
-        P = output_projector(geometry.downstream.matrix[0], basis)
-        captured = float(np.einsum("ij,ji->", S.S, P))
-    else:
-        projectors = [output_projector(L, basis) for L in geometry.downstream.matrix]
-        captured = captured_energy_pointwise(geometry.residuals, projectors)
-    return captured / S.total_energy
+    captured = prefix_captured_energy(geometry.downstream, basis, geometry.residuals)
+    return float(captured[-1]) / S.total_energy
+
+
+def prefix_sweep(net, deltas, calib, basis, geometry):
+    """Diagnostics of every prefix of a basis chain from one pass over the chain.
+
+    Returns one (p, fraction, relaxed_loss, qp_mse, gap) tuple per prefix
+    p = 1..basis.p: the captured-energy fraction, the relaxed loss
+    total - captured, the calibration MSE of the exact QP solve restricted
+    to the first p directions, and the gap to the relaxed loss of the best
+    min(p, c)-dimensional output subspace.  The captured energies come from
+    prefix_captured_energy and the prefix QPs are slices of one QP built on
+    the whole chain.
+    """
+    S = energy_matrix(geometry.residuals)
+    total = S.total_energy
+    captured = prefix_captured_energy(geometry.downstream, basis, geometry.residuals)
+    # no p-dim subspace captures more than the top p eigenvalues of S
+    opt_relaxed = total - np.cumsum(np.linalg.eigvalsh(S.S)[::-1])
+    qp = build_general_basis_qp(net, deltas, calib, basis, geometry=geometry)
+    n = len(calib)
+    rows = []
+    for p in range(1, basis.p + 1):
+        sub = prefix_objective(qp, p)
+        fraction = 1.0 if total == 0 else float(captured[p - 1]) / total
+        relaxed = total - float(captured[p - 1])
+        qp_mse = objective_value(sub, solve_unconstrained(sub)) / n
+        gap = relaxed - float(opt_relaxed[min(p, opt_relaxed.shape[0]) - 1])
+        rows.append((p, fraction, relaxed, qp_mse, gap))
+    return rows
 
 
 def _merge_one_layer(

@@ -26,15 +26,6 @@ def _as_float_matrix(value, name):
     return mat
 
 
-def _as_float_vector(value, name):
-    vec = np.asarray(value, dtype=float)
-    if vec.ndim != 1:
-        raise ValueError(f"{name} must be a 1-D array, got shape {vec.shape}")
-    if not np.all(np.isfinite(vec)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return vec
-
-
 def _input_columns(net, x):
     """x as one column (d,) or as columns (d, n) of an (n, d) sample matrix.
 
@@ -256,19 +247,6 @@ def linearize_downstream(net: LinearNetwork, layer_index: int, x) -> DownstreamM
     if cols.ndim == 2:
         A = np.broadcast_to(A, (cols.shape[1],) + A.shape)
     return DownstreamMap(A, "exact")
-
-
-def hidden_residual(delta: ResidualUpdate, Z, x) -> np.ndarray:
-    """r = delta @ Z @ x, the hidden-layer perturbation one task contributes."""
-    Zm = _as_float_matrix(Z, "Z")
-    xv = _as_float_vector(x, "x")
-    if Zm.shape[1] != xv.shape[0]:
-        raise ValueError(f"Z has {Zm.shape[1]} columns but x has dim {xv.shape[0]}")
-    if delta.delta.shape[1] != Zm.shape[0]:
-        raise ValueError(
-            f"delta has {delta.delta.shape[1]} columns but Z produces dim {Zm.shape[0]}"
-        )
-    return delta.delta @ (Zm @ xv)
 
 
 def apply_merged_residual(

@@ -269,6 +269,29 @@ def build_general_basis_qp(
     return _build_qp(net, layer, deltas, calib, Q, basis_id, geometry)
 
 
+def prefix_objective(qp: QuadraticObjective, p: int) -> QuadraticObjective:
+    """The QP over the first p directions only, sliced out of the QP over all.
+
+    Coefficients are task-major, so restricting every task to directions
+    0..p-1 keeps flat indices k * P + i for i < p: the sub-block of H, the
+    entries of g and the same constant, as a fresh build on the prefix basis
+    would give.
+    """
+    P = qp.n_directions
+    if not 1 <= p <= P:
+        raise ValueError(f"prefix size {p} outside [1, {P}]")
+    idx = (np.arange(qp.n_tasks)[:, None] * P + np.arange(p)).ravel()
+    return QuadraticObjective(
+        qp.H[np.ix_(idx, idx)],
+        qp.g[idx],
+        qp.constant,
+        n_tasks=qp.n_tasks,
+        n_directions=p,
+        basis_id=qp.basis_id,
+        layer_index=qp.layer_index,
+    )
+
+
 # Samples per chunk of the per-sample-Jacobian build are chosen so the
 # stacked design rows of one chunk take about this many bytes.
 _CHUNK_BYTES = 1 << 19

@@ -288,6 +288,68 @@ def output_projector(L, basis) -> np.ndarray:
     return 0.5 * (P + P.T)
 
 
+def _orthonormalize_stack(M: np.ndarray) -> np.ndarray:
+    """Orthonormalise the columns of every matrix in an (n, c, P) stack, in order.
+
+    Modified Gram-Schmidt batched over the stack: each new unit column is
+    removed from all later columns at once, and every column is projected
+    once more against the kept columns before its norm is taken.  A column
+    whose residual is at most 1e-10 times its matrix's largest column norm
+    is dropped as linearly dependent and comes back as zeros, so the first
+    p output columns of M[j] span the same space as the first p input ones.
+    """
+    W = M.copy()
+    out = np.zeros_like(W)
+    tol = 1e-10 * np.linalg.norm(W, axis=1).max(axis=1, initial=0.0)
+    for i in range(W.shape[2]):
+        kept = out[:, :, :i]
+        v = W[:, :, i]
+        v -= np.einsum("ncp,np->nc", kept, np.einsum("ncp,nc->np", kept, v))
+        nrm = np.linalg.norm(v, axis=1)
+        keep = nrm > tol
+        q = np.zeros_like(v)
+        q[keep] = v[keep] / nrm[keep, None]
+        out[:, :, i] = q
+        later = W[:, :, i + 1 :]
+        later -= q[:, :, None] * np.einsum("nc,ncp->np", q, later)[:, None, :]
+    return out
+
+
+def prefix_captured_energy(downstream, basis, residuals) -> np.ndarray:
+    """Captured residual energy of every prefix of a basis chain, in one pass.
+
+    Entry p - 1 is the energy captured by the output image of the first p
+    columns of Q: sum_j b_j^T P_j b_j with P_j the projector onto
+    span(L_j Q[:, :p]) for per-sample maps L_j (an (n, c, r) stack or a
+    "jacobian" DownstreamMap), or tr(S P) with S = sum_j b_j b_j^T for one
+    fixed map (a (c, r) matrix or an "exact" DownstreamMap).  residuals
+    holds the b_j as (n, c) rows.
+
+    The columns of L_j Q are orthonormalised in order, batched over samples
+    (see _orthonormalize_stack); prefix p then captures the cumulative sum
+    of (q_i^T b_j)^2, or q_i^T S q_i, over the kept columns i < p.  The drop
+    rule matters: ReLU Jacobians make L_j Q exactly rank-deficient once p
+    exceeds the sample's active units, and a QR that keeps every column
+    would count rounding noise as captured directions.
+    """
+    Q = np.asarray(getattr(basis, "columns", basis), dtype=float)
+    B = np.asarray(residuals, dtype=float)
+    if isinstance(downstream, DownstreamMap):
+        L = downstream.matrix
+        if downstream.kind == "exact" and L.ndim == 3:
+            L = L[0]
+    else:
+        L = np.asarray(downstream, dtype=float)
+    if L.ndim == 2:
+        q = _orthonormalize_stack((L @ Q)[None])[0]
+        S = energy_matrix(B).S
+        per_column = np.einsum("ip,ip->p", q, S @ q)
+    else:
+        q = _orthonormalize_stack(L @ Q)
+        per_column = (np.einsum("ncp,nc->np", q, B) ** 2).sum(axis=0)
+    return np.cumsum(per_column)
+
+
 def diagnostics(S, P_model, P_opt) -> SubspaceDiagnostics:
     """Captured energy, fraction, relaxed loss and gap for a model subspace.
 
@@ -309,22 +371,6 @@ def diagnostics(S, P_model, P_opt) -> SubspaceDiagnostics:
     relaxed = total - captured
     gap = float(np.einsum("ij,ji->", Smat, P_opt - P_model))
     return SubspaceDiagnostics(captured, fraction, relaxed, gap)
-
-
-def captured_energy_pointwise(residuals, projectors) -> float:
-    """sum_j b_j^T P_j b_j for sample-dependent projectors.
-
-    This is the captured-energy surrogate when the downstream map is a
-    per-sample Jacobian, so no single fixed projector exists.
-    """
-    B = np.asarray(residuals, dtype=float)
-    if B.shape[0] != len(projectors):
-        raise ValueError("one projector per residual row required")
-    total = 0.0
-    for j in range(B.shape[0]):
-        b = B[j]
-        total += float(b @ projectors[j] @ b)
-    return total
 
 
 def svd_closed_form_weights(sigmas, target_index: int) -> np.ndarray:

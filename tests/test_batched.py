@@ -2,10 +2,14 @@
 
 The references here evaluate one calibration sample at a time with the 1-D
 network functions and sum in python, the way the library did before its
-passes were stacked over sample matrices.  The stacked code sums in another
-order, so results are compared within 1e-12 relative to the largest entry.
+passes were stacked over sample matrices.  The prefix-sweep references
+compute one output_projector per sample and prefix and build one QP per
+prefix, the way diagnose did before it swept each basis chain in one pass.
+The stacked code sums in another order, so results are compared within
+1e-12 relative to the largest entry.
 """
 
+import csv
 import warnings
 from unittest import mock
 
@@ -15,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mergeqp as mq
-from mergeqp import cli, qp
+from mergeqp import cli, qp, subspaces
 
 from conftest import make_linear_net, make_relu_net
 
@@ -265,3 +269,176 @@ def test_svd_basis_early_stop_equals_full_pass_prefix(seed, K, rank):
         assert np.array_equal(basis.columns, full.columns[:, :p])
         assert basis.rank_deficient == (full.p < p)
         assert bool(caught) == (full.p < p)
+
+
+def _loop_prefix_energy(maps, Q, B):
+    """Captured energy of each prefix the way diagnose summed it before.
+
+    One output_projector SVD per sample and prefix, then b_j^T P_j b_j summed
+    one sample at a time; a fixed map gets one projector and tr(S P).
+    """
+    out = []
+    for p in range(1, Q.shape[1] + 1):
+        if isinstance(maps, np.ndarray) and maps.ndim == 2:
+            S = mq.energy_matrix(B).S
+            out.append(float(np.einsum("ij,ji->", S, mq.output_projector(maps, Q[:, :p]))))
+            continue
+        total = 0.0
+        for L, b in zip(maps, B):
+            total += float(b @ mq.output_projector(L, Q[:, :p]) @ b)
+        out.append(total)
+    return np.array(out)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 10_000),
+    fixed=st.booleans(),
+    standard=st.booleans(),
+    n=st.integers(1, 12),
+    p=st.integers(1, 4),
+)
+def test_prefix_energy_matches_projector_loop(seed, fixed, standard, n, p):
+    rng = np.random.default_rng(seed)
+    # Small integer weights and inputs put many pre-activations exactly at 0;
+    # the zero input switches every unit off (a zero Jacobian); with 3 hidden
+    # units above the 4-unit merge layer, L_j Q is rank-deficient for p = 4
+    # on every sample, and for smaller p wherever units are inactive.  The
+    # fixed map W3 W2 has rank 3, so p = 4 exceeds it too.
+    dims = (3, 4, 3, 5)
+    net = mq.LinearNetwork(
+        [rng.integers(-2, 3, size=(dims[i + 1], dims[i])).astype(float) for i in range(3)],
+        ["identity", "identity"] if fixed else ["relu", "relu"],
+    )
+    X = rng.integers(-2, 3, size=(n, 3)).astype(float)
+    X[0] = 0.0
+    calib = mq.CalibrationSet(X, rng.normal(size=(n, 5)))
+    geom = mq.merge_geometry(net, 1, calib)
+    basis = mq.standard_basis(4, p, rng.permutation(4)) if standard else mq.random_basis(4, p, seed)
+    if fixed:
+        maps = geom.downstream.matrix[0]
+    else:
+        maps = [mq.linearize_downstream(net, 1, x).matrix for x in X]
+    expected = _loop_prefix_energy(maps, basis.columns, geom.residuals)
+    got = mq.prefix_captured_energy(geom.downstream, basis, geom.residuals)
+    _close(got, expected)
+    # the plain arrays go through the same path as the DownstreamMap
+    _close(mq.prefix_captured_energy(np.asarray(maps), basis, geom.residuals), expected)
+    total = mq.energy_matrix(geom.residuals).total_energy
+    assert mq.basis_fraction(basis, geom) == (1.0 if total == 0.0 else got[-1] / total)
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 10_000), eps_exp=st.integers(3, 8))
+def test_orthonormalized_stack_is_orthonormal_and_spans_prefixes(seed, eps_exp):
+    rng = np.random.default_rng(seed)
+    M = rng.normal(size=(4, 6, 5))
+    M[:, :, 2] = M[:, :, 0] + 10.0**-eps_exp * rng.normal(size=(4, 6))  # nearly dependent
+    M[:, :, 3] = 2.0 * M[:, :, 1]  # exactly dependent
+    M[1] = 0.0  # a zero map
+    Q = subspaces._orthonormalize_stack(M)
+    for j in range(4):
+        norms = np.linalg.norm(Q[j], axis=0)
+        kept = norms > 0
+        assert np.all(np.abs(norms[kept] - 1.0) <= 1e-14)
+        assert kept.tolist() == ([False] * 5 if j == 1 else [True, True, True, False, True])
+        # kept columns orthonormal to working precision even with a 1e-8
+        # near-dependence; a single Gram-Schmidt pass loses about 1e-16 / 1e-8
+        assert np.abs(Q[j].T @ Q[j] - np.diag(kept.astype(float))).max() <= 1e-13
+        for p in range(1, 6):
+            head = M[j, :, :p]
+            resid = head - Q[j, :, :p] @ (Q[j, :, :p].T @ head)
+            assert np.abs(resid).max() <= 1e-12 * max(np.abs(M[j]).max(), 1e-300)
+
+
+@pytest.mark.parametrize("net_name", sorted(NETS))
+def test_prefix_objective_equals_fresh_prefix_build(net_name):
+    net, deltas, calib, _ = _instance(5, net_name, 7, K=3)
+    r = deltas[0].delta.shape[0]
+    chain = mq.random_basis(r, r, 5)
+    full = mq.build_general_basis_qp(net, deltas, calib, chain)
+    for p in range(1, r + 1):
+        sliced = mq.prefix_objective(full, p)
+        fresh = mq.build_general_basis_qp(net, deltas, calib, chain.prefix(p))
+        assert (sliced.n_tasks, sliced.n_directions) == (3, p)
+        assert (sliced.basis_id, sliced.layer_index) == (fresh.basis_id, fresh.layer_index)
+        _close(sliced.H, fresh.H)
+        _close(sliced.g, fresh.g)
+        _close(sliced.constant, fresh.constant)
+    with pytest.raises(ValueError):
+        mq.prefix_objective(full, r + 1)
+
+
+def _reference_diagnose_rows(bundle, args):
+    """The diagnose loop before prefix sweeps: per-prefix projectors and QPs."""
+    layer = bundle.layers_with_updates[0]
+    calib = bundle.pooled_calibration()
+    deltas = bundle.residuals[layer]
+    geometry = mq.merge_geometry(bundle.base, layer, calib)
+    S = mq.energy_matrix(geometry.residuals)
+    c = bundle.base.output_dim
+    n = len(calib)
+    p_max = min(deltas[0].delta.shape[0], c)
+    chains = [
+        (kind, mq.layer_basis(kind, p_max, args["seed"], deltas, geometry))
+        for kind in ("eigen", "standard", "svd")
+    ]
+    for i in range(args["random_seeds"]):
+        seed = args["seed"] + i
+        chains.append((f"random({seed})", mq.layer_basis("random", p_max, seed, deltas, geometry)))
+    opt_relaxed = {}
+    for p in range(1, p_max + 1):
+        P_opt = mq.output_projector(np.eye(c), mq.optimal_basis(S, p))
+        opt_relaxed[p] = S.total_energy - float(np.einsum("ij,ji->", S.S, P_opt))
+    rows = []
+    for label, chain in chains:
+        for p in range(1, chain.p + 1):
+            Q = chain.prefix(p)
+            if geometry.fixed_downstream:
+                P_model = mq.output_projector(geometry.downstream.matrix[0], Q)
+                captured = float(np.einsum("ij,ji->", S.S, P_model))
+            else:
+                captured = 0.0
+                for L, b in zip(geometry.downstream.matrix, geometry.residuals):
+                    captured += float(b @ mq.output_projector(L, Q) @ b)
+            fraction = 1.0 if S.total_energy == 0 else captured / S.total_energy
+            relaxed = S.total_energy - captured
+            gap = relaxed - opt_relaxed[min(p, c)]
+            qp = mq.build_general_basis_qp(bundle.base, deltas, calib, Q, geometry=geometry)
+            qp_mse = mq.objective_value(qp, mq.solve_unconstrained(qp)) / n
+            rows.append([label, p, fraction, relaxed, qp_mse, gap])
+    return rows, S.total_energy
+
+
+@pytest.mark.parametrize(
+    "gen",
+    [
+        ("--kind", "relu", "--seed", "3", "--tasks", "2", "--n-calib", "25"),
+        ("--kind", "linear", "--dims", "9,7,5", "--seed", "4", "--tasks", "3"),
+    ],
+)
+def test_diagnose_csv_matches_per_prefix_reference(tmp_path, gen):
+    bundle_path = tmp_path / "bundle.json"
+    out = tmp_path / "diag.csv"
+    assert cli.main(["gen", "--out", str(bundle_path), *gen]) == 0
+    assert cli.main(["diagnose", "--bundle", str(bundle_path), "--random-seeds", "2",
+                     "--seed", "1", "--out", str(out)]) == 0
+    with open(out) as fh:
+        header, *got = list(csv.reader(fh))
+    assert header == ["basis", "p", "fraction", "relaxed_loss", "qp_mse", "gap"]
+    want, total = _reference_diagnose_rows(mq.load_bundle(bundle_path), {"seed": 1, "random_seeds": 2})
+    assert [row[:2] for row in got] == [[label, str(p)] for label, p, *_ in want]
+    for row, (_, _, fraction, relaxed, qp_mse, gap) in zip(got, want):
+        assert abs(float(row[2]) - fraction) <= REL * abs(fraction)
+        assert abs(float(row[4]) - qp_mse) <= REL * abs(qp_mse)
+        # total - captured cancels, so these hold to the total energy's scale
+        assert abs(float(row[3]) - relaxed) <= REL * total
+        assert abs(float(row[5]) - gap) <= REL * total
+
+
+def test_fmt_writes_numpy_floats_as_plain_reprs(tmp_path):
+    assert cli._fmt(np.float64(0.5)) == "0.5"
+    assert cli._fmt(np.float64(1e-300)) == repr(1e-300)
+    path = tmp_path / "t.csv"
+    cli._write_csv(path, ["x", "y"], [[np.float64(0.1), 2]])
+    assert path.read_text().splitlines() == ["x,y", "0.1,2"]

@@ -13,13 +13,6 @@ def _two_layer_bundle(seed=0, eps=0.5):
     )
 
 
-def test_merge_plan_requires_increasing_layers():
-    with pytest.raises(ValueError):
-        mq.MergePlan([(2, "qp-diag", {}), (1, "qp-diag", {})])
-    with pytest.raises(ValueError):
-        mq.MergePlan([(1, "qp-diag", {}), (1, "soup", {})])
-
-
 def test_single_layer_plan_equals_standalone_solve():
     bundle = mq.gen_linear_tasks(seed=4)
     calib = bundle.pooled_calibration()

@@ -104,14 +104,6 @@ def test_linearize_kind_reflects_downstream_relu(rng):
     assert mq.linearize_downstream(net, 2, x).kind == "exact"
 
 
-def test_hidden_residual_is_delta_of_projected_input():
-    delta = np.array([[1.0, 0.0], [0.0, 2.0]])
-    Z = np.array([[1.0, 1.0], [0.0, 1.0]])
-    x = np.array([1.0, 2.0])
-    upd = mq.ResidualUpdate(1, delta, task_id=0)
-    assert np.array_equal(mq.hidden_residual(upd, Z, x), delta @ (Z @ x))
-
-
 def test_apply_merged_residual_leaves_base_untouched():
     net = make_linear_net([[1.0, 0.0], [0.0, 1.0]])
     before = net.layers[0].copy()

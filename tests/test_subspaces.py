@@ -150,17 +150,6 @@ def test_diagnostics_zero_energy():
     assert diag.fraction == 1.0
 
 
-def test_captured_energy_pointwise_loops(rng):
-    B = rng.normal(size=(5, 3))
-    projs = []
-    for j in range(5):
-        Q, _ = np.linalg.qr(rng.normal(size=(3, 2)))
-        projs.append(Q @ Q.T)
-    got = mq.captured_energy_pointwise(B, projs)
-    want = sum(float(np.sum((projs[j] @ B[j]) ** 2)) for j in range(5))
-    assert np.isclose(got, want, rtol=1e-12)
-
-
 def test_closed_form_weights_grid():
     w = mq.svd_closed_form_weights((2.0, 3.0, 5.0), 1)
     tot = 4.0 + 9.0 + 25.0
