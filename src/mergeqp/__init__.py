@@ -43,9 +43,7 @@ from .qp import (
 from .subspaces import (
     OrthonormalBasis,
     ResidualEnergyMatrix,
-    SubspaceDiagnostics,
     coordinate_energy_order,
-    diagnostics,
     energy_matrix,
     optimal_basis,
     output_projector,

@@ -1,16 +1,23 @@
 """Model bundles: base network, per-task updates, calibration data, on disk.
 
 A bundle is everything one merging experiment needs, stored as a single JSON
-file (format version 1).  Floats are written with Python's shortest
-round-trip repr, so save -> load -> save reproduces values bit-exactly and
-identical generator configurations produce byte-identical files.  Three
-seeded generators build desk-scale bundles: plain linear stacks, the
-shared-direction construction behind the closed-form merge weights, and a
-small ReLU classifier fine-tuned on disjoint class subsets.
+file.  Files are written as format version 2: every float array is one
+base64 string of its row-major little-endian float64 bytes, so save -> load
+-> save reproduces values bit-exactly and identical generator configurations
+produce byte-identical files.  Array shapes come from the network: layer
+matrices carry rows/cols, residual updates take their layer's shape, and
+calibration inputs/targets take the network's input/output width.  Version-1
+files, which store the same layout with JSON number lists (calibration as
+lists of rows), are still read; loading one and saving it converts it to
+version 2.  Three seeded generators build desk-scale bundles: plain linear
+stacks, the shared-direction construction behind the closed-form merge
+weights, and a small ReLU classifier fine-tuned on disjoint class subsets.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
 import json
 import math
 from dataclasses import dataclass, field
@@ -20,7 +27,8 @@ import numpy as np
 from .networks import IDENTITY, RELU, LinearNetwork, ResidualUpdate, forward
 from .qp import CalibrationSet
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+READ_VERSIONS = (1, 2)
 
 
 class BundleFormatError(ValueError):
@@ -79,61 +87,82 @@ class ModelBundle:
         return CalibrationSet.concat(self.calibration)
 
 
-def _matrix_obj(mat: np.ndarray) -> dict:
+def _encode(arr: np.ndarray, path: str) -> str:
+    """Row-major little-endian float64 bytes of arr as one base64 string."""
+    arr = np.ascontiguousarray(arr, dtype="<f8")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{path}: non-finite values, refusing to save")
+    return base64.b64encode(arr.tobytes()).decode("ascii")
+
+
+def _task_id(task, path, error=BundleFormatError):
+    """Task ids are JSON scalars: int or str (bool is not an id)."""
+    if isinstance(task, bool) or not isinstance(task, (int, str)):
+        raise error(
+            f"{path}: task id must be an int or a string, got {type(task).__name__}"
+        )
+    return task
+
+
+def _network_obj(net: LinearNetwork, path: str) -> dict:
     return {
-        "rows": int(mat.shape[0]),
-        "cols": int(mat.shape[1]),
-        "data": [float(v) for v in mat.ravel()],
-    }
-
-
-def _nested_list(mat: np.ndarray) -> list:
-    return [[float(v) for v in row] for row in mat]
-
-
-def _network_obj(net: LinearNetwork) -> dict:
-    return {
-        "layers": [_matrix_obj(W) for W in net.layers],
+        "layers": [
+            {
+                "rows": int(W.shape[0]),
+                "cols": int(W.shape[1]),
+                "data": _encode(W, f"{path}.layers[{i}].data"),
+            }
+            for i, W in enumerate(net.layers)
+        ],
         "activations": list(net.activations),
     }
 
 
 def bundle_to_obj(bundle: ModelBundle) -> dict:
+    """The version-2 JSON object of a bundle; ValueError if it cannot load back."""
+    updates = [up for layer in sorted(bundle.residuals) for up in bundle.residuals[layer]]
     obj = {
         "version": FORMAT_VERSION,
-        "base": _network_obj(bundle.base),
-        "residuals": [],
+        "base": _network_obj(bundle.base, "$.base"),
+        "residuals": [
+            {
+                "layer": int(up.layer_index),
+                "task": _task_id(up.task_id, f"$.residuals[{i}].task", ValueError),
+                "data": _encode(up.delta, f"$.residuals[{i}].data"),
+            }
+            for i, up in enumerate(updates)
+        ],
         "calibration": [],
         "meta": bundle.meta,
     }
-    for layer in sorted(bundle.residuals):
-        for up in bundle.residuals[layer]:
-            obj["residuals"].append(
-                {
-                    "layer": int(layer),
-                    "task": up.task_id,
-                    "data": [float(v) for v in up.delta.ravel()],
-                }
-            )
-    for cs in bundle.calibration:
+    for i, cs in enumerate(bundle.calibration):
+        path = f"$.calibration[{i}]"
         ids = set(cs.task_ids or [None])
         if len(ids) != 1:
             raise ValueError("each stored calibration set must belong to one task")
         obj["calibration"].append(
             {
-                "task": next(iter(ids)),
-                "inputs": _nested_list(cs.inputs),
-                "targets": _nested_list(cs.targets),
+                "task": _task_id(next(iter(ids)), f"{path}.task", ValueError),
+                "inputs": _encode(cs.inputs, f"{path}.inputs"),
+                "targets": _encode(cs.targets, f"{path}.targets"),
             }
         )
     return obj
 
 
-def save_bundle(bundle: ModelBundle, path) -> None:
-    """Write a bundle as version-1 JSON. Deterministic, no timestamps."""
+def _write_json(obj, path) -> None:
     with open(path, "w") as fh:
-        json.dump(bundle_to_obj(bundle), fh, indent=1)
+        json.dump(obj, fh, indent=1)
         fh.write("\n")
+
+
+def save_bundle(bundle: ModelBundle, path) -> None:
+    """Write a bundle as version-2 JSON. Deterministic, no timestamps.
+
+    Raises ValueError naming the field, before anything is written, when the
+    bundle holds non-finite values or a task id that is not an int or str.
+    """
+    _write_json(bundle_to_obj(bundle), path)
 
 
 def _expect(obj, key, kinds, path):
@@ -150,37 +179,62 @@ def _expect(obj, key, kinds, path):
     return val
 
 
+def _floats(value, path, cols, rows=None) -> np.ndarray:
+    """A (rows, cols) float64 array from a base64 string or a number list.
+
+    A string holds row-major little-endian float64 bytes (version 2).  A list
+    is flat when rows is given and a list of rows otherwise (version 1).
+    rows=None takes the row count from the data, which must be non-empty.
+    """
+    if isinstance(value, str):
+        try:
+            raw = base64.b64decode(value, validate=True)
+        except binascii.Error as exc:
+            raise BundleFormatError(f"{path}: invalid base64: {exc}") from exc
+        if len(raw) % 8:
+            raise BundleFormatError(
+                f"{path}: {len(raw)} bytes is not a whole number of float64 values"
+            )
+        arr = np.frombuffer(raw, "<f8").astype(np.float64)
+    elif isinstance(value, list):
+        try:
+            arr = np.asarray(value, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise BundleFormatError(f"{path}: {exc}") from exc
+        if arr.ndim != (1 if rows is not None else 2):
+            raise BundleFormatError(
+                f"{path}: expected a flat list of numbers"
+                if rows is not None
+                else f"{path}: expected a non-empty list of equal-length rows"
+            )
+        if rows is None and arr.shape[1] != cols:
+            raise BundleFormatError(f"{path}: rows of length {arr.shape[1]}, expected {cols}")
+    else:
+        raise BundleFormatError(
+            f"{path}: expected a base64 string or a list of numbers, "
+            f"got {type(value).__name__}"
+        )
+    if rows is not None and arr.size != rows * cols:
+        raise BundleFormatError(f"{path}: expected {rows * cols} values, got {arr.size}")
+    if rows is None and (arr.size == 0 or arr.size % cols):
+        raise BundleFormatError(
+            f"{path}: {arr.size} values do not fill rows of width {cols}"
+        )
+    if not np.all(np.isfinite(arr)):
+        raise BundleFormatError(f"{path}: non-finite values")
+    return arr.reshape(-1 if rows is None else rows, cols)
+
+
 def _parse_matrix(obj, path) -> np.ndarray:
     rows = _expect(obj, "rows", int, path)
     cols = _expect(obj, "cols", int, path)
-    data = _expect(obj, "data", list, path)
     if rows < 1 or cols < 1:
         raise BundleFormatError(f"{path}: rows and cols must be positive")
-    if len(data) != rows * cols:
-        raise BundleFormatError(
-            f"{path}.data: expected {rows * cols} values, got {len(data)}"
-        )
-    try:
-        mat = np.asarray(data, dtype=float).reshape(rows, cols)
-    except (TypeError, ValueError) as exc:
-        raise BundleFormatError(f"{path}.data: {exc}") from exc
-    if not np.all(np.isfinite(mat)):
-        raise BundleFormatError(f"{path}.data: non-finite values")
-    return mat
+    return _parse_2d(obj, "data", cols, path, rows)
 
 
-def _parse_2d(value, path) -> np.ndarray:
-    if not isinstance(value, list) or not value:
-        raise BundleFormatError(f"{path}: expected a non-empty list of rows")
-    try:
-        mat = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise BundleFormatError(f"{path}: {exc}") from exc
-    if mat.ndim != 2:
-        raise BundleFormatError(f"{path}: rows have inconsistent lengths")
-    if not np.all(np.isfinite(mat)):
-        raise BundleFormatError(f"{path}: non-finite values")
-    return mat
+def _parse_2d(entry, key, cols, path, rows=None) -> np.ndarray:
+    return _floats(_expect(entry, key, None, path), f"{path}.{key}", cols, rows)
 
 
 def _parse_network(obj, path) -> LinearNetwork:
@@ -202,12 +256,27 @@ def _parse_network(obj, path) -> LinearNetwork:
         raise BundleFormatError(f"{path}: {exc}") from exc
 
 
-def bundle_from_obj(obj) -> ModelBundle:
+def _load_obj(path) -> dict:
+    """Read a JSON file and check it carries a readable format version."""
+    with open(path) as fh:
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise BundleFormatError(f"not valid JSON: {exc}") from exc
+    _check_version(obj)
+    return obj
+
+
+def _check_version(obj) -> None:
     version = _expect(obj, "version", int, "$")
-    if version != FORMAT_VERSION:
+    if version not in READ_VERSIONS:
         raise BundleFormatError(
-            f"$.version: unsupported version {version}, expected {FORMAT_VERSION}"
+            f"$.version: unsupported version {version}, expected one of {READ_VERSIONS}"
         )
+
+
+def bundle_from_obj(obj) -> ModelBundle:
+    _check_version(obj)
     base = _parse_network(_expect(obj, "base", dict, "$"), "$.base")
     residuals = {}
     res_list = _expect(obj, "residuals", list, "$")
@@ -218,20 +287,9 @@ def bundle_from_obj(obj) -> ModelBundle:
         layer = _expect(entry, "layer", int, path)
         if not 1 <= layer <= base.depth:
             raise BundleFormatError(f"{path}.layer: {layer} outside [1, {base.depth}]")
-        task = _expect(entry, "task", None, path)
+        task = _task_id(_expect(entry, "task", None, path), f"{path}.task")
         rows, cols = base.layer_shape(layer)
-        data = _expect(entry, "data", list, path)
-        if len(data) != rows * cols:
-            raise BundleFormatError(
-                f"{path}.data: expected {rows * cols} values for layer {layer}, "
-                f"got {len(data)}"
-            )
-        try:
-            delta = np.asarray(data, dtype=float).reshape(rows, cols)
-        except (TypeError, ValueError) as exc:
-            raise BundleFormatError(f"{path}.data: {exc}") from exc
-        if not np.all(np.isfinite(delta)):
-            raise BundleFormatError(f"{path}.data: non-finite values")
+        delta = _parse_2d(entry, "data", cols, path, rows)
         residuals.setdefault(layer, []).append(ResidualUpdate(layer, delta, task))
     calibration = []
     cal_list = _expect(obj, "calibration", list, "$")
@@ -239,22 +297,12 @@ def bundle_from_obj(obj) -> ModelBundle:
         raise BundleFormatError("$.calibration: bundle has no calibration data")
     for i, entry in enumerate(cal_list):
         path = f"$.calibration[{i}]"
-        task = _expect(entry, "task", None, path)
-        inputs = _parse_2d(_expect(entry, "inputs", list, path), f"{path}.inputs")
-        targets = _parse_2d(_expect(entry, "targets", list, path), f"{path}.targets")
+        task = _task_id(_expect(entry, "task", None, path), f"{path}.task")
+        inputs = _parse_2d(entry, "inputs", base.input_dim, path)
+        targets = _parse_2d(entry, "targets", base.output_dim, path)
         if inputs.shape[0] != targets.shape[0]:
             raise BundleFormatError(
                 f"{path}: {inputs.shape[0]} inputs but {targets.shape[0]} targets"
-            )
-        if inputs.shape[1] != base.input_dim:
-            raise BundleFormatError(
-                f"{path}.inputs: dim {inputs.shape[1]} != network input dim "
-                f"{base.input_dim}"
-            )
-        if targets.shape[1] != base.output_dim:
-            raise BundleFormatError(
-                f"{path}.targets: dim {targets.shape[1]} != network output dim "
-                f"{base.output_dim}"
             )
         calibration.append(CalibrationSet.for_task(task, inputs, targets))
     meta = obj.get("meta", {})
@@ -268,33 +316,21 @@ def bundle_from_obj(obj) -> ModelBundle:
 
 def load_bundle(path) -> ModelBundle:
     """Parse and validate a bundle file, naming the offending field on error."""
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise BundleFormatError(f"not valid JSON: {exc}") from exc
-    return bundle_from_obj(obj)
+    return bundle_from_obj(_load_obj(path))
 
 
 def save_network(net: LinearNetwork, path) -> None:
-    """Write a bare network (e.g. a merged model) as version-1 JSON."""
-    obj = {"version": FORMAT_VERSION, "network": _network_obj(net)}
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1)
-        fh.write("\n")
+    """Write a bare network (e.g. a merged model) as version-2 JSON.
+
+    Raises ValueError naming the layer, before anything is written, when a
+    weight is non-finite.
+    """
+    obj = {"version": FORMAT_VERSION, "network": _network_obj(net, "$.network")}
+    _write_json(obj, path)
 
 
 def load_network(path) -> LinearNetwork:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise BundleFormatError(f"not valid JSON: {exc}") from exc
-    version = _expect(obj, "version", int, "$")
-    if version != FORMAT_VERSION:
-        raise BundleFormatError(
-            f"$.version: unsupported version {version}, expected {FORMAT_VERSION}"
-        )
+    obj = _load_obj(path)
     return _parse_network(_expect(obj, "network", dict, "$"), "$.network")
 
 

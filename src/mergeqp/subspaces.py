@@ -70,17 +70,6 @@ class ResidualEnergyMatrix:
         self.total_energy = float(self.total_energy)
 
 
-@dataclass
-class SubspaceDiagnostics:
-    """How much residual energy a model subspace captures vs the optimum."""
-
-    captured_energy: float
-    fraction: float
-    relaxed_loss: float
-    gap_vs_optimal: float
-    approximate: bool = False
-
-
 def energy_matrix(residuals) -> ResidualEnergyMatrix:
     """Accumulate S = sum_j b_j b_j^T from stacked residual rows."""
     B = np.asarray(residuals, dtype=float)
@@ -348,29 +337,6 @@ def prefix_captured_energy(downstream, basis, residuals) -> np.ndarray:
         q = _orthonormalize_stack(L @ Q)
         per_column = (np.einsum("ncp,nc->np", q, B) ** 2).sum(axis=0)
     return np.cumsum(per_column)
-
-
-def diagnostics(S, P_model, P_opt) -> SubspaceDiagnostics:
-    """Captured energy, fraction, relaxed loss and gap for a model subspace.
-
-    captured = tr(S P_model); relaxed loss = total - captured; the gap is
-    tr(S (P_opt - P_model)) >= 0 when P_opt projects onto the top eigenspace
-    of matching dimension.  Zero total energy reports fraction 1 by
-    convention (nothing left to capture).
-    """
-    Smat = _energy_array(S)
-    total = (
-        S.total_energy
-        if isinstance(S, ResidualEnergyMatrix)
-        else float(np.trace(Smat))
-    )
-    P_model = np.asarray(P_model, dtype=float)
-    P_opt = np.asarray(P_opt, dtype=float)
-    captured = float(np.einsum("ij,ji->", Smat, P_model))
-    fraction = 1.0 if total == 0.0 else captured / total
-    relaxed = total - captured
-    gap = float(np.einsum("ij,ji->", Smat, P_opt - P_model))
-    return SubspaceDiagnostics(captured, fraction, relaxed, gap)
 
 
 def svd_closed_form_weights(sigmas, target_index: int) -> np.ndarray:

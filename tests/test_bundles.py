@@ -1,13 +1,17 @@
 """Serialization round trips, format validation, and synthetic generators."""
 
+import base64
 import json
 import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mergeqp as mq
 from mergeqp import bundles as bn
+from mergeqp.cli import main as cli_main
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_bundle.json"
 
@@ -215,3 +219,268 @@ def test_pooled_calibration_concatenates_in_task_order():
     sizes = [len(c) for c in bundle.calibration]
     assert len(pooled) == sum(sizes)
     assert list(pooled.task_ids[: sizes[0]]) == [0] * sizes[0]
+
+
+# --- format version 2: base64 float64 arrays -------------------------------
+
+GOLDEN_V2 = GOLDEN.with_name("golden_bundle_v2.json")
+
+_FINITE_BITS = st.integers(0, 2**64 - 1).filter(lambda b: (b >> 52) & 0x7FF != 0x7FF)
+_EDGE_FLOATS = [5e-324, -5e-324, 2.2250738585072009e-308, -0.0, 0.0,
+                1.7976931348623157e308, -1.7976931348623157e308]
+
+
+def _bits(arr):
+    return np.ascontiguousarray(arr, dtype=np.float64).view(np.uint64)
+
+
+def _arrays(bundle):
+    """Every float array of a bundle, in file order."""
+    out = list(bundle.base.layers)
+    for layer in sorted(bundle.residuals):
+        out.extend(u.delta for u in bundle.residuals[layer])
+    for cs in bundle.calibration:
+        out.extend((cs.inputs, cs.targets))
+    return out
+
+
+def _assert_same_bits(a, b):
+    arrs_a, arrs_b = _arrays(a), _arrays(b)
+    assert len(arrs_a) == len(arrs_b)
+    for x, y in zip(arrs_a, arrs_b):
+        assert x.shape == y.shape
+        assert np.array_equal(_bits(x), _bits(y))
+
+
+def _v1_obj(bundle):
+    """The bundle as the version-1 writer stored it: JSON number lists."""
+    flat = lambda m: [float(v) for v in m.ravel()]
+    rows = lambda m: [[float(v) for v in row] for row in m]
+    return {
+        "version": 1,
+        "base": {
+            "layers": [
+                {"rows": W.shape[0], "cols": W.shape[1], "data": flat(W)}
+                for W in bundle.base.layers
+            ],
+            "activations": list(bundle.base.activations),
+        },
+        "residuals": [
+            {"layer": layer, "task": u.task_id, "data": flat(u.delta)}
+            for layer in sorted(bundle.residuals)
+            for u in bundle.residuals[layer]
+        ],
+        "calibration": [
+            {"task": cs.task_ids[0], "inputs": rows(cs.inputs), "targets": rows(cs.targets)}
+            for cs in bundle.calibration
+        ],
+        "meta": bundle.meta,
+    }
+
+
+def _bundle_from_values(values, r, c, n):
+    vals = np.asarray(values, dtype=np.float64)
+    take = lambda k, shape: np.resize(np.roll(vals, k), shape)
+    return mq.ModelBundle(
+        base=mq.LinearNetwork([take(0, (r, c))]),
+        residuals={1: [mq.ResidualUpdate(1, take(1, (r, c)), task_id="a")]},
+        calibration=[mq.CalibrationSet.for_task("a", take(2, (n, c)), take(3, (n, r)))],
+    )
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    bits=st.lists(_FINITE_BITS, min_size=1, max_size=40),
+    r=st.integers(1, 4),
+    c=st.integers(1, 4),
+    n=st.integers(1, 3),
+)
+@example(bits=[int(np.float64(v).view(np.uint64)) for v in _EDGE_FLOATS], r=3, c=2, n=2)
+def test_round_trip_preserves_any_float64_bit_pattern(tmp_path_factory, bits, r, c, n):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    bundle = _bundle_from_values(values, r, c, n)
+    d = tmp_path_factory.mktemp("bits")
+    mq.save_bundle(bundle, d / "a.json")
+    loaded = mq.load_bundle(d / "a.json")
+    _assert_same_bits(bundle, loaded)
+    mq.save_bundle(loaded, d / "b.json")
+    assert (d / "a.json").read_bytes() == (d / "b.json").read_bytes()
+
+
+def test_edge_floats_survive_network_round_trip(tmp_path):
+    W = np.array(_EDGE_FLOATS[:6]).reshape(2, 3)
+    mq.save_network(mq.LinearNetwork([W]), tmp_path / "net.json")
+    again = mq.load_network(tmp_path / "net.json").layers[0]
+    assert np.array_equal(_bits(W), _bits(again))
+    assert np.signbit(again[1, 0])  # -0.0 keeps its sign
+
+
+def test_golden_v2_fixture_matches_v1_fixture(tmp_path):
+    v1, v2 = mq.load_bundle(GOLDEN), mq.load_bundle(GOLDEN_V2)
+    _assert_same_bits(v1, v2)
+    assert v1.meta == v2.meta
+    assert json.loads(GOLDEN_V2.read_text())["version"] == 2
+    # pins the little-endian float64 encoding and the file layout
+    mq.save_bundle(v1, tmp_path / "converted.json")
+    assert (tmp_path / "converted.json").read_bytes() == GOLDEN_V2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: mq.gen_linear_tasks(seed=4, noise=0.1, merge_layer=(1, 2)),
+        lambda: mq.gen_relu_tasks(seed=2, n_samples=7),
+        lambda: mq.gen_shared_direction_instance(seed=1),
+    ],
+)
+def test_v1_list_file_loads_bit_identical_to_v2(tmp_path, make):
+    bundle = make()
+    v1_path, v2_path, conv_path = (tmp_path / n for n in ("v1.json", "v2.json", "conv.json"))
+    v1_path.write_text(json.dumps(_v1_obj(bundle), indent=1) + "\n")
+    mq.save_bundle(bundle, v2_path)
+    from_v1, from_v2 = mq.load_bundle(v1_path), mq.load_bundle(v2_path)
+    _assert_same_bits(bundle, from_v1)
+    _assert_same_bits(from_v1, from_v2)
+    assert from_v1.meta == from_v2.meta
+    # load then save converts a v1 file into the same v2 bytes
+    mq.save_bundle(from_v1, conv_path)
+    assert conv_path.read_bytes() == v2_path.read_bytes()
+    assert json.loads(conv_path.read_text())["version"] == 2
+
+
+def test_v2_file_is_smaller_than_v1(tmp_path):
+    bundle = mq.gen_linear_tasks(dims=(16, 12, 8), n_samples=50, noise=0.1, seed=0)
+    v1_path, v2_path = tmp_path / "v1.json", tmp_path / "v2.json"
+    v1_path.write_text(json.dumps(_v1_obj(bundle), indent=1) + "\n")
+    mq.save_bundle(bundle, v2_path)
+    assert v2_path.stat().st_size < 0.6 * v1_path.stat().st_size
+
+
+def _b64(values):
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+@pytest.mark.parametrize(
+    "field,set_value,needle",
+    [
+        # decodable if illegal characters were skipped, so only a strict decode fails
+        ("residual", "!" + _b64([1.0, 2.0, 3.0, 4.0]), "invalid base64"),
+        ("residual", _b64([1.0, 2.0, 3.0, 4.0])[:20] + " \n" + _b64([1.0, 2.0, 3.0, 4.0])[20:],
+         "invalid base64"),
+        ("residual", "AAAAAAAAAAA", "invalid base64"),  # truncated padding
+        ("residual", base64.b64encode(b"\0" * 12).decode(), "not a whole number"),
+        ("residual", _b64([1.0, 2.0, 3.0]), "expected 4 values, got 3"),
+        ("residual", 5, "got int"),
+        ("residual", {"data": []}, "got dict"),
+        ("residual", None, "got NoneType"),
+        ("layer", _b64([1.0] * 5), "expected 4 values, got 5"),
+        ("layer", 1.5, "got float"),
+        ("inputs", _b64([1.0, 2.0, 3.0]), "do not fill rows of width 2"),
+        ("inputs", "", "do not fill rows"),
+        ("inputs", base64.b64encode(b"\0" * 9).decode(), "not a whole number"),
+        ("targets", "@@@@", "invalid base64"),
+        ("targets", _b64([1.0, np.nan]), "non-finite"),
+        ("targets", True, "got bool"),
+    ],
+)
+def test_malformed_base64_names_the_json_path(field, set_value, needle):
+    obj = bn.bundle_to_obj(_tiny_bundle())
+    target, key, path = {
+        "residual": (obj["residuals"][0], "data", "$.residuals[0].data"),
+        "layer": (obj["base"]["layers"][0], "data", "$.base.layers[0].data"),
+        "inputs": (obj["calibration"][0], "inputs", "$.calibration[0].inputs"),
+        "targets": (obj["calibration"][0], "targets", "$.calibration[0].targets"),
+    }[field]
+    target[key] = set_value
+    with pytest.raises(mq.BundleFormatError) as err:
+        bn.bundle_from_obj(obj)
+    assert str(err.value).startswith(path + ":")
+    assert needle in str(err.value)
+
+
+def test_v1_ragged_calibration_rows_name_the_json_path():
+    obj = _v1_obj(_tiny_bundle())
+    obj["calibration"][0]["inputs"] = [[1.0, 2.0], [3.0]]
+    with pytest.raises(mq.BundleFormatError, match=r"^\$\.calibration\[0\]\.inputs:"):
+        bn.bundle_from_obj(obj)
+
+
+@pytest.mark.parametrize("source", ["v1", "v2"])
+def test_loaded_arrays_are_writable_native_float64(tmp_path, source):
+    bundle = mq.gen_linear_tasks(seed=1)
+    path = tmp_path / "b.json"
+    if source == "v1":
+        path.write_text(json.dumps(_v1_obj(bundle)))
+    else:
+        mq.save_bundle(bundle, path)
+    loaded = mq.load_bundle(path)
+    mq.save_network(loaded.base, tmp_path / "net.json")
+    for arr in _arrays(loaded) + mq.load_network(tmp_path / "net.json").layers:
+        assert arr.dtype == np.float64 and arr.dtype.isnative
+        assert arr.flags.writeable and arr.flags.c_contiguous
+        arr[...] = 0.0  # no read-only view of the decoded bytes
+
+
+# --- task ids ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [[0], {"k": 0}, 1.5, None, True])
+@pytest.mark.parametrize("where", ["residuals", "calibration"])
+def test_non_scalar_task_ids_are_rejected_at_load(where, bad):
+    obj = bn.bundle_to_obj(_tiny_bundle())
+    obj[where][0]["task"] = bad
+    with pytest.raises(mq.BundleFormatError) as err:
+        bn.bundle_from_obj(obj)
+    assert str(err.value).startswith(f"$.{where}[0].task:")
+
+
+def test_string_task_ids_load():
+    obj = bn.bundle_to_obj(_tiny_bundle())
+    obj["residuals"][0]["task"] = obj["calibration"][0]["task"] = "math"
+    bundle = bn.bundle_from_obj(obj)
+    assert bundle.task_ids == ["math"]
+    assert bundle.calibration[0].task_ids == ["math"]
+
+
+def test_cli_exits_2_on_list_task_id(tmp_path, capsys):
+    obj = bn.bundle_to_obj(_tiny_bundle())
+    obj["calibration"][0]["task"] = [0]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    for argv in (["merge", "--bundle", str(path), "--method", "qp-diag"],
+                 ["compare", "--bundle", str(path)]):
+        assert cli_main(argv) == 2
+        assert "$.calibration[0].task" in capsys.readouterr().err
+
+
+# --- refusing to save what cannot load back ---------------------------------
+
+
+@pytest.mark.parametrize(
+    "spoil,needle",
+    [
+        (lambda b: b.residuals[1][0].delta.__setitem__((0, 1), np.nan), "$.residuals[0].data"),
+        (lambda b: b.base.layers[0].__setitem__((1, 1), np.inf), "$.base.layers[0].data"),
+        (lambda b: b.calibration[0].targets.__setitem__((0, 0), -np.inf), "$.calibration[0].targets"),
+        (lambda b: setattr(b.residuals[1][0], "task_id", (0,)), "$.residuals[0].task"),
+        (lambda b: setattr(b.calibration[0], "task_ids", None), "$.calibration[0].task"),
+    ],
+)
+def test_save_refuses_what_load_would_reject(tmp_path, spoil, needle):
+    bundle = _tiny_bundle()
+    spoil(bundle)
+    path = tmp_path / "b.json"
+    path.write_text("previous contents")
+    with pytest.raises(ValueError) as err:
+        mq.save_bundle(bundle, path)
+    assert str(err.value).startswith(needle + ":")
+    assert path.read_text() == "previous contents"  # nothing written
+
+
+def test_save_network_refuses_non_finite_weights(tmp_path):
+    net = mq.LinearNetwork([np.eye(2), np.array([[1.0, 2.0]])])
+    net.layers[1][0, 1] = np.nan  # the constructor checks; later edits are not
+    path = tmp_path / "net.json"
+    with pytest.raises(ValueError, match=r"^\$\.network\.layers\[1\]\.data:"):
+        mq.save_network(net, path)
+    assert not path.exists()

@@ -130,26 +130,6 @@ def test_projection_energy_identity(rng):
     assert np.isclose(direct, np.trace(em.S @ P), rtol=1e-12)
 
 
-def test_diagnostics_fraction_and_gap(rng):
-    B = rng.normal(size=(8, 4))
-    em = mq.energy_matrix(B)
-    P_model = _proj(mq.random_basis(4, 2, seed=2).columns)
-    P_opt = _proj(mq.optimal_basis(em.S, 2).columns)
-    diag = mq.diagnostics(em, P_model, P_opt)
-    cap = float(np.trace(em.S @ P_model))
-    assert np.isclose(diag.captured_energy, cap)
-    assert np.isclose(diag.fraction, cap / em.total_energy)
-    assert np.isclose(diag.relaxed_loss, em.total_energy - cap)
-    assert np.isclose(diag.gap_vs_optimal, np.trace(em.S @ (P_opt - P_model)))
-    assert diag.gap_vs_optimal >= -1e-12
-
-
-def test_diagnostics_zero_energy():
-    em = mq.energy_matrix(np.zeros((3, 2)))
-    diag = mq.diagnostics(em, np.eye(2), np.eye(2))
-    assert diag.fraction == 1.0
-
-
 def test_closed_form_weights_grid():
     w = mq.svd_closed_form_weights((2.0, 3.0, 5.0), 1)
     tot = 4.0 + 9.0 + 25.0
