@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from .networks import ResidualUpdate
+from .qp import merged_delta_from_coefficients
 
 
 def _delta_matrices(deltas):
@@ -37,10 +38,7 @@ def combine_row_coefficients(deltas, coeffs) -> np.ndarray:
             f"expected coefficients of shape {(len(mats), mats[0].shape[0])}, "
             f"got {coeffs.shape}"
         )
-    merged = np.zeros(mats[0].shape)
-    for k, m in enumerate(mats):
-        merged += coeffs[k][:, None] * m
-    return merged
+    return merged_delta_from_coefficients(mats, coeffs)
 
 
 def soup_coefficients(n_tasks: int, n_rows: int) -> np.ndarray:

@@ -1,5 +1,9 @@
 """Command line front end: gen, merge, diagnose, eval, compare.
 
+A thin layer over library calls: flags become baseline parameters in
+`_baseline_params` only, and `mergeqp.multilayer.layer_params` turns those
+into each layer's, for `merge`, hybrid refinement and `compare` alike.
+
 Exit codes: 0 success, 1 a merging method failed, 2 usage or configuration
 error (argparse errors included), 3 numerical failure (non-finite values in
 an objective or solve).  All reports are deterministic for a fixed config
@@ -29,10 +33,11 @@ from .bundles import (
     validate_shared_direction_bundle,
 )
 from .multilayer import (
-    LayerMergeRecord,
     MergeReport,
+    baseline_merge,
     hybrid_refine,
     layer_basis,
+    layer_params,
     prefix_sweep,
     sequential_merge,
 )
@@ -55,11 +60,6 @@ EXIT_NUMERIC = 3
 
 BASELINES = ("soup", "ta", "dare", "ties", "fisher")
 QP_METHODS = ("qp-diag", "qp-basis")
-LAMBDA_GRID = (0.25, 0.5, 0.75, 1.0)
-
-
-class MethodFailure(Exception):
-    """A merging method could not produce a usable result."""
 
 
 def _parse_ints(text):
@@ -92,17 +92,40 @@ def _write_csv(path, header, rows):
             writer.writerow([_fmt(v) for v in row])
 
 
+def _emit_csv(path, header, rows):
+    """Write rows to the CSV file at path, or to stdout when path is empty."""
+    if path:
+        _write_csv(path, header, rows)
+        print(f"wrote {len(rows)} rows to {path}")
+    else:
+        print(",".join(header))
+        for row in rows:
+            print(",".join(_fmt(v) for v in row))
+
+
 def _select_layers(bundle: ModelBundle, spec: str):
     available = bundle.layers_with_updates
-    if spec == "all":
-        return available
-    chosen = sorted(set(_parse_ints(spec)))
+    chosen = available if spec == "all" else sorted(set(_parse_ints(spec)))
+    if not chosen:
+        raise ValueError("no layers to merge")
     missing = [l for l in chosen if l not in available]
     if missing:
         raise ValueError(
             f"no residual updates at layer(s) {missing}; bundle has {available}"
         )
     return chosen
+
+
+def _single_layer(bundle: ModelBundle, layer):
+    """The layer diagnose and compare study: --layer, or the only one with updates."""
+    available = bundle.layers_with_updates
+    if layer is not None:
+        if layer not in available:
+            raise ValueError(f"no residual updates at layer {layer}; bundle has {available}")
+        return layer
+    if len(available) == 1:
+        return available[0]
+    raise ValueError(f"bundle has updates at {available}; pick one with --layer")
 
 
 def _fisher_diagonals(bundle: ModelBundle, layer: int):
@@ -121,26 +144,20 @@ def _fisher_diagonals(bundle: ModelBundle, layer: int):
     return fishers
 
 
-def _task_mse_columns(task_ids, task_mse):
-    return [task_mse.get(t) for t in task_ids]
+def _report_rows(report: MergeReport, task_ids):
+    return [
+        [report.method, rec.layer_index, rec.objective_after, report.final_mse]
+        + [report.task_mse.get(t) for t in task_ids]
+        + [rec.captured_fraction]
+        for rec in report.steps
+    ]
 
 
-def _report_rows(report: MergeReport, task_ids, task_mse):
-    rows = []
-    for rec in report.steps:
-        rows.append(
-            [report.method, rec.layer_index, rec.objective_after, report.final_mse]
-            + _task_mse_columns(task_ids, task_mse)
-            + [rec.captured_fraction]
-        )
-    return rows
-
-
-def _report_json(report: MergeReport, task_ids, task_mse):
+def _report_json(report: MergeReport, task_ids):
     return {
         "method": report.method,
         "final_mse": report.final_mse,
-        "task_mse": {str(t): task_mse.get(t) for t in task_ids},
+        "task_mse": {str(t): report.task_mse.get(t) for t in task_ids},
         "baseline_mse": report.baseline_mse,
         "layers": [
             {
@@ -156,17 +173,22 @@ def _report_json(report: MergeReport, task_ids, task_mse):
     }
 
 
-def _baseline_params(args, method, layer):
-    params = {}
+def _baseline_params(args, bundle: ModelBundle, method, layers):
+    """Merge-wide parameters of baseline `method` from the command's flags.
+
+    Fisher diagonals are computed at the given layers only; layer_params
+    picks each layer's values.
+    """
     if method == "ta":
         lam = _parse_floats(args.lam)
-        params["lambdas"] = lam[0] if len(lam) == 1 else lam
-    elif method == "dare":
-        params["keep_prob"] = args.keep_prob
-        params["seed"] = args.seed + layer
-    elif method == "ties":
-        params["density"] = args.density
-    return params
+        return {"lambdas": lam[0] if len(lam) == 1 else lam}
+    if method == "dare":
+        return {"keep_prob": args.keep_prob, "seed": args.seed}
+    if method == "ties":
+        return {"density": args.density}
+    if method == "fisher":
+        return {"fishers": {l: _fisher_diagonals(bundle, l) for l in layers}}
+    return {}
 
 
 def cmd_gen(args) -> int:
@@ -223,33 +245,6 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _run_baseline_merge(bundle, layers, method, args, calib):
-    current = bundle.base
-    n = len(calib)
-    pooled, per_task = calibration_mse(current, calib)
-    records = []
-    for layer in layers:
-        params = _baseline_params(args, method, layer)
-        if method == "fisher":
-            params["fishers"] = _fisher_diagonals(bundle, layer)
-        delta = baseline_delta(method, bundle.residuals[layer], params)
-        if not np.all(np.isfinite(delta)):
-            raise NumericalError(f"{method} produced non-finite weights at layer {layer}")
-        before = pooled
-        current = apply_merged_residual(current, layer, delta)
-        pooled, per_task = calibration_mse(current, calib)
-        records.append(
-            LayerMergeRecord(
-                layer_index=layer,
-                basis_id=method,
-                objective_before=before * n,
-                objective_after=pooled * n,
-                coefficients=np.zeros((0, 0)),
-            )
-        )
-    return current, MergeReport(method, records, pooled, per_task)
-
-
 def cmd_merge(args) -> int:
     bundle = load_bundle(args.bundle)
     layers = _select_layers(bundle, args.layers)
@@ -259,65 +254,25 @@ def cmd_merge(args) -> int:
     if args.mode == "hybrid" and method != "qp-diag":
         raise ValueError("--mode hybrid refines with qp-diag; pick --method qp-diag")
 
+    solve = dict(
+        solver=args.solver, lo=args.lo, hi=args.hi, steps=args.steps, step_size=args.step_size
+    )
+    chosen = {l: bundle.residuals[l] for l in layers}
     if method in BASELINES:
-        merged, report = _run_baseline_merge(bundle, layers, method, args, calib)
-    elif method == "qp-diag":
-        deltas_by_layer = {l: bundle.residuals[l] for l in layers}
-        if args.mode == "hybrid":
-            init_params = {}
-            if args.init_method == "ta":
-                lam = _parse_floats(args.lam)
-                init_params["lambdas"] = lam[0] if len(lam) == 1 else lam
-            elif args.init_method == "dare":
-                init_params = {"keep_prob": args.keep_prob, "seed": args.seed}
-            elif args.init_method == "ties":
-                init_params = {"density": args.density}
-            elif args.init_method == "fisher":
-                init_params = {
-                    "fishers": {l: _fisher_diagonals(bundle, l) for l in bundle.layers_with_updates}
-                }
-            all_deltas = {l: bundle.residuals[l] for l in bundle.layers_with_updates}
-            merged, report = hybrid_refine(
-                bundle.base,
-                all_deltas,
-                calib,
-                init_method=args.init_method,
-                refine_layers=layers,
-                init_params=init_params,
-                solver=args.solver,
-                lo=args.lo,
-                hi=args.hi,
-                steps=args.steps,
-                step_size=args.step_size,
-            )
-        else:
-            merged, report = sequential_merge(
-                bundle.base,
-                deltas_by_layer,
-                calib,
-                solver=args.solver,
-                lo=args.lo,
-                hi=args.hi,
-                steps=args.steps,
-                step_size=args.step_size,
-            )
-    elif method == "qp-basis":
-        deltas_by_layer = {l: bundle.residuals[l] for l in layers}
-        merged, report = sequential_merge(
-            bundle.base,
-            deltas_by_layer,
-            calib,
-            solver=args.solver,
-            lo=args.lo,
-            hi=args.hi,
-            steps=args.steps,
-            step_size=args.step_size,
-            basis_kind=args.basis,
-            basis_p=args.p,
-            basis_seed=args.seed,
+        params = _baseline_params(args, bundle, method, layers)
+        merged, report = baseline_merge(bundle.base, chosen, calib, method, params)
+    elif args.mode == "hybrid":
+        # the baseline goes on every layer with updates; --layers picks the refined ones
+        init_params = _baseline_params(args, bundle, args.init_method, bundle.layers_with_updates)
+        merged, report = hybrid_refine(
+            bundle.base, bundle.residuals, calib, init_method=args.init_method,
+            refine_layers=layers, init_params=init_params, **solve,
         )
     else:
-        raise ValueError(f"unknown method {method!r}")
+        merged, report = sequential_merge(
+            bundle.base, chosen, calib, basis_kind=None if method == "qp-diag" else args.basis,
+            basis_p=args.p, basis_seed=args.seed, **solve,
+        )
 
     if not all(np.all(np.isfinite(W)) for W in merged.layers):
         raise NumericalError("merged model contains non-finite weights")
@@ -330,10 +285,10 @@ def cmd_merge(args) -> int:
             header = ["method", "layer", "objective", "mse"] + [
                 f"task_mse_{t}" for t in task_ids
             ] + ["fraction"]
-            _write_csv(args.report, header, _report_rows(report, task_ids, report.task_mse))
+            _write_csv(args.report, header, _report_rows(report, task_ids))
         else:
             with open(args.report, "w") as fh:
-                json.dump(_report_json(report, task_ids, report.task_mse), fh, indent=1, sort_keys=True)
+                json.dump(_report_json(report, task_ids), fh, indent=1, sort_keys=True)
                 fh.write("\n")
     print(f"{report.method}: final calibration mse {report.final_mse!r}")
     return EXIT_OK
@@ -341,16 +296,7 @@ def cmd_merge(args) -> int:
 
 def cmd_diagnose(args) -> int:
     bundle = load_bundle(args.bundle)
-    available = bundle.layers_with_updates
-    if args.layer is not None:
-        layer = args.layer
-        if layer not in available:
-            raise ValueError(f"no residual updates at layer {layer}; bundle has {available}")
-    elif len(available) == 1:
-        layer = available[0]
-    else:
-        raise ValueError(f"bundle has updates at {available}; pick one with --layer")
-
+    layer = _single_layer(bundle, args.layer)
     calib = bundle.pooled_calibration()
     deltas = bundle.residuals[layer]
     geometry = merge_geometry(bundle.base, layer, calib)
@@ -380,13 +326,7 @@ def cmd_diagnose(args) -> int:
     ]
 
     header = ["basis", "p", "fraction", "relaxed_loss", "qp_mse", "gap"]
-    if args.out:
-        _write_csv(args.out, header, rows)
-        print(f"wrote {len(rows)} rows to {args.out}")
-    else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(_fmt(v) for v in row))
+    _emit_csv(args.out, header, rows)
     return EXIT_OK
 
 
@@ -419,56 +359,30 @@ def cmd_eval(args) -> int:
 
 def cmd_compare(args) -> int:
     bundle = load_bundle(args.bundle)
-    available = bundle.layers_with_updates
-    if args.layer is not None:
-        layer = args.layer
-        if layer not in available:
-            raise ValueError(f"no residual updates at layer {layer}; bundle has {available}")
-    elif len(available) == 1:
-        layer = available[0]
-    else:
-        raise ValueError(f"bundle has updates at {available}; pick one with --layer")
-
+    layer = _single_layer(bundle, args.layer)
     calib = bundle.pooled_calibration()
     deltas = bundle.residuals[layer]
     geometry = merge_geometry(bundle.base, layer, calib)
     task_ids = bundle.task_ids
-    n = len(calib)
     r = deltas[0].delta.shape[0]
     c = bundle.base.output_dim
     p = args.p if args.p is not None else min(r, c)
 
-    specs = [("base", {}), ("soup", {})]
+    specs = [("base", "base", {}), ("soup", "soup", {})]
     for lam in _parse_floats(args.lambda_grid):
-        specs.append((f"ta({_fmt(lam)})", {"kind": "ta", "lambdas": lam}))
-    specs.append(("dare", {"kind": "dare"}))
-    specs.append(("ties", {"kind": "ties"}))
-    specs.append(("fisher", {"kind": "fisher"}))
-    specs.append(("qp-diag", {"kind": "qp-diag"}))
-    specs.append((f"qp-basis(eigen,{p})", {"kind": "qp-basis"}))
+        specs.append((f"ta({_fmt(lam)})", "ta", {"lambdas": lam}))
+    for kind in ("dare", "ties", "fisher"):
+        specs.append((kind, kind, _baseline_params(args, bundle, kind, [layer])))
+    specs.append(("qp-diag", "qp-diag", {}))
+    specs.append((f"qp-basis(eigen,{p})", "qp-basis", {}))
 
     rows = []
     objectives = {}
     any_failed = False
-    for name, spec in specs:
-        kind = spec.get("kind", name)
+    for name, kind, params in specs:
         try:
-            if name == "base":
+            if kind == "base":
                 delta = np.zeros(deltas[0].delta.shape)
-            elif kind == "soup" or name == "soup":
-                delta = baseline_delta("soup", deltas, {})
-            elif kind == "ta":
-                delta = baseline_delta("ta", deltas, {"lambdas": spec["lambdas"]})
-            elif kind == "dare":
-                delta = baseline_delta(
-                    "dare", deltas, {"keep_prob": args.keep_prob, "seed": args.seed + layer}
-                )
-            elif kind == "ties":
-                delta = baseline_delta("ties", deltas, {"density": args.density})
-            elif kind == "fisher":
-                delta = baseline_delta(
-                    "fisher", deltas, {"fishers": _fisher_diagonals(bundle, layer)}
-                )
             elif kind == "qp-diag":
                 qp = build_diagonal_qp(bundle.base, deltas, calib, geometry=geometry)
                 delta = merged_delta_from_coefficients(deltas, solve_unconstrained(qp))
@@ -479,7 +393,7 @@ def cmd_compare(args) -> int:
                     deltas, solve_unconstrained(qp), basis=basis
                 )
             else:
-                raise MethodFailure(f"unknown method {name!r}")
+                delta = baseline_delta(kind, deltas, layer_params(kind, params, layer))
             if not np.all(np.isfinite(delta)):
                 raise NumericalError(f"{name} produced non-finite weights")
             objective = linearized_delta_objective(
@@ -489,9 +403,7 @@ def cmd_compare(args) -> int:
             mse, per_task = calibration_mse(merged, calib)
             objectives[name] = objective
             rows.append(
-                [name, layer, objective, mse]
-                + _task_mse_columns(task_ids, per_task)
-                + ["ok"]
+                [name, layer, objective, mse] + [per_task.get(t) for t in task_ids] + ["ok"]
             )
         except NumericalError:
             raise
@@ -503,23 +415,15 @@ def cmd_compare(args) -> int:
     header = ["method", "layer", "objective", "mse"] + [
         f"task_mse_{t}" for t in task_ids
     ] + ["status"]
-    if args.out:
-        _write_csv(args.out, header, rows)
-        print(f"wrote {len(rows)} rows to {args.out}")
-    else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(_fmt(v) for v in row))
+    _emit_csv(args.out, header, rows)
 
     if "qp-diag" in objectives:
         tol = 1e-8 * max(1.0, objectives.get("base", 1.0))
+        # fixed-coefficient rows are feasible points of the diagonal QP
         feasible = [
             name
-            for name in objectives
-            if name == "base"
-            or name == "soup"
-            or name.startswith("ta(")
-            or name in ("dare", "ties")
+            for name, kind, _ in specs
+            if kind in ("base", "soup", "ta", "dare", "ties") and name in objectives
         ]
         for name in feasible:
             if objectives["qp-diag"] > objectives[name] + tol:
@@ -629,9 +533,6 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except MethodFailure as exc:
-        print(f"method failure: {exc}", file=sys.stderr)
-        return EXIT_METHOD
     except (BundleFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

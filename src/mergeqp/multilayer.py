@@ -1,14 +1,17 @@
-"""Merging several layers: greedy sequential solves and hybrid refinement.
+"""Merging several layers: baseline rules, greedy sequential QP solves, hybrids.
 
-Layers are merged one at a time, bottom-up by default, re-deriving hidden
-inputs, downstream maps and residuals from the current partially-merged
-model before each layer's QP.  Hybrid refinement instead applies a cheap
-baseline everywhere first and re-solves the QP only at chosen layers.
+Layers are merged one at a time, bottom-up by default.  `baseline_merge`
+applies one fixed rule (soup, ta, dare, ties, fisher) at each layer;
+`sequential_merge` re-derives hidden inputs, downstream maps and residuals
+from the current partially-merged model before each layer's QP; hybrid
+refinement applies a baseline everywhere first and re-solves the QP only at
+chosen layers.  `layer_params` is the one rule for turning a baseline's
+parameters into one layer's: DARE seeds and Fisher diagonals vary by layer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,6 +132,68 @@ def prefix_sweep(net, deltas, calib, basis, geometry):
     return rows
 
 
+def layer_params(method: str, params: dict | None, layer: int) -> dict:
+    """One layer's parameters for baseline rule `method`, from merge-wide ones.
+
+    DARE draws its masks with seed + layer, so each layer gets its own draw.
+    Fisher diagonals given as a {layer: per-task diagonals} dict are looked
+    up at the layer; any other parameter applies to every layer as given.
+    """
+    params = dict(params or {})
+    if method == "dare":
+        params["seed"] = int(params.get("seed", 0)) + layer
+    if method == "fisher" and isinstance(params.get("fishers"), dict):
+        params["fishers"] = params["fishers"][layer]
+    return params
+
+
+def _baseline_deltas(method, deltas_by_layer, params, layers):
+    """Yield (layer, merged update) of baseline rule `method` at each layer."""
+    for layer in layers:
+        delta = baseline_delta(
+            method, list(deltas_by_layer[layer]), layer_params(method, params, layer)
+        )
+        if not np.all(np.isfinite(delta)):
+            raise NumericalError(f"{method} produced non-finite weights at layer {layer}")
+        yield layer, delta
+
+
+def baseline_merge(
+    net: LinearNetwork,
+    deltas_by_layer: dict,
+    calib: CalibrationSet,
+    method: str,
+    params: dict | None = None,
+):
+    """Apply baseline rule `method` at each listed layer in turn, bottom-up.
+
+    Per-layer parameters come from layer_params.  Each record holds the
+    realised calibration loss (pooled MSE times the sample count) before
+    and after its layer, and no coefficients.  Returns (merged_network,
+    MergeReport).
+    """
+    if not deltas_by_layer:
+        raise ValueError("no layers to merge")
+    n = len(calib)
+    current = net
+    pooled, per_task = calibration_mse(current, calib)
+    records = []
+    for layer, delta in _baseline_deltas(method, deltas_by_layer, params, sorted(deltas_by_layer)):
+        before = pooled
+        current = apply_merged_residual(current, layer, delta)
+        pooled, per_task = calibration_mse(current, calib)
+        records.append(
+            LayerMergeRecord(
+                layer_index=layer,
+                basis_id=method,
+                objective_before=before * n,
+                objective_after=pooled * n,
+                coefficients=np.zeros((0, 0)),
+            )
+        )
+    return current, MergeReport(method, records, pooled, per_task)
+
+
 def _merge_one_layer(
     current, layer, deltas, calib, solver, lo, hi, steps, step_size,
     basis_kind, basis_p, basis_seed,
@@ -157,7 +222,7 @@ def _merge_one_layer(
         coefficients=coeffs.values.copy(),
         captured_fraction=fraction,
     )
-    return apply_merged_residual(current, layer, merged), record, merged
+    return apply_merged_residual(current, layer, merged), record, geometry
 
 
 def sequential_merge(
@@ -173,7 +238,6 @@ def sequential_merge(
     basis_p: int | None = None,
     basis_seed: int = 0,
     order: str = "bottom_up",
-    method_name: str | None = None,
 ):
     """Merge each listed layer in turn, re-solving the QP at the current model.
 
@@ -200,7 +264,7 @@ def sequential_merge(
         )
         records.append(record)
     pooled, per_task = calibration_mse(current, calib)
-    name = method_name or ("qp-diag" if basis_kind is None else f"qp-basis({basis_kind})")
+    name = "qp-diag" if basis_kind is None else f"qp-basis({basis_kind})"
     return current, MergeReport(name, records, pooled, per_task)
 
 
@@ -223,7 +287,7 @@ def hybrid_refine(
     update at every layer.  At each refine layer, that layer's initial update
     is removed from the current model and the diagonal QP over the original
     task updates is solved in its place, keeping the other layers' baseline
-    merges.  DARE draws get per-layer seeds of seed + layer_index.  Returns
+    merges.  Per-layer baseline parameters come from layer_params.  Returns
     (merged_network, MergeReport) with baseline_mse recording the loss before
     refinement.
     """
@@ -234,17 +298,9 @@ def hybrid_refine(
     missing = [l for l in refine_layers if l not in deltas_by_layer]
     if missing:
         raise ValueError(f"refine layers {missing} have no residual updates")
-    init_params = dict(init_params or {})
-
     current = net
     applied = {}
-    for layer in all_layers:
-        params = dict(init_params)
-        if init_method == "dare":
-            params["seed"] = int(params.get("seed", 0)) + layer
-        if init_method == "fisher" and isinstance(params.get("fishers"), dict):
-            params["fishers"] = params["fishers"][layer]
-        delta0 = baseline_delta(init_method, list(deltas_by_layer[layer]), params)
+    for layer, delta0 in _baseline_deltas(init_method, deltas_by_layer, init_params, all_layers):
         current = apply_merged_residual(current, layer, delta0)
         applied[layer] = delta0
     baseline_pooled, _ = calibration_mse(current, calib)
@@ -252,26 +308,14 @@ def hybrid_refine(
     records = []
     for layer in refine_layers:
         stripped = apply_merged_residual(current, layer, -applied[layer])
-        deltas = list(deltas_by_layer[layer])
-        geometry = merge_geometry(stripped, layer, calib)
-        qp = build_diagonal_qp(stripped, deltas, calib, geometry=geometry)
-        coeffs = _solve(qp, solver, lo, hi, steps, step_size)
-        merged = merged_delta_from_coefficients(deltas, coeffs)
-        if not np.all(np.isfinite(merged)):
-            raise NumericalError(f"layer {layer} refinement produced non-finite weights")
-        records.append(
-            LayerMergeRecord(
-                layer_index=layer,
-                basis_id=qp.basis_id,
-                objective_before=linearized_delta_objective(
-                    stripped, layer, applied[layer], calib, geometry=geometry
-                ),
-                objective_after=objective_value(qp, coeffs),
-                coefficients=coeffs.values.copy(),
-            )
+        current, record, geometry = _merge_one_layer(
+            stripped, layer, list(deltas_by_layer[layer]), calib,
+            solver, lo, hi, steps, step_size, None, None, 0,
         )
-        current = apply_merged_residual(stripped, layer, merged)
-        applied[layer] = merged
+        record.objective_before = linearized_delta_objective(
+            stripped, layer, applied[layer], calib, geometry=geometry
+        )
+        records.append(record)
     pooled, per_task = calibration_mse(current, calib)
     report = MergeReport(
         f"hybrid({init_method})", records, pooled, per_task, baseline_mse=baseline_pooled

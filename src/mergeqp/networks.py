@@ -8,7 +8,7 @@ All operations here are pure: they never mutate their network arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -17,7 +17,7 @@ is k * P + p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -406,17 +406,14 @@ def solve_box_constrained(
     steps: int = 500,
     step_size: float = 1e-2,
     init=None,
-    accept_steps: bool = False,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> MergeCoefficients:
     """Projected Adam on J(d) with per-coordinate clamping to [lo, hi].
 
     Defaults mirror the reference protocol: 500 steps at step size 1e-2 from
-    the uniform-average point d = 1/K.  With accept_steps=True a step that
-    increases the objective is rolled back (moment estimates still advance).
+    the uniform-average point d = 1/K, with Adam's standard moment decay
+    rates 0.9 and 0.999 and eps 1e-8.
     """
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     lo = float(lo)
     hi = float(hi)
     if not lo < hi:
@@ -434,21 +431,13 @@ def solve_box_constrained(
     d = np.clip(d, lo, hi)
     m = np.zeros_like(d)
     v = np.zeros_like(d)
-    best = objective_value(qp, d) if accept_steps else None
     for t in range(1, steps + 1):
         grad = qp.H @ d + qp.g
         m = beta1 * m + (1.0 - beta1) * grad
         v = beta2 * v + (1.0 - beta2) * grad * grad
         m_hat = m / (1.0 - beta1**t)
         v_hat = v / (1.0 - beta2**t)
-        cand = np.clip(d - step_size * m_hat / (np.sqrt(v_hat) + eps), lo, hi)
-        if accept_steps:
-            val = objective_value(qp, cand)
-            if val <= best:
-                d = cand
-                best = val
-        else:
-            d = cand
+        d = np.clip(d - step_size * m_hat / (np.sqrt(v_hat) + eps), lo, hi)
     if not np.all(np.isfinite(d)):
         raise NumericalError("box-constrained solve produced non-finite coefficients")
     return MergeCoefficients(d.reshape(qp.n_tasks, qp.n_directions), qp.basis_id)

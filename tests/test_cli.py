@@ -143,6 +143,39 @@ def test_merge_hybrid_runs(tmp_path):
     assert payload["final_mse"] <= payload["baseline_mse"] + 1e-10
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--method", "soup"),
+        ("--method", "qp-diag"),
+        ("--method", "qp-diag", "--mode", "hybrid"),
+    ],
+)
+def test_merge_empty_layer_selection_exits_two(tmp_path, flags):
+    bundle = _gen(tmp_path)
+    report = tmp_path / "r.json"
+    rc = main([
+        "merge", "--bundle", str(bundle), *flags, "--layers", ",",
+        "--report", str(report), "--format", "json",
+    ])
+    assert rc == 2
+    assert not report.exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--method", "ta"), ("--method", "qp-diag", "--mode", "hybrid", "--init-method", "ta")],
+)
+def test_non_finite_baseline_exits_three(tmp_path, capsys, flags):
+    bundle = _gen(
+        tmp_path, "--dims", "5,4,3", "--merge-layer", "1,2", "--tasks", "2",
+        "--delta-scale", "1e10", name="big.json",
+    )
+    rc = main(["merge", "--bundle", str(bundle), *flags, "--lambda", "1e300"])
+    assert rc == 3
+    assert "ta produced non-finite weights at layer 1" in capsys.readouterr().err
+
+
 def test_diagnose_schema_and_monotone_fraction(tmp_path):
     bundle = _gen(tmp_path)
     out = tmp_path / "diag.csv"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mergeqp as mq
+from mergeqp.multilayer import baseline_merge, layer_params
 
 
 def _two_layer_bundle(seed=0, eps=0.5):
@@ -84,6 +85,34 @@ def test_basis_fraction_full_dimension_captures_everything():
     assert np.isclose(mq.basis_fraction(full, geom), 1.0, atol=1e-10)
     half = mq.layer_basis("eigen", 1, 0, bundle.residuals[layer], geom)
     assert mq.basis_fraction(half, geom) <= 1.0 + 1e-12
+
+
+def test_layer_params_per_layer_rule():
+    assert layer_params("dare", {"keep_prob": 0.5, "seed": 3}, 2) == {"keep_prob": 0.5, "seed": 5}
+    assert layer_params("dare", None, 2) == {"seed": 2}
+    assert layer_params("fisher", {"fishers": {1: ["f1"], 2: ["f2"]}}, 2) == {"fishers": ["f2"]}
+    assert layer_params("fisher", {"fishers": ["f"]}, 2) == {"fishers": ["f"]}
+    assert layer_params("ta", {"lambdas": [0.5, 2.0]}, 2) == {"lambdas": [0.5, 2.0]}
+
+
+def test_baseline_merge_matches_layerwise_application():
+    bundle = _two_layer_bundle(seed=4)
+    calib = bundle.pooled_calibration()
+    n = len(calib)
+    merged, report = baseline_merge(
+        bundle.base, bundle.residuals, calib, "dare", {"keep_prob": 0.5, "seed": 3}
+    )
+    want = bundle.base
+    for rec, layer in zip(report.steps, (1, 2)):
+        before, _ = mq.calibration_mse(want, calib)
+        delta = mq.dare_row_uniform(bundle.residuals[layer], 0.5, 3 + layer)
+        want = mq.apply_merged_residual(want, layer, delta)
+        after, _ = mq.calibration_mse(want, calib)
+        assert (rec.layer_index, rec.basis_id) == (layer, "dare")
+        assert (rec.objective_before, rec.objective_after) == (before * n, after * n)
+    assert len(report.steps) == 2
+    assert all(np.array_equal(a, b) for a, b in zip(merged.layers, want.layers))
+    assert report.final_mse == mq.calibration_mse(want, calib)[0]
 
 
 def test_hybrid_without_refinement_is_the_baseline():

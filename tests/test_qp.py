@@ -163,16 +163,6 @@ def test_box_solver_pins_active_bound():
     assert grad[0] > 0  # KKT at the lower bound
 
 
-def test_box_solver_accept_steps_never_worse(rng):
-    A = rng.normal(size=(6, 4))
-    qp = mq.QuadraticObjective(
-        H=A.T @ A, g=rng.normal(size=4), constant=2.0, n_tasks=2, n_directions=2
-    )
-    start = np.full(4, 0.5)
-    sol = mq.solve_box_constrained(qp, init=start, accept_steps=True, steps=50)
-    assert mq.objective_value(qp, sol.flat) <= mq.objective_value(qp, start) + 1e-12
-
-
 def test_box_solver_validation(rng):
     qp = mq.QuadraticObjective(
         H=np.eye(2), g=np.zeros(2), constant=0.0, n_tasks=1, n_directions=2
