@@ -13,9 +13,9 @@ from .networks import (
     RELU,
     DownstreamMap,
     LinearNetwork,
+    NumericalError,
     ResidualUpdate,
     apply_merged_residual,
-    factorize,
     forward,
     layer_input,
     linearize_downstream,
@@ -24,7 +24,6 @@ from .qp import (
     CalibrationSet,
     MergeCoefficients,
     MergeGeometry,
-    NumericalError,
     QuadraticObjective,
     base_residuals,
     build_diagonal_qp,
@@ -59,14 +58,11 @@ from .baselines import (
     combine_row_coefficients,
     dare_coefficients,
     dare_row_uniform,
-    fisher_delta,
     fisher_merge,
     soup,
     soup_coefficients,
     ta_coefficients,
-    task_arithmetic,
     ties_coefficients,
-    ties_rowwise,
 )
 from .multilayer import (
     LayerMergeRecord,

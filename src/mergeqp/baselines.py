@@ -11,22 +11,8 @@ import math
 
 import numpy as np
 
-from .networks import ResidualUpdate
+from .networks import _delta_matrices
 from .qp import merged_delta_from_coefficients
-
-
-def _delta_matrices(deltas):
-    mats = [
-        d.delta if isinstance(d, ResidualUpdate) else np.asarray(d, dtype=float)
-        for d in deltas
-    ]
-    if not mats:
-        raise ValueError("no residual updates")
-    shape = mats[0].shape
-    for m in mats:
-        if m.shape != shape:
-            raise ValueError("residual updates have mismatched shapes")
-    return mats
 
 
 def combine_row_coefficients(deltas, coeffs) -> np.ndarray:
@@ -49,24 +35,12 @@ def soup_coefficients(n_tasks: int, n_rows: int) -> np.ndarray:
 
 def soup(deltas) -> np.ndarray:
     """Uniform average of the task updates."""
-    mats = _delta_matrices(deltas)
-    return combine_row_coefficients(mats, soup_coefficients(len(mats), mats[0].shape[0]))
+    return baseline_delta("soup", deltas)
 
 
 def ta_coefficients(lambdas, n_rows: int) -> np.ndarray:
     lam = np.asarray(lambdas, dtype=float).ravel()
     return np.repeat(lam[:, None], n_rows, axis=1)
-
-
-def task_arithmetic(deltas, lambdas) -> np.ndarray:
-    """Weighted sum of task updates; a scalar lambda broadcasts to all tasks."""
-    mats = _delta_matrices(deltas)
-    lam = np.asarray(lambdas, dtype=float).ravel()
-    if lam.size == 1:
-        lam = np.full(len(mats), float(lam[0]))
-    if lam.size != len(mats):
-        raise ValueError(f"{lam.size} weights for {len(mats)} tasks")
-    return combine_row_coefficients(mats, ta_coefficients(lam, mats[0].shape[0]))
 
 
 def dare_coefficients(n_tasks: int, n_rows: int, keep_prob: float, seed: int) -> np.ndarray:
@@ -84,9 +58,7 @@ def dare_coefficients(n_tasks: int, n_rows: int, keep_prob: float, seed: int) ->
 
 def dare_row_uniform(deltas, keep_prob: float, seed: int) -> np.ndarray:
     """DARE with one Bernoulli draw per (task, row), then rescale and sum."""
-    mats = _delta_matrices(deltas)
-    coeffs = dare_coefficients(len(mats), mats[0].shape[0], keep_prob, seed)
-    return combine_row_coefficients(mats, coeffs)
+    return baseline_delta("dare", deltas, {"keep_prob": keep_prob, "seed": seed})
 
 
 def ties_coefficients(deltas, density: float) -> np.ndarray:
@@ -103,36 +75,18 @@ def ties_coefficients(deltas, density: float) -> np.ndarray:
         raise ValueError(f"density must lie in (0, 1], got {density}")
     K = len(mats)
     r = mats[0].shape[0]
-    keep_count = math.ceil(density * r)
+    norms = np.stack([np.linalg.norm(m, axis=1) for m in mats])
+    order = np.argsort(-norms, axis=1, kind="stable")
     kept = np.zeros((K, r), dtype=bool)
-    for k, m in enumerate(mats):
-        norms = np.linalg.norm(m, axis=1)
-        order = np.argsort(-norms, kind="stable")
-        kept[k, order[:keep_count]] = True
+    np.put_along_axis(kept, order[:, : math.ceil(density * r)], True, axis=1)
     mass = np.stack([m.sum(axis=1) for m in mats]) * kept
-    coeffs = np.zeros((K, r))
-    for i in range(r):
-        total = mass[:, i].sum()
-        if total != 0.0:
-            sign = np.sign(total)
-        else:
-            sign = 0.0
-            for k in range(K):
-                if mass[k, i] != 0.0:
-                    sign = np.sign(mass[k, i])
-                    break
-        if sign == 0.0:
-            continue
-        survivors = [k for k in range(K) if mass[k, i] != 0.0 and np.sign(mass[k, i]) == sign]
-        for k in survivors:
-            coeffs[k, i] = 1.0 / len(survivors)
-    return coeffs
-
-
-def ties_rowwise(deltas, density: float) -> np.ndarray:
-    """TIES merging at row granularity: trim, elect a row sign, average."""
-    mats = _delta_matrices(deltas)
-    return combine_row_coefficients(mats, ties_coefficients(mats, density))
+    # sum each row's masses along a contiguous axis, numpy's pairwise order;
+    # mass.sum(axis=0) adds task by task and can flip an exact cancellation
+    total = np.ascontiguousarray(mass.T).sum(axis=1)
+    first = mass[np.argmax(mass != 0.0, axis=0), np.arange(r)]
+    sign = np.sign(np.where(total != 0.0, total, first))
+    survivors = (mass != 0.0) & (np.sign(mass) == sign)
+    return np.where(survivors, 1.0 / np.maximum(survivors.sum(axis=0), 1), 0.0)
 
 
 def fisher_merge(thetas, fishers) -> np.ndarray:
@@ -160,32 +114,35 @@ def fisher_merge(thetas, fishers) -> np.ndarray:
     return weighted
 
 
-def fisher_delta(deltas, fishers) -> np.ndarray:
-    """Fisher rule on updates: equivalent to merging theta_k = W + delta_k."""
-    mats = _delta_matrices(deltas)
-    return fisher_merge(mats, fishers)
-
-
 def baseline_delta(method: str, deltas, params: dict | None = None) -> np.ndarray:
     """Dispatch a baseline rule by name.
 
-    Recognised names: soup, ta (params: lambdas, default 1.0), dare
-    (keep_prob default 0.5, seed default 0), ties (density default 0.5),
-    fisher (params: fishers, required).
+    Recognised names: soup, ta (params: lambdas, default 1.0, a scalar
+    broadcasting to all tasks), dare (keep_prob default 0.5, seed default 0),
+    ties (density default 0.5), fisher (params: fishers, required).  Every
+    rule but fisher is one row-coefficient matrix for combine_row_coefficients;
+    fisher merges the updates as theta_k = W + delta_k would merge.
     """
     params = dict(params or {})
+    mats = _delta_matrices(deltas)
+    K, r = len(mats), mats[0].shape[0]
     if method == "soup":
-        return soup(deltas)
-    if method == "ta":
-        return task_arithmetic(deltas, params.get("lambdas", 1.0))
-    if method == "dare":
-        return dare_row_uniform(
-            deltas, params.get("keep_prob", 0.5), params.get("seed", 0)
-        )
-    if method == "ties":
-        return ties_rowwise(deltas, params.get("density", 0.5))
-    if method == "fisher":
+        coeffs = soup_coefficients(K, r)
+    elif method == "ta":
+        lam = np.asarray(params.get("lambdas", 1.0), dtype=float).ravel()
+        if lam.size == 1:
+            lam = np.full(K, float(lam[0]))
+        if lam.size != K:
+            raise ValueError(f"{lam.size} weights for {K} tasks")
+        coeffs = ta_coefficients(lam, r)
+    elif method == "dare":
+        coeffs = dare_coefficients(K, r, params.get("keep_prob", 0.5), params.get("seed", 0))
+    elif method == "ties":
+        coeffs = ties_coefficients(mats, params.get("density", 0.5))
+    elif method == "fisher":
         if "fishers" not in params:
             raise ValueError("fisher baseline needs per-task fisher diagonals")
-        return fisher_delta(deltas, params["fishers"])
-    raise ValueError(f"unknown baseline {method!r}")
+        return fisher_merge(mats, params["fishers"])
+    else:
+        raise ValueError(f"unknown baseline {method!r}")
+    return combine_row_coefficients(mats, coeffs)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .networks import IDENTITY, RELU, LinearNetwork, ResidualUpdate, forward
+from .networks import IDENTITY, RELU, LinearNetwork, ResidualUpdate, apply_merged_residual, forward
 from .qp import CalibrationSet
 
 FORMAT_VERSION = 2
@@ -383,13 +383,7 @@ def gen_linear_tasks(
             shape = base.layer_shape(N)
             delta = delta_scale * rng.standard_normal(shape) / math.sqrt(shape[1])
             residuals[N].append(ResidualUpdate(N, delta, k))
-            net_k = LinearNetwork(
-                [
-                    W + delta if l == N - 1 else W
-                    for l, W in enumerate(net_k.layers)
-                ],
-                list(net_k.activations),
-            )
+            net_k = apply_merged_residual(net_k, N, delta)
         finetuned.append(net_k)
     calibration = []
     for k in range(n_tasks):

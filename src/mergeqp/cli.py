@@ -30,7 +30,6 @@ from .bundles import (
     load_network,
     save_bundle,
     save_network,
-    validate_shared_direction_bundle,
 )
 from .multilayer import (
     MergeReport,
@@ -40,18 +39,10 @@ from .multilayer import (
     layer_params,
     prefix_sweep,
     sequential_merge,
+    solve_layer,
 )
-from .networks import apply_merged_residual, forward
-from .qp import (
-    NumericalError,
-    build_diagonal_qp,
-    build_general_basis_qp,
-    calibration_mse,
-    linearized_delta_objective,
-    merge_geometry,
-    merged_delta_from_coefficients,
-    solve_unconstrained,
-)
+from .networks import NumericalError, apply_merged_residual, forward
+from .qp import CalibrationSet, calibration_mse, linearized_delta_objective, merge_geometry
 
 EXIT_OK = 0
 EXIT_METHOD = 1
@@ -128,19 +119,30 @@ def _single_layer(bundle: ModelBundle, layer):
     raise ValueError(f"bundle has updates at {available}; pick one with --layer")
 
 
-def _fisher_diagonals(bundle: ModelBundle, layer: int):
-    """Per-task Fisher diagonals for layer N from each task's calibration.
+def _fisher_diagonals(bundle: ModelBundle, layers):
+    """{layer: per-task Fisher diagonals}, one per entry of bundle.task_ids.
 
     Surrogate for honest Fisher information: squared gradients of the
     squared-error loss with respect to layer N's weights, summed over the
     task's calibration samples.  grad_j = 2 m_j u_j^T with m_j = L_j^T b_j,
     so the sum of squares is 4 (M^2)^T (U^2) over the stacked samples.
+    Samples go to tasks by their task label, not by the order of the
+    calibration sets; a task with no samples is a ValueError.
     """
-    fishers = []
-    for cs in bundle.calibration:
-        geom = merge_geometry(bundle.base, layer, cs)
-        M = np.einsum("jcr,jc->jr", geom.downstream.matrix, geom.residuals)
-        fishers.append(4.0 * (M * M).T @ (geom.hidden_inputs * geom.hidden_inputs))
+    pooled = bundle.pooled_calibration()
+    labels = np.array(pooled.task_ids, dtype=object)
+    task_sets = []
+    for t in bundle.task_ids:
+        rows = np.flatnonzero(labels == t)
+        if rows.size == 0:
+            raise ValueError(f"fisher: task {t!r} has no calibration samples")
+        task_sets.append(CalibrationSet(pooled.inputs[rows], pooled.targets[rows]))
+    fishers = {layer: [] for layer in layers}
+    for layer in layers:
+        for cs in task_sets:
+            geom = merge_geometry(bundle.base, layer, cs)
+            M = np.einsum("jcr,jc->jr", geom.downstream.matrix, geom.residuals)
+            fishers[layer].append(4.0 * (M * M).T @ (geom.hidden_inputs * geom.hidden_inputs))
     return fishers
 
 
@@ -187,7 +189,7 @@ def _baseline_params(args, bundle: ModelBundle, method, layers):
     if method == "ties":
         return {"density": args.density}
     if method == "fisher":
-        return {"fishers": {l: _fisher_diagonals(bundle, l) for l in layers}}
+        return {"fishers": _fisher_diagonals(bundle, layers)}
     return {}
 
 
@@ -218,7 +220,6 @@ def cmd_gen(args) -> int:
             orth_scale=args.orth_scale,
             seed=args.seed,
         )
-        validate_shared_direction_bundle(bundle)
         print("assumption validators passed (shared direction, isometry)")
     elif args.kind == "relu":
         dims = _parse_ints(args.dims or "16,12,8,4")
@@ -274,8 +275,8 @@ def cmd_merge(args) -> int:
             basis_p=args.p, basis_seed=args.seed, **solve,
         )
 
-    if not all(np.all(np.isfinite(W)) for W in merged.layers):
-        raise NumericalError("merged model contains non-finite weights")
+    if not np.isfinite(report.final_mse):
+        raise NumericalError(f"final calibration mse is {report.final_mse!r}")
 
     if args.out:
         save_network(merged, args.out)
@@ -371,8 +372,8 @@ def cmd_compare(args) -> int:
     specs = [("base", "base", {}), ("soup", "soup", {})]
     for lam in _parse_floats(args.lambda_grid):
         specs.append((f"ta({_fmt(lam)})", "ta", {"lambdas": lam}))
-    for kind in ("dare", "ties", "fisher"):
-        specs.append((kind, kind, _baseline_params(args, bundle, kind, [layer])))
+    # None: parameters from the flags, computed in the row's try so a failure marks that row only
+    specs += [(kind, kind, None) for kind in ("dare", "ties", "fisher")]
     specs.append(("qp-diag", "qp-diag", {}))
     specs.append((f"qp-basis(eigen,{p})", "qp-basis", {}))
 
@@ -384,15 +385,13 @@ def cmd_compare(args) -> int:
             if kind == "base":
                 delta = np.zeros(deltas[0].delta.shape)
             elif kind == "qp-diag":
-                qp = build_diagonal_qp(bundle.base, deltas, calib, geometry=geometry)
-                delta = merged_delta_from_coefficients(deltas, solve_unconstrained(qp))
+                delta = solve_layer(bundle.base, deltas, calib, geometry)[2]
             elif kind == "qp-basis":
                 basis = layer_basis("eigen", p, args.seed, deltas, geometry)
-                qp = build_general_basis_qp(bundle.base, deltas, calib, basis, geometry=geometry)
-                delta = merged_delta_from_coefficients(
-                    deltas, solve_unconstrained(qp), basis=basis
-                )
+                delta = solve_layer(bundle.base, deltas, calib, geometry, basis)[2]
             else:
+                if params is None:
+                    params = _baseline_params(args, bundle, kind, [layer])
                 delta = baseline_delta(kind, deltas, layer_params(kind, params, layer))
             if not np.all(np.isfinite(delta)):
                 raise NumericalError(f"{name} produced non-finite weights")

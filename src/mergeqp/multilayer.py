@@ -1,6 +1,6 @@
 """Merging several layers: baseline rules, greedy sequential QP solves, hybrids.
 
-Layers are merged one at a time, bottom-up by default.  `baseline_merge`
+Layers are merged one at a time, bottom-up.  `baseline_merge`
 applies one fixed rule (soup, ta, dare, ties, fisher) at each layer;
 `sequential_merge` re-derives hidden inputs, downstream maps and residuals
 from the current partially-merged model before each layer's QP; hybrid
@@ -64,14 +64,6 @@ class MergeReport:
     final_mse: float
     task_mse: dict
     baseline_mse: float | None = None
-
-
-def _solve(qp, solver, lo, hi, steps, step_size):
-    if solver == "exact":
-        return solve_unconstrained(qp)
-    if solver == "box":
-        return solve_box_constrained(qp, lo=lo, hi=hi, steps=steps, step_size=step_size)
-    raise ValueError(f"unknown solver {solver!r}")
 
 
 def layer_basis(kind, p, seed, deltas, geometry):
@@ -194,24 +186,44 @@ def baseline_merge(
     return current, MergeReport(method, records, pooled, per_task)
 
 
+def solve_layer(
+    net, deltas, calib, geometry, basis=None,
+    solver="exact", lo=0.0, hi=1.0, steps=500, step_size=1e-2,
+):
+    """Build one layer's QP on precomputed geometry, solve it, assemble the update.
+
+    basis None gives the diagonal QP, otherwise the QP over that basis.
+    solver is "exact" (solve_unconstrained) or "box" (solve_box_constrained
+    with lo, hi, steps, step_size).  Returns (qp, coefficients, merged update).
+    """
+    if basis is None:
+        qp = build_diagonal_qp(net, deltas, calib, geometry=geometry)
+    else:
+        qp = build_general_basis_qp(net, deltas, calib, basis, geometry=geometry)
+    if solver == "exact":
+        coeffs = solve_unconstrained(qp)
+    elif solver == "box":
+        coeffs = solve_box_constrained(qp, lo=lo, hi=hi, steps=steps, step_size=step_size)
+    else:
+        raise ValueError(f"unknown solver {solver!r}")
+    return qp, coeffs, merged_delta_from_coefficients(deltas, coeffs, basis=basis)
+
+
 def _merge_one_layer(
     current, layer, deltas, calib, solver, lo, hi, steps, step_size,
     basis_kind, basis_p, basis_seed,
 ):
     geometry = merge_geometry(current, layer, calib)
-    if basis_kind is None:
-        qp = build_diagonal_qp(current, deltas, calib, geometry=geometry)
-        basis = None
-        fraction = None
-    else:
+    basis = fraction = None
+    if basis_kind is not None:
         r = deltas[0].delta.shape[0]
         c = current.output_dim
         p = basis_p if basis_p is not None else min(r, c)
         basis = layer_basis(basis_kind, p, basis_seed, deltas, geometry)
-        qp = build_general_basis_qp(current, deltas, calib, basis, geometry=geometry)
         fraction = basis_fraction(basis, geometry)
-    coeffs = _solve(qp, solver, lo, hi, steps, step_size)
-    merged = merged_delta_from_coefficients(deltas, coeffs, basis=basis)
+    qp, coeffs, merged = solve_layer(
+        current, deltas, calib, geometry, basis, solver, lo, hi, steps, step_size
+    )
     if not np.all(np.isfinite(merged)):
         raise NumericalError(f"layer {layer} merge produced non-finite weights")
     record = LayerMergeRecord(
@@ -237,9 +249,8 @@ def sequential_merge(
     basis_kind: str | None = None,
     basis_p: int | None = None,
     basis_seed: int = 0,
-    order: str = "bottom_up",
 ):
-    """Merge each listed layer in turn, re-solving the QP at the current model.
+    """Merge each listed layer bottom-up, re-solving the QP at the current model.
 
     Each layer's objective is rebuilt from the partially merged network, so
     earlier merges feed into later hidden inputs and downstream maps.
@@ -250,14 +261,9 @@ def sequential_merge(
     """
     if not deltas_by_layer:
         raise ValueError("no layers to merge")
-    if order not in ("bottom_up", "top_down"):
-        raise ValueError(f"unknown order {order!r}")
-    layers = sorted(deltas_by_layer)
-    if order == "top_down":
-        layers = layers[::-1]
     current = net
     records = []
-    for layer in layers:
+    for layer in sorted(deltas_by_layer):
         current, record, _ = _merge_one_layer(
             current, layer, list(deltas_by_layer[layer]), calib,
             solver, lo, hi, steps, step_size, basis_kind, basis_p, basis_seed,

@@ -1,4 +1,4 @@
-"""Dense multi-layer networks, their factorisations, and local linearisation.
+"""Dense multi-layer networks, forward evaluation, and local linearisation.
 
 Layers are numbered 1..M and weight ``layers[l]`` maps the output of layer l
 to the input of layer l+1.  Each gap between consecutive layers carries an
@@ -15,6 +15,10 @@ import numpy as np
 IDENTITY = "identity"
 RELU = "relu"
 ACTIVATIONS = (IDENTITY, RELU)
+
+
+class NumericalError(ArithmeticError):
+    """Raised when non-finite values appear in an objective or a solve."""
 
 
 def _as_float_matrix(value, name):
@@ -99,13 +103,6 @@ class LinearNetwork:
     def output_dim(self) -> int:
         return self.layers[-1].shape[0]
 
-    def is_linear(self) -> bool:
-        """True when every gap is an identity, so the network is one matrix."""
-        return all(a == IDENTITY for a in self.activations)
-
-    def copy(self) -> "LinearNetwork":
-        return LinearNetwork([W.copy() for W in self.layers], list(self.activations))
-
     def layer_shape(self, layer_index: int) -> tuple:
         self._check_layer_index(layer_index)
         return self.layers[layer_index - 1].shape
@@ -130,6 +127,21 @@ class ResidualUpdate:
         if self.layer_index < 1:
             raise ValueError("layer_index is 1-based and must be >= 1")
         self.delta = _as_float_matrix(self.delta, "delta")
+
+
+def _delta_matrices(deltas):
+    """The update matrices of ResidualUpdates or plain arrays, one shape for all."""
+    mats = [
+        d.delta if isinstance(d, ResidualUpdate) else np.asarray(d, dtype=float)
+        for d in deltas
+    ]
+    if not mats:
+        raise ValueError("no residual updates")
+    shape = mats[0].shape
+    for m in mats:
+        if m.shape != shape:
+            raise ValueError("residual updates have mismatched shapes")
+    return mats
 
 
 @dataclass
@@ -157,7 +169,7 @@ class DownstreamMap:
                 f"{self.matrix.shape}"
             )
         if not np.all(np.isfinite(self.matrix)):
-            raise ValueError("downstream matrix contains non-finite entries")
+            raise NumericalError("downstream matrix contains non-finite entries")
         if self.kind not in ("exact", "jacobian"):
             raise ValueError(f"unknown downstream map kind {self.kind!r}")
 
@@ -192,32 +204,10 @@ def layer_input(net: LinearNetwork, layer_index: int, x) -> np.ndarray:
     """The input actually fed into layer N, activations below included.
 
     x is one vector or an (n, d) sample matrix (one row out per row in).
-    For N = 1 this is x itself; on an all-identity network it equals Z @ x
-    with Z from factorize.
+    For N = 1 this is x itself.
     """
     net._check_layer_index(layer_index)
     return _propagate(net, _input_columns(net, x), layer_index - 1)[0].T
-
-
-def factorize(net: LinearNetwork, layer_index: int) -> tuple:
-    """Split an all-identity network around layer N as h(x) = L W_N Z x.
-
-    Returns (Z, L) where Z collapses layers 1..N-1 and L collapses layers
-    N+1..M.  Degenerate ends give identity matrices.  Raises ValueError if
-    any gap has a non-identity activation, because then no such fixed
-    factorisation exists.
-    """
-    net._check_layer_index(layer_index)
-    if not net.is_linear():
-        raise ValueError("factorize requires all-identity activations")
-    Z = np.eye(net.input_dim)
-    for i in range(layer_index - 1):
-        Z = net.layers[i] @ Z
-    out_n = net.layers[layer_index - 1].shape[0]
-    L = np.eye(out_n)
-    for i in range(layer_index, net.depth):
-        L = net.layers[i] @ L
-    return Z, L
 
 
 def linearize_downstream(net: LinearNetwork, layer_index: int, x) -> DownstreamMap:

@@ -24,15 +24,13 @@ import numpy as np
 from .networks import (
     DownstreamMap,
     LinearNetwork,
-    ResidualUpdate,
+    NumericalError,
+    _delta_matrices,
     forward,
     layer_input,
     linearize_downstream,
 )
-
-
-class NumericalError(ArithmeticError):
-    """Raised when non-finite values appear in an objective or a solve."""
+from .subspaces import OrthonormalBasis
 
 
 @dataclass
@@ -126,11 +124,6 @@ class QuadraticObjective:
     def dim(self) -> int:
         return self.n_tasks * self.n_directions
 
-    def flat_index(self, task: int, direction: int) -> int:
-        if not (0 <= task < self.n_tasks and 0 <= direction < self.n_directions):
-            raise ValueError("index out of range")
-        return task * self.n_directions + direction
-
 
 @dataclass
 class MergeCoefficients:
@@ -172,7 +165,10 @@ class MergeGeometry:
     hidden_inputs: np.ndarray
     downstream: DownstreamMap
     residuals: np.ndarray
-    fixed_downstream: bool
+
+    @property
+    def fixed_downstream(self) -> bool:
+        return self.downstream.kind == "exact"
 
 
 def base_residuals(net: LinearNetwork, calib: CalibrationSet) -> np.ndarray:
@@ -191,7 +187,6 @@ def merge_geometry(
         layer_input(net, layer_index, calib.inputs),
         down,
         base_residuals(net, calib),
-        down.kind == "exact",
     )
 
 
@@ -233,16 +228,9 @@ def build_diagonal_qp(
 
 
 def _basis_columns(basis):
-    cols = getattr(basis, "columns", basis)
-    cols = np.asarray(cols, dtype=float)
-    if cols.ndim != 2:
-        raise ValueError("basis must be a 2-D array of columns")
-    p = cols.shape[1]
-    if p == 0:
+    cols = OrthonormalBasis(getattr(basis, "columns", basis), "custom").columns
+    if cols.shape[1] == 0:
         raise ValueError("basis has no columns")
-    gram = cols.T @ cols
-    if np.abs(gram - np.eye(p)).max() > 1e-10:
-        raise ValueError("basis columns are not orthonormal")
     return cols
 
 
@@ -405,7 +393,6 @@ def solve_box_constrained(
     hi: float = 1.0,
     steps: int = 500,
     step_size: float = 1e-2,
-    init=None,
 ) -> MergeCoefficients:
     """Projected Adam on J(d) with per-coordinate clamping to [lo, hi].
 
@@ -422,13 +409,7 @@ def solve_box_constrained(
         raise ValueError("steps must be >= 1")
     if step_size <= 0:
         raise ValueError("step_size must be positive")
-    if init is None:
-        d = np.full(qp.dim, 1.0 / qp.n_tasks)
-    else:
-        d = np.asarray(init, dtype=float).ravel().copy()
-        if d.shape[0] != qp.dim:
-            raise ValueError(f"init must have {qp.dim} entries, got {d.shape[0]}")
-    d = np.clip(d, lo, hi)
+    d = np.clip(np.full(qp.dim, 1.0 / qp.n_tasks), lo, hi)
     m = np.zeros_like(d)
     v = np.zeros_like(d)
     for t in range(1, steps + 1):
@@ -464,8 +445,7 @@ def merged_delta_from_coefficients(deltas: list, coeffs, basis=None) -> np.ndarr
     coefficient row k scales task k's rows.  With a basis Q the update is
     sum_k Q diag(d_k) Q^T delta_k.
     """
-    if not deltas:
-        raise ValueError("no residual updates")
+    mats = _delta_matrices(deltas)
     values = coeffs.values if isinstance(coeffs, MergeCoefficients) else np.asarray(
         coeffs, dtype=float
     )
@@ -475,7 +455,6 @@ def merged_delta_from_coefficients(deltas: list, coeffs, basis=None) -> np.ndarr
         raise ValueError(
             f"{values.shape[0]} coefficient rows for {len(deltas)} tasks"
         )
-    mats = [d.delta if isinstance(d, ResidualUpdate) else np.asarray(d, float) for d in deltas]
     shape = mats[0].shape
     merged = np.zeros(shape)
     if basis is None:

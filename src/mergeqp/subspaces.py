@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .networks import DownstreamMap, ResidualUpdate
+from .networks import DownstreamMap, _delta_matrices
 
 
 @dataclass
@@ -40,10 +40,6 @@ class OrthonormalBasis:
         gram = self.columns.T @ self.columns
         if p and np.abs(gram - np.eye(p)).max() > 1e-10:
             raise ValueError("basis columns are not orthonormal")
-
-    @property
-    def dim(self) -> int:
-        return self.columns.shape[0]
 
     @property
     def p(self) -> int:
@@ -117,8 +113,7 @@ def standard_basis(dim: int, p: int, order=None) -> OrthonormalBasis:
     if order.shape[0] < p:
         raise ValueError("order is shorter than p")
     cols = np.zeros((dim, p))
-    for j in range(p):
-        cols[order[j], j] = 1.0
+    cols[order[:p], np.arange(p)] = 1.0
     return OrthonormalBasis(cols, "standard")
 
 
@@ -133,15 +128,11 @@ def coordinate_energy_order(S, L=None) -> np.ndarray:
     Smat = _energy_array(S)
     if L is None:
         scores = np.diag(Smat).copy()
-        dim = Smat.shape[0]
     else:
         Lmat = L.matrix if isinstance(L, DownstreamMap) else np.asarray(L, dtype=float)
-        dim = Lmat.shape[1]
-        scores = np.empty(dim)
-        for i in range(dim):
-            w = Lmat[:, i]
-            nrm2 = float(w @ w)
-            scores[i] = float(w @ Smat @ w) / nrm2 if nrm2 > 0 else 0.0
+        nrm2 = np.einsum("ci,ci->i", Lmat, Lmat)
+        quad = np.einsum("ci,ci->i", Smat @ Lmat, Lmat)
+        scores = np.divide(quad, nrm2, out=np.zeros_like(quad), where=nrm2 > 0)
     return np.argsort(-scores, kind="stable")
 
 
@@ -190,12 +181,7 @@ def svd_basis(deltas, p: int) -> OrthonormalBasis:
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    mats = [
-        d.delta if isinstance(d, ResidualUpdate) else np.asarray(d, dtype=float)
-        for d in deltas
-    ]
-    if not mats:
-        raise ValueError("no residual updates")
+    mats = _delta_matrices(deltas)
     entries = []
     for k, dm in enumerate(mats):
         U, s, _ = np.linalg.svd(dm, full_matrices=False)

@@ -1,7 +1,11 @@
 """Row-coefficient forms of soup, task arithmetic, DARE, TIES, and Fisher."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mergeqp as mq
 
@@ -18,8 +22,11 @@ def test_soup_is_plain_average():
 
 def test_task_arithmetic_scalar_and_per_task():
     ups = _updates([[1.0, 0.0]], [[0.0, 2.0]])
-    assert np.array_equal(mq.task_arithmetic(ups, 0.5), [[0.5, 1.0]])
-    assert np.array_equal(mq.task_arithmetic(ups, [1.0, 0.25]), [[1.0, 0.5]])
+    assert np.array_equal(mq.baseline_delta("ta", ups, {"lambdas": 0.5}), [[0.5, 1.0]])
+    assert np.array_equal(mq.baseline_delta("ta", ups, {"lambdas": [1.0, 0.25]}), [[1.0, 0.5]])
+    assert np.array_equal(mq.baseline_delta("ta", ups), [[1.0, 2.0]])
+    with pytest.raises(ValueError, match="3 weights for 2 tasks"):
+        mq.baseline_delta("ta", ups, {"lambdas": [1.0, 0.5, 0.25]})
 
 
 def test_combine_row_coefficients_loops(rng):
@@ -62,7 +69,7 @@ def test_ties_worked_example():
     assert np.array_equal(coeffs[:, 0], [1.0, 0.0])
     assert np.array_equal(coeffs[:, 1], [0.0, 1.0])
     assert np.array_equal(coeffs[:, 2], [1.0, 0.0])
-    merged = mq.ties_rowwise(ups, 2 / 3)
+    merged = mq.baseline_delta("ties", ups, {"density": 2 / 3})
     assert np.allclose(merged, [[3.0, 0.0], [4.0, 0.0], [2.0, 0.0]])
 
 
@@ -106,7 +113,7 @@ def test_fisher_zero_information_falls_back_to_mean():
 def test_fisher_delta_weighted_combination(rng):
     ups = _updates(rng.normal(size=(2, 2)), rng.normal(size=(2, 2)))
     fishers = [np.abs(rng.normal(size=(2, 2))) + 0.1 for _ in range(2)]
-    got = mq.fisher_delta(ups, fishers)
+    got = mq.baseline_delta("fisher", ups, {"fishers": fishers})
     den = fishers[0] + fishers[1]
     want = (fishers[0] * ups[0].delta + fishers[1] * ups[1].delta) / den
     assert np.allclose(got, want, atol=1e-12)
@@ -114,18 +121,87 @@ def test_fisher_delta_weighted_combination(rng):
 
 def test_baseline_delta_dispatch(rng):
     ups = _updates(rng.normal(size=(3, 2)), rng.normal(size=(3, 2)))
+
+    def combined(coeffs):
+        return mq.combine_row_coefficients(ups, coeffs)
+
     assert np.array_equal(mq.baseline_delta("soup", ups), mq.soup(ups))
+    assert np.array_equal(mq.soup(ups), combined(mq.soup_coefficients(2, 3)))
     assert np.array_equal(
-        mq.baseline_delta("ta", ups, {"lambdas": 0.5}), mq.task_arithmetic(ups, 0.5)
+        mq.baseline_delta("ta", ups, {"lambdas": 0.5}), combined(mq.ta_coefficients([0.5] * 2, 3))
     )
     assert np.array_equal(
         mq.baseline_delta("dare", ups, {"keep_prob": 0.5, "seed": 7}),
         mq.dare_row_uniform(ups, 0.5, seed=7),
     )
     assert np.array_equal(
-        mq.baseline_delta("ties", ups, {"density": 0.5}), mq.ties_rowwise(ups, 0.5)
+        mq.dare_row_uniform(ups, 0.5, seed=7), combined(mq.dare_coefficients(2, 3, 0.5, 7))
+    )
+    assert np.array_equal(
+        mq.baseline_delta("ties", ups, {"density": 0.5}),
+        combined(mq.ties_coefficients(ups, 0.5)),
     )
     with pytest.raises(ValueError):
         mq.baseline_delta("stack", ups)
     with pytest.raises(ValueError):
         mq.baseline_delta("fisher", ups, {})
+
+
+def _ties_coefficients_loop(mats, density):
+    """Reference TIES weights: the row-by-row loop the vectorised rule replaced."""
+    K, r = len(mats), mats[0].shape[0]
+    keep_count = math.ceil(density * r)
+    kept = np.zeros((K, r), dtype=bool)
+    for k, m in enumerate(mats):
+        order = np.argsort(-np.linalg.norm(m, axis=1), kind="stable")
+        kept[k, order[:keep_count]] = True
+    mass = np.stack([m.sum(axis=1) for m in mats]) * kept
+    coeffs = np.zeros((K, r))
+    for i in range(r):
+        total = mass[:, i].sum()
+        if total != 0.0:
+            sign = np.sign(total)
+        else:
+            sign = 0.0
+            for k in range(K):
+                if mass[k, i] != 0.0:
+                    sign = np.sign(mass[k, i])
+                    break
+        if sign == 0.0:
+            continue
+        survivors = [k for k in range(K) if mass[k, i] != 0.0 and np.sign(mass[k, i]) == sign]
+        for k in survivors:
+            coeffs[k, i] = 1.0 / len(survivors)
+    return coeffs
+
+
+def test_ties_exact_cancellation_over_eight_tasks():
+    # row 1 cancels exactly when summed pairwise; adding task by task leaves
+    # 5.6e-17, which would elect the positive side instead of task 1's
+    rows = [[-1, 4, 0, 1, 2, -2, -2, -3], [0, -5, -2, -3, 1, 3, 4, 2], [2, 5, 2, -2, 0, -1, -3, 1]]
+    mats = [np.array([[rows[i][k] * 0.1] for i in range(3)]) for k in range(8)]
+    coeffs = mq.ties_coefficients(mats, 1.0)
+    assert np.array_equal(coeffs, _ties_coefficients_loop(mats, 1.0))
+    assert np.array_equal(coeffs[:, 1], [0.0, 1 / 3, 1 / 3, 1 / 3, 0.0, 0.0, 0.0, 0.0])
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    K=st.integers(1, 40),
+    r=st.integers(1, 6),
+    c=st.integers(1, 2),
+    density=st.sampled_from([0.2, 0.5, 2 / 3, 1.0]),
+    cancel=st.booleans(),
+)
+def test_ties_coefficients_match_loop(seed, K, r, c, density, cancel):
+    # multiples of 0.1 round on every sum; with cancel, the last task's tenths
+    # make each entry's sum over tasks exactly 0 in decimal, not in floats
+    rng = np.random.default_rng(seed)
+    tenths = rng.integers(-5, 6, size=(K, r, c))
+    if cancel:
+        tenths[-1] = -tenths[:-1].sum(axis=0)
+    mats = [m * 0.1 for m in tenths]
+    for m in mats:
+        m[rng.random(r) < 0.2] = 0.0
+    assert np.array_equal(mq.ties_coefficients(mats, density), _ties_coefficients_loop(mats, density))

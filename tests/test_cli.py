@@ -176,6 +176,70 @@ def test_non_finite_baseline_exits_three(tmp_path, capsys, flags):
     assert "ta produced non-finite weights at layer 1" in capsys.readouterr().err
 
 
+DEEP_TALL = (
+    "--dims", "16,12,8", "--n-layers", "4", "--merge-layer", "1,2,3", "--tasks", "4",
+    "--n-calib", "600", "--noise", "0.05", "--seed", "0",
+)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--method", "ta"), ("--method", "qp-diag", "--mode", "hybrid", "--init-method", "ta")],
+)
+def test_overflow_in_the_merged_model_exits_three(tmp_path, capsys, flags):
+    # finite updates whose merged layers overflow in the forward pass: the
+    # plain merge ends with a nan calibration mse, the hybrid refinement
+    # meets non-finite downstream maps
+    bundle = _gen(tmp_path, *DEEP_TALL, name="deep.json")
+    model = tmp_path / "merged.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["merge", "--bundle", str(bundle), *flags, "--lambda", "1e300",
+                   "--out", str(model)])
+    assert rc == 3
+    assert "numerical failure:" in capsys.readouterr().err
+    assert not model.exists()
+
+
+def test_fisher_pairs_calibration_with_tasks_by_id(tmp_path):
+    bundle = mq.gen_linear_tasks(dims=(8, 6, 5), n_tasks=3, n_samples=20, seed=4)
+    models, reports = [], []
+    for name, calibration in (("as_is", bundle.calibration), ("reversed", bundle.calibration[::-1])):
+        path = tmp_path / f"{name}.json"
+        mq.save_bundle(mq.ModelBundle(bundle.base, bundle.residuals, calibration), path)
+        model, report = tmp_path / f"{name}.model.json", tmp_path / f"{name}.report.json"
+        rc = main(["merge", "--bundle", str(path), "--method", "fisher",
+                   "--out", str(model), "--format", "json", "--report", str(report)])
+        assert rc == 0
+        models.append(model.read_bytes())
+        reports.append(json.loads(report.read_text()))
+    assert models[0] == models[1]
+    assert reports[0]["task_mse"] == reports[1]["task_mse"]
+    # the pooled mse sums the samples in file order, so it may move in the last bit
+    assert np.isclose(reports[0]["final_mse"], reports[1]["final_mse"], rtol=1e-14, atol=0)
+    assert round(reports[1]["final_mse"], 4) == 0.9254
+
+
+def test_fisher_task_without_calibration_exits_two(tmp_path, capsys):
+    # a shared-direction bundle holds calibration data for its target task only
+    bundle = _gen(tmp_path, "--kind", "shared-direction", "--sigmas", "1,2", name="sd.json")
+    capsys.readouterr()
+    rc = main(["merge", "--bundle", str(bundle), "--method", "fisher"])
+    assert rc == 2
+    assert "task 1 has no calibration samples" in capsys.readouterr().err
+
+
+def test_compare_marks_fisher_failed_for_a_task_without_calibration(tmp_path, capsys):
+    bundle = _gen(tmp_path, "--kind", "shared-direction", "--sigmas", "1,2", name="sd.json")
+    capsys.readouterr()
+    rc = main(["compare", "--bundle", str(bundle)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    status = {line.split(",")[0]: line.split(",")[-1] for line in captured.out.splitlines()[1:]}
+    assert status.pop("fisher") == "failed"
+    assert set(status.values()) == {"ok"}
+    assert "method fisher failed: fisher: task 1 has no calibration samples" in captured.err
+
+
 def test_diagnose_schema_and_monotone_fraction(tmp_path):
     bundle = _gen(tmp_path)
     out = tmp_path / "diag.csv"

@@ -44,15 +44,6 @@ def test_sequential_merge_improves_each_layer():
     assert report.final_mse <= base_mse
 
 
-def test_sequential_merge_top_down_order():
-    bundle = _two_layer_bundle(seed=3)
-    calib = bundle.pooled_calibration()
-    _, report = mq.sequential_merge(
-        bundle.base, bundle.residuals, calib, solver="exact", order="top_down"
-    )
-    assert [rec.layer_index for rec in report.steps] == [2, 1]
-
-
 def test_sequential_merge_box_solver_stays_in_bounds():
     bundle = _two_layer_bundle(seed=1)
     calib = bundle.pooled_calibration()

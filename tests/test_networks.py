@@ -1,4 +1,4 @@
-"""Forward pass, factorization, and local linearization of small MLPs."""
+"""Forward pass, layer inputs, and local linearization of small MLPs."""
 
 import numpy as np
 import pytest
@@ -30,35 +30,26 @@ def test_layer_input_applies_activations_below():
     assert np.array_equal(mq.layer_input(net, 1, [-3.0]), [-3.0])
 
 
-def test_factorize_reconstructs_forward(rng):
-    W1 = rng.normal(size=(4, 3))
-    W2 = rng.normal(size=(5, 4))
-    W3 = rng.normal(size=(2, 5))
-    net = make_linear_net(W1, W2, W3)
-    for layer in (1, 2, 3):
-        Z, L = mq.factorize(net, layer)
-        W = net.layers[layer - 1]
-        for _ in range(5):
-            x = rng.normal(size=3)
-            assert np.allclose(L @ (W @ (Z @ x)), mq.forward(net, x), atol=1e-12)
-    Z1, _ = mq.factorize(net, 1)
-    _, L3 = mq.factorize(net, 3)
-    assert np.array_equal(Z1, np.eye(3))
-    assert np.array_equal(L3, np.eye(2))
-
-
-def test_factorize_rejects_relu():
-    net = make_relu_net([[1.0]], [[1.0]])
-    with pytest.raises(ValueError):
-        mq.factorize(net, 1)
-
-
 def test_linearize_matches_factorize_on_linear_nets(rng):
-    net = make_linear_net(rng.normal(size=(4, 3)), rng.normal(size=(2, 4)))
-    _, L = mq.factorize(net, 1)
+    net = make_linear_net(
+        rng.normal(size=(4, 3)), rng.normal(size=(5, 4)), rng.normal(size=(2, 5))
+    )
+    # the weights above layer 1, multiplied onto the identity bottom-up
+    L = np.eye(4)
+    for W in net.layers[1:]:
+        L = W @ L
     m = mq.linearize_downstream(net, 1, rng.normal(size=3))
     assert m.kind == "exact"
     assert np.array_equal(m.matrix, L)
+
+
+def test_non_finite_downstream_map_is_a_numerical_error():
+    assert mq.NumericalError is mq.qp.NumericalError is mq.networks.NumericalError
+    with pytest.raises(mq.NumericalError, match="downstream matrix"):
+        mq.DownstreamMap(np.array([[np.inf, 0.0]]))
+    big = make_linear_net([[1.0]], [[1e300]], [[1e300]])
+    with np.errstate(over="ignore"), pytest.raises(mq.NumericalError):
+        mq.linearize_downstream(big, 1, [1.0])
 
 
 def _sample_with_margin(rng, net, margin=1e-3, tries=200):
@@ -134,6 +125,4 @@ def test_network_properties():
     assert net.depth == 2
     assert net.input_dim == 3
     assert net.output_dim == 2
-    assert net.is_linear()
     assert net.layer_shape(2) == (2, 4)
-    assert not make_relu_net(np.ones((2, 2)), np.ones((2, 2))).is_linear()

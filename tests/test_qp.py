@@ -98,15 +98,6 @@ def test_basis_orthonormality_enforced(rng):
         mq.build_general_basis_qp(net, deltas, calib, bad)
 
 
-def test_flat_index_is_task_major(rng):
-    net, deltas, calib = _random_instance(rng, K=3)
-    qp = mq.build_diagonal_qp(net, deltas, calib)
-    assert qp.dim == 12
-    assert qp.flat_index(0, 0) == 0
-    assert qp.flat_index(1, 0) == 4
-    assert qp.flat_index(2, 3) == 11
-
-
 def test_base_residuals_are_prediction_minus_target():
     net = make_linear_net([[2.0, 0.0], [0.0, 3.0]])
     calib = mq.CalibrationSet(np.array([[1.0, 1.0]]), np.array([[3.0, 4.0]]))
@@ -171,8 +162,6 @@ def test_box_solver_validation(rng):
         mq.solve_box_constrained(qp, lo=1.0, hi=0.0)
     with pytest.raises(ValueError):
         mq.solve_box_constrained(qp, steps=0)
-    with pytest.raises(ValueError):
-        mq.solve_box_constrained(qp, init=[1.0])
 
 
 def test_solve_1d_zeroes_the_objective(rng):

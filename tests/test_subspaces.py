@@ -72,6 +72,42 @@ def test_coordinate_energy_order_with_output_map():
     assert list(order) == [0, 1]
 
 
+def _coordinate_energy_order_loop(S, L):
+    """Reference ranking: one w^T S w / w^T w score per column w of L, in a loop."""
+    scores = np.empty(L.shape[1])
+    for i in range(L.shape[1]):
+        w = L[:, i]
+        nrm2 = float(w @ w)
+        scores[i] = float(w @ S @ w) / nrm2 if nrm2 > 0 else 0.0
+    return np.argsort(-scores, kind="stable")
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    c=st.integers(1, 12),
+    r=st.integers(1, 12),
+    integral=st.booleans(),
+)
+def test_coordinate_energy_order_matches_loop(seed, c, r, integral):
+    # zero columns of L score 0 and zero rows add nothing.  Integer entries
+    # make every score exact, so equal scores are exact ties for the stable
+    # sort.  The scores are summed in another order than the loop's, so on
+    # non-integer data two mathematically equal scores can round apart and
+    # rank either way; Gaussian draws make such ties improbable.
+    rng = np.random.default_rng(seed)
+    if integral:
+        L = rng.integers(-2, 3, size=(c, r)).astype(float)
+        B = rng.integers(-2, 3, size=(3, c)).astype(float)
+    else:
+        L = rng.normal(size=(c, r))
+        B = rng.normal(size=(int(rng.integers(1, 6)), c))
+    L[:, rng.random(r) < 0.3] = 0.0
+    L[rng.random(c) < 0.2] = 0.0
+    S = mq.energy_matrix(B).S
+    assert np.array_equal(mq.coordinate_energy_order(S, L), _coordinate_energy_order_loop(S, L))
+
+
 def test_svd_basis_single_delta_top_direction(rng):
     delta = rng.normal(size=(5, 3))
     U, s, _ = np.linalg.svd(delta, full_matrices=False)
