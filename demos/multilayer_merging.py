@@ -8,11 +8,14 @@ multiply, but two tractable strategies get close:
   hybrid      apply a cheap baseline (soup here) everywhere, then re-solve
               only chosen layers around that starting point
 
+Both take the QP solver as a function: the default is the exact
+solve_unconstrained, and functools.partial binds the box solver's bounds.
+
 The cross-layer interaction both strategies ignore shrinks quadratically
 with the update scale, which the last section measures directly.
 """
 
-import numpy as np
+from functools import partial
 
 import mergeqp as mq
 
@@ -35,8 +38,12 @@ def main():
     _, hybrid = mq.hybrid_refine(bundle.base, bundle.residuals, calib,
                                  init_method="soup", refine_layers=[1])
     print(f"soup + re-solve layer 1:    mse {hybrid.final_mse:.4f}")
+    box = partial(mq.solve_box_constrained, lo=0.0, hi=1.0)
+    _, boxed = mq.hybrid_refine(bundle.base, bundle.residuals, calib,
+                                init_method="soup", refine_layers=[1], solver=box)
+    print(f"  ... with weights in [0, 1]: mse {boxed.final_mse:.4f}")
 
-    _, seq = mq.sequential_merge(bundle.base, bundle.residuals, calib, solver="exact")
+    _, seq = mq.sequential_merge(bundle.base, bundle.residuals, calib)
     print(f"sequential bottom-up:       mse {seq.final_mse:.4f}")
     for rec in seq.steps:
         print(f"  layer {rec.layer_index}: objective "

@@ -66,6 +66,10 @@ class ModelBundle:
                     raise ValueError(
                         f"layer {layer} update shape {u.delta.shape} != {shape}"
                     )
+        for layer in self.layers_with_updates:  # per-task values pair with updates by position
+            ids = [u.task_id for u in self.residuals[layer]]
+            if ids != self.task_ids:
+                raise BundleFormatError(f"layer {layer} lists tasks {ids}, not {self.task_ids}")
         if not self.calibration:
             raise ValueError("bundle has no calibration sets")
         for cs in self.calibration:
@@ -151,9 +155,11 @@ def bundle_to_obj(bundle: ModelBundle) -> dict:
 
 
 def _write_json(obj, path) -> None:
+    """Write obj as strict JSON, encoded before the file opens: a failure writes nothing."""
+    # the chunks json.dump would write; joining them into one str is slower on large bundles
+    chunks = [*json.JSONEncoder(indent=1, allow_nan=False).iterencode(obj), "\n"]
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1)
-        fh.write("\n")
+        fh.writelines(chunks)
 
 
 def save_bundle(bundle: ModelBundle, path) -> None:

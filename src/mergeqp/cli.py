@@ -13,8 +13,11 @@ and seed: no timestamps, floats written with shortest round-trip repr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -42,7 +45,14 @@ from .multilayer import (
     solve_layer,
 )
 from .networks import NumericalError, apply_merged_residual, forward
-from .qp import CalibrationSet, calibration_mse, linearized_delta_objective, merge_geometry
+from .qp import (
+    CalibrationSet,
+    calibration_mse,
+    linearized_delta_objective,
+    merge_geometry,
+    solve_box_constrained,
+    solve_unconstrained,
+)
 
 EXIT_OK = 0
 EXIT_METHOD = 1
@@ -62,9 +72,20 @@ def _parse_ints(text):
 
 def _parse_floats(text):
     try:
-        return [float(part) for part in str(text).split(",") if part != ""]
-    except ValueError as exc:
-        raise ValueError(f"expected comma-separated numbers, got {text!r}") from exc
+        return [_finite_float(part) for part in str(text).split(",") if part != ""]
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"expected comma-separated finite numbers, got {text!r}") from exc
+
+
+def _finite_float(text):
+    """argparse type of every float flag: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _fmt(value):
@@ -76,22 +97,24 @@ def _fmt(value):
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+    """Write rows to the CSV file at path, or to stdout when path is empty."""
+    with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as fh:
+        # files keep csv's default \r\n; stdout ends each line with \n, as print does
+        writer = csv.writer(fh, lineterminator="\r\n" if path else "\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def _emit_csv(path, header, rows):
-    """Write rows to the CSV file at path, or to stdout when path is empty."""
+    """_write_csv, saying how many rows went to a file."""
+    _write_csv(path, header, rows)
     if path:
-        _write_csv(path, header, rows)
         print(f"wrote {len(rows)} rows to {path}")
-    else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(_fmt(v) for v in row))
+
+
+def _table_header(task_ids, last):
+    """Columns of the merge report and the compare table, `last` the final one."""
+    return ["method", "layer", "objective", "mse"] + [f"task_mse_{t}" for t in task_ids] + [last]
 
 
 def _select_layers(bundle: ModelBundle, spec: str):
@@ -255,8 +278,8 @@ def cmd_merge(args) -> int:
     if args.mode == "hybrid" and method != "qp-diag":
         raise ValueError("--mode hybrid refines with qp-diag; pick --method qp-diag")
 
-    solve = dict(
-        solver=args.solver, lo=args.lo, hi=args.hi, steps=args.steps, step_size=args.step_size
+    solver = solve_unconstrained if args.solver == "exact" else functools.partial(
+        solve_box_constrained, lo=args.lo, hi=args.hi, steps=args.steps, step_size=args.step_size
     )
     chosen = {l: bundle.residuals[l] for l in layers}
     if method in BASELINES:
@@ -267,12 +290,12 @@ def cmd_merge(args) -> int:
         init_params = _baseline_params(args, bundle, args.init_method, bundle.layers_with_updates)
         merged, report = hybrid_refine(
             bundle.base, bundle.residuals, calib, init_method=args.init_method,
-            refine_layers=layers, init_params=init_params, **solve,
+            refine_layers=layers, init_params=init_params, solver=solver,
         )
     else:
         merged, report = sequential_merge(
             bundle.base, chosen, calib, basis_kind=None if method == "qp-diag" else args.basis,
-            basis_p=args.p, basis_seed=args.seed, **solve,
+            basis_p=args.p, basis_seed=args.seed, solver=solver,
         )
 
     if not np.isfinite(report.final_mse):
@@ -283,10 +306,8 @@ def cmd_merge(args) -> int:
     task_ids = bundle.task_ids
     if args.report:
         if args.format == "csv":
-            header = ["method", "layer", "objective", "mse"] + [
-                f"task_mse_{t}" for t in task_ids
-            ] + ["fraction"]
-            _write_csv(args.report, header, _report_rows(report, task_ids))
+            rows = _report_rows(report, task_ids)
+            _write_csv(args.report, _table_header(task_ids, "fraction"), rows)
         else:
             with open(args.report, "w") as fh:
                 json.dump(_report_json(report, task_ids), fh, indent=1, sort_keys=True)
@@ -311,14 +332,13 @@ def cmd_diagnose(args) -> int:
     if p_max < 1:
         raise ValueError("p range is empty")
 
-    chains = []
-    for kind, label in (("eigen", "eigen"), ("standard", "standard"), ("svd", "svd")):
-        basis = layer_basis(kind, p_max, args.seed, deltas, geometry)
-        chains.append((label, basis))
-    for i in range(args.random_seeds):
-        seed = args.seed + i
-        basis = layer_basis("random", p_max, seed, deltas, geometry)
-        chains.append((f"random({seed})", basis))
+    chains = [
+        (kind, layer_basis(kind, p_max, args.seed, deltas, geometry))
+        for kind in ("eigen", "standard", "svd")
+    ] + [
+        (f"random({seed})", layer_basis("random", p_max, seed, deltas, geometry))
+        for seed in range(args.seed, args.seed + args.random_seeds)
+    ]
 
     rows = [
         [label, *row]
@@ -365,9 +385,7 @@ def cmd_compare(args) -> int:
     deltas = bundle.residuals[layer]
     geometry = merge_geometry(bundle.base, layer, calib)
     task_ids = bundle.task_ids
-    r = deltas[0].delta.shape[0]
-    c = bundle.base.output_dim
-    p = args.p if args.p is not None else min(r, c)
+    p = args.p if args.p is not None else min(deltas[0].delta.shape[0], bundle.base.output_dim)
 
     specs = [("base", "base", {}), ("soup", "soup", {})]
     for lam in _parse_floats(args.lambda_grid):
@@ -411,10 +429,7 @@ def cmd_compare(args) -> int:
             rows.append([name, layer, None, None] + [None] * len(task_ids) + ["failed"])
             print(f"method {name} failed: {exc}", file=sys.stderr)
 
-    header = ["method", "layer", "objective", "mse"] + [
-        f"task_mse_{t}" for t in task_ids
-    ] + ["status"]
-    _emit_csv(args.out, header, rows)
+    _emit_csv(args.out, _table_header(task_ids, "status"), rows)
 
     if "qp-diag" in objectives:
         tol = 1e-8 * max(1.0, objectives.get("base", 1.0))
@@ -453,18 +468,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--tasks", type=int, default=3)
     p_gen.add_argument("--n-calib", type=int, default=None,
                        help="calibration samples per task (generator default when omitted)")
-    p_gen.add_argument("--delta-scale", type=float, default=0.5)
-    p_gen.add_argument("--noise", type=float, default=0.0)
+    p_gen.add_argument("--delta-scale", type=_finite_float, default=0.5)
+    p_gen.add_argument("--noise", type=_finite_float, default=0.0)
     p_gen.add_argument("--sigmas", help="shared-direction strengths, e.g. 1,2")
     p_gen.add_argument("--r", type=int, default=4)
     p_gen.add_argument("--c", type=int, default=6)
     p_gen.add_argument("--input-dim", type=int, default=5)
     p_gen.add_argument("--target-task", type=int, default=0)
-    p_gen.add_argument("--orth-scale", type=float, default=0.1)
+    p_gen.add_argument("--orth-scale", type=_finite_float, default=0.1)
     p_gen.add_argument("--n-train", type=int, default=60)
     p_gen.add_argument("--train-steps", type=int, default=25)
-    p_gen.add_argument("--learning-rate", type=float, default=0.05)
-    p_gen.add_argument("--input-noise", type=float, default=0.3)
+    p_gen.add_argument("--learning-rate", type=_finite_float, default=0.05)
+    p_gen.add_argument("--input-noise", type=_finite_float, default=0.3)
     p_gen.set_defaults(func=cmd_gen)
 
     p_merge = sub.add_parser("merge", help="merge a bundle's task updates")
@@ -479,17 +494,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_merge.add_argument("--init-method", choices=BASELINES, default="soup",
                          help="hybrid mode: baseline applied before refinement")
     p_merge.add_argument("--lambda", dest="lam", default="1.0", help="ta weights")
-    p_merge.add_argument("--keep-prob", type=float, default=0.5)
-    p_merge.add_argument("--density", type=float, default=0.5)
+    p_merge.add_argument("--keep-prob", type=_finite_float, default=0.5)
+    p_merge.add_argument("--density", type=_finite_float, default=0.5)
     p_merge.add_argument("--seed", type=int, default=0)
     p_merge.add_argument("--basis", choices=("eigen", "standard", "svd", "random"),
                          default="eigen", help="qp-basis direction family")
     p_merge.add_argument("--p", type=int, default=None, help="qp-basis direction count")
     p_merge.add_argument("--solver", choices=("box", "exact"), default="box")
-    p_merge.add_argument("--lo", type=float, default=0.0)
-    p_merge.add_argument("--hi", type=float, default=1.0)
+    p_merge.add_argument("--lo", type=_finite_float, default=0.0)
+    p_merge.add_argument("--hi", type=_finite_float, default=1.0)
     p_merge.add_argument("--steps", type=int, default=500)
-    p_merge.add_argument("--step-size", type=float, default=1e-2)
+    p_merge.add_argument("--step-size", type=_finite_float, default=1e-2)
     p_merge.add_argument("--out", help="merged model JSON path")
     p_merge.add_argument("--report", help="report path")
     p_merge.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -516,8 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--layer", type=int, default=None)
     p_cmp.add_argument("--seed", type=int, default=0)
     p_cmp.add_argument("--lambda-grid", default="0.25,0.5,0.75,1.0")
-    p_cmp.add_argument("--keep-prob", type=float, default=0.5)
-    p_cmp.add_argument("--density", type=float, default=0.5)
+    p_cmp.add_argument("--keep-prob", type=_finite_float, default=0.5)
+    p_cmp.add_argument("--density", type=_finite_float, default=0.5)
     p_cmp.add_argument("--p", type=int, default=None, help="qp-basis direction count")
     p_cmp.add_argument("--out", help="CSV path (stdout when omitted)")
     p_cmp.set_defaults(func=cmd_compare)

@@ -28,7 +28,6 @@ from .qp import (
     merged_delta_from_coefficients,
     objective_value,
     prefix_objective,
-    solve_box_constrained,
     solve_unconstrained,
 )
 from .subspaces import (
@@ -186,66 +185,68 @@ def baseline_merge(
     return current, MergeReport(method, records, pooled, per_task)
 
 
-def solve_layer(
-    net, deltas, calib, geometry, basis=None,
-    solver="exact", lo=0.0, hi=1.0, steps=500, step_size=1e-2,
-):
+def solve_layer(net, deltas, calib, geometry, basis=None, solver=None):
     """Build one layer's QP on precomputed geometry, solve it, assemble the update.
 
-    basis None gives the diagonal QP, otherwise the QP over that basis.
-    solver is "exact" (solve_unconstrained) or "box" (solve_box_constrained
-    with lo, hi, steps, step_size).  Returns (qp, coefficients, merged update).
+    basis None gives the diagonal QP, otherwise the QP over that basis.  solver
+    maps the QuadraticObjective to MergeCoefficients; None looks up
+    solve_unconstrained at call time.  Returns (qp, coefficients, merged update).
     """
     if basis is None:
         qp = build_diagonal_qp(net, deltas, calib, geometry=geometry)
     else:
         qp = build_general_basis_qp(net, deltas, calib, basis, geometry=geometry)
-    if solver == "exact":
-        coeffs = solve_unconstrained(qp)
-    elif solver == "box":
-        coeffs = solve_box_constrained(qp, lo=lo, hi=hi, steps=steps, step_size=step_size)
-    else:
-        raise ValueError(f"unknown solver {solver!r}")
+    coeffs = (solve_unconstrained if solver is None else solver)(qp)
     return qp, coeffs, merged_delta_from_coefficients(deltas, coeffs, basis=basis)
 
 
-def _merge_one_layer(
-    current, layer, deltas, calib, solver, lo, hi, steps, step_size,
-    basis_kind, basis_p, basis_seed,
+def _solve_layers(
+    current, deltas_by_layer, layers, calib, solver,
+    basis_kind=None, basis_p=None, basis_seed=0, applied=None,
 ):
-    geometry = merge_geometry(current, layer, calib)
-    basis = fraction = None
-    if basis_kind is not None:
-        r = deltas[0].delta.shape[0]
-        c = current.output_dim
-        p = basis_p if basis_p is not None else min(r, c)
-        basis = layer_basis(basis_kind, p, basis_seed, deltas, geometry)
-        fraction = basis_fraction(basis, geometry)
-    qp, coeffs, merged = solve_layer(
-        current, deltas, calib, geometry, basis, solver, lo, hi, steps, step_size
-    )
-    if not np.all(np.isfinite(merged)):
-        raise NumericalError(f"layer {layer} merge produced non-finite weights")
-    record = LayerMergeRecord(
-        layer_index=layer,
-        basis_id=qp.basis_id,
-        objective_before=qp.constant,
-        objective_after=objective_value(qp, coeffs),
-        coefficients=coeffs.values.copy(),
-        captured_fraction=fraction,
-    )
-    return apply_merged_residual(current, layer, merged), record, geometry
+    """Re-solve the QP at each of `layers` in turn, bottom-up, on the current model.
+
+    With `applied` ({layer: update in the model}), a layer's update is removed
+    first and objective_before prices it on the stripped model; otherwise
+    objective_before is the QP's constant.  Returns (merged network, records).
+    """
+    records = []
+    for layer in layers:
+        deltas = list(deltas_by_layer[layer])
+        if applied is not None:
+            current = apply_merged_residual(current, layer, -applied[layer])
+        geometry = merge_geometry(current, layer, calib)
+        basis = fraction = None
+        if basis_kind is not None:
+            r = deltas[0].delta.shape[0]
+            p = basis_p if basis_p is not None else min(r, current.output_dim)
+            basis = layer_basis(basis_kind, p, basis_seed, deltas, geometry)
+            fraction = basis_fraction(basis, geometry)
+        qp, coeffs, merged = solve_layer(current, deltas, calib, geometry, basis, solver)
+        if not np.all(np.isfinite(merged)):
+            raise NumericalError(f"layer {layer} merge produced non-finite weights")
+        before = qp.constant if applied is None else linearized_delta_objective(
+            current, layer, applied[layer], calib, geometry=geometry
+        )
+        records.append(
+            LayerMergeRecord(
+                layer_index=layer,
+                basis_id=qp.basis_id,
+                objective_before=before,
+                objective_after=objective_value(qp, coeffs),
+                coefficients=coeffs.values.copy(),
+                captured_fraction=fraction,
+            )
+        )
+        current = apply_merged_residual(current, layer, merged)
+    return current, records
 
 
 def sequential_merge(
     net: LinearNetwork,
     deltas_by_layer: dict,
     calib: CalibrationSet,
-    solver: str = "exact",
-    lo: float = 0.0,
-    hi: float = 1.0,
-    steps: int = 500,
-    step_size: float = 1e-2,
+    solver=None,
     basis_kind: str | None = None,
     basis_p: int | None = None,
     basis_seed: int = 0,
@@ -254,21 +255,17 @@ def sequential_merge(
 
     Each layer's objective is rebuilt from the partially merged network, so
     earlier merges feed into later hidden inputs and downstream maps.
-    basis_kind selects the general-basis QP ("eigen", "standard", "svd",
-    "random") instead of the diagonal mask; basis_p defaults to
-    min(layer output dim, model output dim).  Returns (merged_network,
-    MergeReport).
+    solver is as in solve_layer.  basis_kind selects the general-basis QP
+    ("eigen", "standard", "svd", "random") instead of the diagonal mask;
+    basis_p defaults to min(layer output dim, model output dim).  Returns
+    (merged_network, MergeReport).
     """
     if not deltas_by_layer:
         raise ValueError("no layers to merge")
-    current = net
-    records = []
-    for layer in sorted(deltas_by_layer):
-        current, record, _ = _merge_one_layer(
-            current, layer, list(deltas_by_layer[layer]), calib,
-            solver, lo, hi, steps, step_size, basis_kind, basis_p, basis_seed,
-        )
-        records.append(record)
+    current, records = _solve_layers(
+        net, deltas_by_layer, sorted(deltas_by_layer), calib, solver,
+        basis_kind, basis_p, basis_seed,
+    )
     pooled, per_task = calibration_mse(current, calib)
     name = "qp-diag" if basis_kind is None else f"qp-basis({basis_kind})"
     return current, MergeReport(name, records, pooled, per_task)
@@ -281,11 +278,7 @@ def hybrid_refine(
     init_method: str = "soup",
     refine_layers=None,
     init_params: dict | None = None,
-    solver: str = "exact",
-    lo: float = 0.0,
-    hi: float = 1.0,
-    steps: int = 500,
-    step_size: float = 1e-2,
+    solver=None,
 ):
     """Apply a baseline everywhere, then re-solve the QP at selected layers.
 
@@ -293,9 +286,9 @@ def hybrid_refine(
     update at every layer.  At each refine layer, that layer's initial update
     is removed from the current model and the diagonal QP over the original
     task updates is solved in its place, keeping the other layers' baseline
-    merges.  Per-layer baseline parameters come from layer_params.  Returns
-    (merged_network, MergeReport) with baseline_mse recording the loss before
-    refinement.
+    merges.  Per-layer baseline parameters come from layer_params; solver is
+    as in solve_layer.  Returns (merged_network, MergeReport) with
+    baseline_mse recording the loss before refinement.
     """
     if not deltas_by_layer:
         raise ValueError("no layers to merge")
@@ -304,24 +297,15 @@ def hybrid_refine(
     missing = [l for l in refine_layers if l not in deltas_by_layer]
     if missing:
         raise ValueError(f"refine layers {missing} have no residual updates")
+    applied = dict(_baseline_deltas(init_method, deltas_by_layer, init_params, all_layers))
     current = net
-    applied = {}
-    for layer, delta0 in _baseline_deltas(init_method, deltas_by_layer, init_params, all_layers):
+    for layer, delta0 in applied.items():
         current = apply_merged_residual(current, layer, delta0)
-        applied[layer] = delta0
     baseline_pooled, _ = calibration_mse(current, calib)
 
-    records = []
-    for layer in refine_layers:
-        stripped = apply_merged_residual(current, layer, -applied[layer])
-        current, record, geometry = _merge_one_layer(
-            stripped, layer, list(deltas_by_layer[layer]), calib,
-            solver, lo, hi, steps, step_size, None, None, 0,
-        )
-        record.objective_before = linearized_delta_objective(
-            stripped, layer, applied[layer], calib, geometry=geometry
-        )
-        records.append(record)
+    current, records = _solve_layers(
+        current, deltas_by_layer, refine_layers, calib, solver, applied=applied
+    )
     pooled, per_task = calibration_mse(current, calib)
     report = MergeReport(
         f"hybrid({init_method})", records, pooled, per_task, baseline_mse=baseline_pooled

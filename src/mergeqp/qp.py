@@ -99,7 +99,6 @@ class QuadraticObjective:
     n_tasks: int
     n_directions: int
     basis_id: str = "standard"
-    layer_index: int | None = None
 
     def __post_init__(self):
         self.H = np.asarray(self.H, dtype=float)
@@ -130,7 +129,6 @@ class MergeCoefficients:
     """Solved coefficients, one row per task, one column per direction."""
 
     values: np.ndarray
-    basis_id: str
     g_range_defect: float = 0.0
     g_outside_range: bool = False
 
@@ -276,7 +274,6 @@ def prefix_objective(qp: QuadraticObjective, p: int) -> QuadraticObjective:
         n_tasks=qp.n_tasks,
         n_directions=p,
         basis_id=qp.basis_id,
-        layer_index=qp.layer_index,
     )
 
 
@@ -328,9 +325,7 @@ def _build_qp(net, layer, deltas, calib, Q, basis_id, geometry):
         H *= 2.0
         g *= 2.0
         const = float(np.einsum("jc,jc->", B, B))
-    return QuadraticObjective(
-        H, g, const, n_tasks=K, n_directions=P, basis_id=basis_id, layer_index=layer
-    )
+    return QuadraticObjective(H, g, const, n_tasks=K, n_directions=P, basis_id=basis_id)
 
 
 def _flat_coefficients(qp, d):
@@ -381,7 +376,6 @@ def solve_unconstrained(
         raise NumericalError("unconstrained solve produced non-finite coefficients")
     return MergeCoefficients(
         d.reshape(qp.n_tasks, qp.n_directions),
-        qp.basis_id,
         g_range_defect=defect,
         g_outside_range=flag,
     )
@@ -421,7 +415,7 @@ def solve_box_constrained(
         d = np.clip(d - step_size * m_hat / (np.sqrt(v_hat) + eps), lo, hi)
     if not np.all(np.isfinite(d)):
         raise NumericalError("box-constrained solve produced non-finite coefficients")
-    return MergeCoefficients(d.reshape(qp.n_tasks, qp.n_directions), qp.basis_id)
+    return MergeCoefficients(d.reshape(qp.n_tasks, qp.n_directions))
 
 
 def solve_1d(m, beta: float) -> np.ndarray:

@@ -278,7 +278,7 @@ def test_11_sequential_merging_contracts(report):
     layer = bundle.layers_with_updates[0]
     qp = mq.build_diagonal_qp(bundle.base, bundle.residuals[layer], calib)
     direct = mq.solve_unconstrained(qp)
-    _, rep = mq.sequential_merge(bundle.base, bundle.residuals, calib, solver="exact")
+    _, rep = mq.sequential_merge(bundle.base, bundle.residuals, calib, solver=mq.solve_unconstrained)
     ok = np.array_equal(rep.steps[0].coefficients, direct.values)
 
     # cross-layer interaction scales with the product of the update sizes
@@ -301,7 +301,7 @@ def test_11_sequential_merging_contracts(report):
             n_samples=8, delta_scale=eps, seed=1,
         )
         cal = toy.pooled_calibration()
-        merged, rep_seq = mq.sequential_merge(toy.base, toy.residuals, cal, solver="exact")
+        merged, rep_seq = mq.sequential_merge(toy.base, toy.residuals, cal, solver=mq.solve_unconstrained)
         seq_loss = _total_loss(merged, cal)
         seq_start = np.concatenate(
             [rec.coefficients.ravel() for rec in rep_seq.steps]

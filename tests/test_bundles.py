@@ -3,6 +3,7 @@
 import base64
 import json
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -484,3 +485,53 @@ def test_save_network_refuses_non_finite_weights(tmp_path):
     with pytest.raises(ValueError, match=r"^\$\.network\.layers\[1\]\.data:"):
         mq.save_network(net, path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "meta,error",
+    [({"weights": np.zeros(2000)}, TypeError), ({"noise": float("nan")}, ValueError)],
+)
+def test_save_refuses_meta_that_is_not_strict_json(tmp_path, meta, error):
+    bundle = _tiny_bundle()
+    bundle.meta = meta
+    path = tmp_path / "b.json"
+    with pytest.raises(error):
+        mq.save_bundle(bundle, path)
+    assert not path.exists()
+
+
+# --- every layer lists the same tasks in the same order ----------------------
+
+
+def _two_layer_obj(tmp_path):
+    path = tmp_path / "b.json"
+    assert cli_main(["gen", "--dims", "5,4,3", "--merge-layer", "1,2", "--tasks", "3",
+                     "--out", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+def _layer_two_reversed(obj):
+    first = [r for r in obj["residuals"] if r["layer"] == 1]
+    second = [r for r in obj["residuals"] if r["layer"] == 2]
+    obj["residuals"] = first + second[::-1]
+
+
+def _layer_two_duplicates_task_0(obj):
+    [r for r in obj["residuals"] if r["layer"] == 2][1]["task"] = 0
+
+
+@pytest.mark.parametrize(
+    "spoil,listed", [(_layer_two_reversed, "[2, 1, 0]"), (_layer_two_duplicates_task_0, "[0, 0, 2]")]
+)
+def test_layers_listing_tasks_differently_are_rejected(tmp_path, capsys, spoil, listed):
+    # Fisher diagonals and per-task --lambda values pair with updates by position
+    obj = _two_layer_obj(tmp_path)
+    spoil(obj)
+    with pytest.raises(mq.BundleFormatError, match=rf"^layer 2 lists tasks {re.escape(listed)}"):
+        bn.bundle_from_obj(obj)
+    path = tmp_path / "spoiled.json"
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    for flags in (("--method", "fisher"), ("--method", "ta", "--lambda", "1,0,0")):
+        assert cli_main(["merge", "--bundle", str(path), *flags]) == 2
+        assert "error: layer 2 lists tasks" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """End-to-end command flows: gen, merge, diagnose, eval, compare, exit codes."""
 
 import csv
+import io
 import json
 import subprocess
 import sys
@@ -234,7 +235,9 @@ def test_compare_marks_fisher_failed_for_a_task_without_calibration(tmp_path, ca
     rc = main(["compare", "--bundle", str(bundle)])
     assert rc == 1
     captured = capsys.readouterr()
-    status = {line.split(",")[0]: line.split(",")[-1] for line in captured.out.splitlines()[1:]}
+    header, *rows = csv.reader(io.StringIO(captured.out))
+    assert all(len(row) == len(header) for row in rows)
+    status = {row[0]: row[-1] for row in rows}
     assert status.pop("fisher") == "failed"
     assert set(status.values()) == {"ok"}
     assert "method fisher failed: fisher: task 1 has no calibration samples" in captured.err
@@ -339,6 +342,45 @@ def test_usage_errors_exit_two(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["merge", "--bundle", "x", "--method", "nope"])
     assert exc.value.code == 2
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects a flag value
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--method", "ta", "--lambda", "nan"),
+        ("--method", "ta", "--lambda", "1,inf,1"),
+        ("--method", "qp-diag", "--step-size", "inf"),
+        ("--method", "qp-diag", "--lo=-inf"),
+        ("--method", "qp-diag", "--hi", "inf"),
+        ("--method", "dare", "--keep-prob", "nan"),
+    ],
+)
+def test_non_finite_merge_flags_exit_two(tmp_path, flags):
+    bundle = _gen(tmp_path)
+    report = tmp_path / "r.json"
+    rc = _exit_code(["merge", "--bundle", str(bundle), *flags, "--report", str(report)])
+    assert rc == 2
+    assert not report.exists()
+
+
+def test_non_finite_compare_and_gen_flags_exit_two(tmp_path):
+    bundle = _gen(tmp_path)
+    out = tmp_path / "cmp.csv"
+    assert _exit_code(["compare", "--bundle", str(bundle), "--lambda-grid", "0.5,nan",
+                       "--out", str(out)]) == 2
+    assert not out.exists()
+    path = tmp_path / "noisy.json"
+    assert _exit_code(["gen", "--noise", "nan", "--out", str(path)]) == 2
+    assert _exit_code(["gen", "--kind", "shared-direction", "--sigmas", "1,inf",
+                       "--out", str(path)]) == 2
+    assert not path.exists()
 
 
 def test_numerical_failure_exits_three(tmp_path):

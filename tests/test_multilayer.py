@@ -1,5 +1,7 @@
 """Sequential and hybrid merging across layers, plus cross-layer error terms."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ def test_single_layer_plan_equals_standalone_solve():
     qp = mq.build_diagonal_qp(bundle.base, bundle.residuals[layer], calib)
     direct = mq.solve_unconstrained(qp)
     merged, report = mq.sequential_merge(
-        bundle.base, bundle.residuals, calib, solver="exact"
+        bundle.base, bundle.residuals, calib, solver=mq.solve_unconstrained
     )
     assert len(report.steps) == 1
     assert np.array_equal(report.steps[0].coefficients, direct.values)
@@ -34,7 +36,9 @@ def test_single_layer_plan_equals_standalone_solve():
 def test_sequential_merge_improves_each_layer():
     bundle = _two_layer_bundle()
     calib = bundle.pooled_calibration()
-    merged, report = mq.sequential_merge(bundle.base, bundle.residuals, calib, solver="exact")
+    merged, report = mq.sequential_merge(
+        bundle.base, bundle.residuals, calib, solver=mq.solve_unconstrained
+    )
     assert [rec.layer_index for rec in report.steps] == [1, 2]
     for rec in report.steps:
         assert rec.objective_after <= rec.objective_before + 1e-10
@@ -48,7 +52,8 @@ def test_sequential_merge_box_solver_stays_in_bounds():
     bundle = _two_layer_bundle(seed=1)
     calib = bundle.pooled_calibration()
     _, report = mq.sequential_merge(
-        bundle.base, bundle.residuals, calib, solver="box", lo=0.0, hi=1.0
+        bundle.base, bundle.residuals, calib,
+        solver=partial(mq.solve_box_constrained, lo=0.0, hi=1.0),
     )
     for rec in report.steps:
         assert np.all(rec.coefficients >= 0.0)
@@ -159,7 +164,9 @@ def test_full_refinement_tracks_greedy_sequential():
     _, rep_one = mq.hybrid_refine(
         bundle.base, bundle.residuals, calib, init_method="soup", refine_layers=[1]
     )
-    _, rep_seq = mq.sequential_merge(bundle.base, bundle.residuals, calib, solver="exact")
+    _, rep_seq = mq.sequential_merge(
+        bundle.base, bundle.residuals, calib, solver=mq.solve_unconstrained
+    )
     assert rep_soup.final_mse >= rep_one.final_mse - 1e-12
     assert rep_one.final_mse >= rep_seq.final_mse - 1e-12
 
@@ -181,3 +188,38 @@ def test_interaction_error_quadratic_in_scale():
     e2 = mq.interaction_error(bundle.base, d1, d2, calib, scale=1e-2)
     # exact on identity-activation nets: the cross term is bilinear in the scales
     assert np.isclose(e1 / e2, 100.0, rtol=1e-8)
+
+
+def test_solver_is_a_function_called_once_per_layer():
+    bundle = _two_layer_bundle(seed=3)
+    calib = bundle.pooled_calibration()
+    calls = []
+
+    def spy(qp):
+        calls.append(qp.dim)
+        return mq.solve_unconstrained(qp)
+
+    def same_coefficients(a, b):
+        return all(np.array_equal(x.coefficients, y.coefficients) for x, y in zip(a.steps, b.steps))
+
+    for kind in (None, "svd"):
+        calls.clear()
+        _, spied = mq.sequential_merge(bundle.base, bundle.residuals, calib, solver=spy,
+                                       basis_kind=kind)
+        _, default = mq.sequential_merge(bundle.base, bundle.residuals, calib, basis_kind=kind)
+        assert len(calls) == len(spied.steps) == 2
+        assert same_coefficients(spied, default)
+
+    hybrid = dict(init_method="ta", init_params={"lambdas": 0.5})
+    calls.clear()
+    _, spied = mq.hybrid_refine(bundle.base, bundle.residuals, calib, solver=spy, **hybrid)
+    _, default = mq.hybrid_refine(bundle.base, bundle.residuals, calib, **hybrid)
+    assert calls == [8, 6]  # 2 tasks x (4 hidden units, then 3 outputs)
+    assert same_coefficients(spied, default)
+    assert any(np.any((rec.coefficients < 0) | (rec.coefficients > 1)) for rec in default.steps)
+
+    box = partial(mq.solve_box_constrained, lo=0.0, hi=1.0)
+    _, boxed = mq.hybrid_refine(bundle.base, bundle.residuals, calib, solver=box, **hybrid)
+    assert len(boxed.steps) == 2
+    for rec in boxed.steps:
+        assert np.all((rec.coefficients >= 0.0) & (rec.coefficients <= 1.0))

@@ -191,7 +191,7 @@ def test_merged_delta_diagonal_by_hand():
         mq.ResidualUpdate(1, np.array([[1.0, 2.0], [3.0, 4.0]]), task_id=0),
         mq.ResidualUpdate(1, np.array([[10.0, 0.0], [0.0, 10.0]]), task_id=1),
     ]
-    coeffs = mq.MergeCoefficients(np.array([[1.0, 0.0], [0.5, 0.5]]), "standard")
+    coeffs = mq.MergeCoefficients(np.array([[1.0, 0.0], [0.5, 0.5]]))
     merged = mq.merged_delta_from_coefficients(deltas, coeffs)
     assert np.array_equal(merged, [[6.0, 2.0], [0.0, 5.0]])
 
@@ -199,7 +199,7 @@ def test_merged_delta_diagonal_by_hand():
 def test_merged_delta_with_basis_projects_rows(rng):
     deltas = [mq.ResidualUpdate(1, rng.normal(size=(3, 2)), task_id=0)]
     basis = mq.random_basis(3, 2, seed=1)
-    coeffs = mq.MergeCoefficients(rng.normal(size=(1, 2)), basis_id="random")
+    coeffs = mq.MergeCoefficients(rng.normal(size=(1, 2)))
     merged = mq.merged_delta_from_coefficients(deltas, coeffs, basis=basis)
     Q = basis.columns
     expect = np.zeros((3, 2))
