@@ -39,6 +39,8 @@ def main():
         print(f"{name:<12} {mq.objective_value(qp, coeffs.ravel()):>12.4f}")
     print(f"{'qp (box)':<12} {mq.objective_value(qp, boxed):>12.4f}")
     print(f"{'qp (exact)':<12} {mq.objective_value(qp, best):>12.4f}")
+    print(f"\nbox certificate: KKT residual {boxed.kkt_residual:.1e} "
+          f"(converged: {boxed.converged})")
 
     merged = mq.apply_merged_residual(
         bundle.base, 1, mq.merged_delta_from_coefficients(deltas, best)

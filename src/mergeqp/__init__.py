@@ -45,7 +45,6 @@ from .subspaces import (
     coordinate_energy_order,
     energy_matrix,
     optimal_basis,
-    output_projector,
     prefix_captured_energy,
     pullback_basis,
     random_basis,

@@ -17,14 +17,7 @@ from .qp import merged_delta_from_coefficients
 
 def combine_row_coefficients(deltas, coeffs) -> np.ndarray:
     """sum_k diag(c_k) delta_k: coefficient row k scales task k's rows."""
-    mats = _delta_matrices(deltas)
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (len(mats), mats[0].shape[0]):
-        raise ValueError(
-            f"expected coefficients of shape {(len(mats), mats[0].shape[0])}, "
-            f"got {coeffs.shape}"
-        )
-    return merged_delta_from_coefficients(mats, coeffs)
+    return merged_delta_from_coefficients(deltas, coeffs)
 
 
 def soup_coefficients(n_tasks: int, n_rows: int) -> np.ndarray:

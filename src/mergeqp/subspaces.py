@@ -241,28 +241,6 @@ def pullback_basis(L, directions, origin: str | None = None) -> OrthonormalBasis
     return OrthonormalBasis(Q, origin, rank_deficient=Q.shape[1] < W.shape[1])
 
 
-def output_projector(L, basis) -> np.ndarray:
-    """Orthogonal projector onto span(L Q) = B (B^T B)^+ B^T with B = L Q.
-
-    Computed through the SVD of B so the result is symmetric and idempotent
-    to machine precision even when B is rank-deficient.
-    """
-    Lmat = L.matrix if isinstance(L, DownstreamMap) else np.asarray(L, dtype=float)
-    Q = getattr(basis, "columns", basis)
-    Q = np.asarray(Q, dtype=float)
-    B = Lmat @ Q
-    c = B.shape[0]
-    if B.shape[1] == 0:
-        return np.zeros((c, c))
-    U, s, _ = np.linalg.svd(B, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((c, c))
-    cut = s[0] * max(B.shape) * np.finfo(float).eps
-    Uk = U[:, s > cut]
-    P = Uk @ Uk.T
-    return 0.5 * (P + P.T)
-
-
 def _orthonormalize_stack(M: np.ndarray) -> np.ndarray:
     """Orthonormalise the columns of every matrix in an (n, c, P) stack, in order.
 

@@ -212,7 +212,7 @@ def test_09_box_solver_matches_closed_form_inside_bounds(report):
         # these seeds are chosen so the optimum is strictly interior
         if exact.flat.min() <= 0.0 or exact.flat.max() >= 1.0:
             ok = False
-        box = mq.solve_box_constrained(qp)  # default 500 steps at 1e-2
+        box = mq.solve_box_constrained(qp)  # the default certified projected Newton solve
         gap = mq.objective_value(qp, box) - mq.objective_value(qp, exact)
         if gap > 1e-8 * qp.constant:
             ok = False

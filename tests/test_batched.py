@@ -3,8 +3,9 @@
 The references here evaluate one calibration sample at a time with the 1-D
 network functions and sum in python, the way the library did before its
 passes were stacked over sample matrices.  The prefix-sweep references
-compute one output_projector per sample and prefix and build one QP per
-prefix, the way diagnose did before it swept each basis chain in one pass.
+compute one explicit output projector per sample and prefix and build one
+QP per prefix, the way diagnose did before it swept each basis chain in one
+pass.
 The stacked code sums in another order, so results are compared within
 1e-12 relative to the largest entry.
 """
@@ -271,6 +272,43 @@ def test_svd_basis_early_stop_equals_full_pass_prefix(seed, K, rank):
         assert bool(caught) == (full.p < p)
 
 
+def _output_projector(L, basis):
+    """Orthogonal projector onto span(L Q) = B (B^T B)^+ B^T with B = L Q.
+
+    Computed through the SVD of B, so the result is symmetric and idempotent
+    to machine precision even when B is rank-deficient: singular values at
+    or below s_max * max(shape) * eps count as zero.
+    """
+    B = np.asarray(L, dtype=float) @ np.asarray(getattr(basis, "columns", basis), dtype=float)
+    U, s, _ = np.linalg.svd(B, full_matrices=False)
+    if s.size == 0 or s[0] == 0.0:
+        return np.zeros((B.shape[0], B.shape[0]))
+    Uk = U[:, s > s[0] * max(B.shape) * np.finfo(float).eps]
+    P = Uk @ Uk.T
+    return 0.5 * (P + P.T)
+
+
+def test_output_projector_idempotent_symmetric(rng):
+    L = rng.normal(size=(3, 5))
+    basis = mq.random_basis(5, 2, seed=4)
+    P = _output_projector(L, basis)
+    assert np.allclose(P @ P, P, atol=1e-12)
+    assert np.allclose(P, P.T, atol=1e-12)
+    assert np.isclose(np.trace(P), np.linalg.matrix_rank(L @ basis.columns))
+
+
+@settings(deadline=None, max_examples=25)
+@given(seed=st.integers(0, 10_000), p=st.integers(1, 4))
+def test_projector_contracts_for_any_seed(seed, p):
+    rng = np.random.default_rng(seed)
+    L = rng.normal(size=(4, 5))
+    P = _output_projector(L, mq.random_basis(5, p, seed=seed))
+    assert np.allclose(P @ P, P, atol=1e-10)
+    assert np.allclose(P, P.T, atol=1e-12)
+    b = rng.normal(size=4)
+    assert np.linalg.norm(P @ b) <= np.linalg.norm(b) + 1e-12
+
+
 def _loop_prefix_energy(maps, Q, B):
     """Captured energy of each prefix the way diagnose summed it before.
 
@@ -281,11 +319,11 @@ def _loop_prefix_energy(maps, Q, B):
     for p in range(1, Q.shape[1] + 1):
         if isinstance(maps, np.ndarray) and maps.ndim == 2:
             S = mq.energy_matrix(B).S
-            out.append(float(np.einsum("ij,ji->", S, mq.output_projector(maps, Q[:, :p]))))
+            out.append(float(np.einsum("ij,ji->", S, _output_projector(maps, Q[:, :p]))))
             continue
         total = 0.0
         for L, b in zip(maps, B):
-            total += float(b @ mq.output_projector(L, Q[:, :p]) @ b)
+            total += float(b @ _output_projector(L, Q[:, :p]) @ b)
         out.append(total)
     return np.array(out)
 
@@ -388,19 +426,19 @@ def _reference_diagnose_rows(bundle, args):
         chains.append((f"random({seed})", mq.layer_basis("random", p_max, seed, deltas, geometry)))
     opt_relaxed = {}
     for p in range(1, p_max + 1):
-        P_opt = mq.output_projector(np.eye(c), mq.optimal_basis(S, p))
+        P_opt = _output_projector(np.eye(c), mq.optimal_basis(S, p))
         opt_relaxed[p] = S.total_energy - float(np.einsum("ij,ji->", S.S, P_opt))
     rows = []
     for label, chain in chains:
         for p in range(1, chain.p + 1):
             Q = chain.prefix(p)
             if geometry.fixed_downstream:
-                P_model = mq.output_projector(geometry.downstream.matrix[0], Q)
+                P_model = _output_projector(geometry.downstream.matrix[0], Q)
                 captured = float(np.einsum("ij,ji->", S.S, P_model))
             else:
                 captured = 0.0
                 for L, b in zip(geometry.downstream.matrix, geometry.residuals):
-                    captured += float(b @ mq.output_projector(L, Q) @ b)
+                    captured += float(b @ _output_projector(L, Q) @ b)
             fraction = 1.0 if S.total_energy == 0 else captured / S.total_energy
             relaxed = S.total_energy - captured
             gap = relaxed - opt_relaxed[min(p, c)]

@@ -535,3 +535,19 @@ def test_layers_listing_tasks_differently_are_rejected(tmp_path, capsys, spoil, 
     for flags in (("--method", "fisher"), ("--method", "ta", "--lambda", "1,0,0")):
         assert cli_main(["merge", "--bundle", str(path), *flags]) == 2
         assert "error: layer 2 lists tasks" in capsys.readouterr().err
+
+
+def test_task_id_repeated_in_every_layer_is_rejected(tmp_path, capsys):
+    # the layers still agree with each other, but a fisher merge would give
+    # both "task 0" updates task 0's diagonal and report only tasks 0 and 2
+    obj = _two_layer_obj(tmp_path)
+    for entry in obj["residuals"]:
+        if entry["task"] == 1:
+            entry["task"] = 0
+    with pytest.raises(mq.BundleFormatError, match=r"^task ids \[0, 0, 2\] repeat within a layer"):
+        bn.bundle_from_obj(obj)
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert cli_main(["merge", "--bundle", str(path), "--method", "fisher"]) == 2
+    assert "error: task ids [0, 0, 2] repeat within a layer" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -193,12 +194,53 @@ def test_overflow_in_the_merged_model_exits_three(tmp_path, capsys, flags):
     # meets non-finite downstream maps
     bundle = _gen(tmp_path, *DEEP_TALL, name="deep.json")
     model = tmp_path / "merged.json"
-    with np.errstate(over="ignore", invalid="ignore"):
-        rc = main(["merge", "--bundle", str(bundle), *flags, "--lambda", "1e300",
-                   "--out", str(model)])
+    rc = main(["merge", "--bundle", str(bundle), *flags, "--lambda", "1e300", "--out", str(model)])
     assert rc == 3
     assert "numerical failure:" in capsys.readouterr().err
     assert not model.exists()
+
+
+@pytest.mark.parametrize(
+    "gen_flags",
+    [("--dims", "5,4,3", "--merge-layer", "1,2", "--tasks", "2", "--delta-scale", "1e10"), DEEP_TALL],
+)
+def test_overflow_prints_no_numpy_warnings(tmp_path, capsys, gen_flags):
+    # the overflow is reported once, as the CLI's numerical failure
+    bundle = _gen(tmp_path, *gen_flags)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["merge", "--bundle", str(bundle), "--method", "ta", "--lambda", "1e300"])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("numerical failure:")
+
+
+def test_eval_and_compare_exit_three_when_the_model_overflows(tmp_path, capsys):
+    # finite weights whose forward pass overflows: eval and compare report the
+    # numerical failure instead of writing an infinite mse
+    bundle = _gen(tmp_path, *DEEP_TALL, name="deep.json")
+    base = mq.load_bundle(bundle).base
+    model = tmp_path / "huge.json"
+    mq.save_network(mq.LinearNetwork([1e100 * W for W in base.layers], base.activations), model)
+    metrics = tmp_path / "eval.json"
+    table = tmp_path / "compare.csv"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["eval", "--model", str(model), "--bundle", str(bundle),
+                     "--out", str(metrics)]) == 3
+        assert main(["compare", "--bundle", str(bundle), "--layer", "1",
+                     "--lambda-grid", "1e300", "--out", str(table)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("numerical failure:") for line in err)
+    assert not metrics.exists() and not table.exists()
+
+
+def test_merge_notes_an_uncertified_box_solve(tmp_path, capsys):
+    bundle = _gen(tmp_path)
+    assert main(["merge", "--bundle", str(bundle), "--method", "qp-diag", "--steps", "1"]) == 0
+    assert "note: box solve stopped uncertified at --steps 1" in capsys.readouterr().err
+    assert main(["merge", "--bundle", str(bundle), "--method", "qp-diag"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_fisher_pairs_calibration_with_tasks_by_id(tmp_path):
@@ -356,7 +398,7 @@ def _exit_code(argv):
     [
         ("--method", "ta", "--lambda", "nan"),
         ("--method", "ta", "--lambda", "1,inf,1"),
-        ("--method", "qp-diag", "--step-size", "inf"),
+        ("--method", "ties", "--density", "inf"),
         ("--method", "qp-diag", "--lo=-inf"),
         ("--method", "qp-diag", "--hi", "inf"),
         ("--method", "dare", "--keep-prob", "nan"),

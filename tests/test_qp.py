@@ -5,14 +5,19 @@ with plain python loops, so any vectorization bug in the library shows up as
 a mismatch rather than being reproduced on both sides.
 """
 
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mergeqp as mq
+from mergeqp import cli
 
 from conftest import make_linear_net
+from test_cli_reports import BUNDLES
 
 
 def _loop_loss(net, layer, deltas, coeffs, calib, basis=None):
@@ -162,6 +167,187 @@ def test_box_solver_validation(rng):
         mq.solve_box_constrained(qp, lo=1.0, hi=0.0)
     with pytest.raises(ValueError):
         mq.solve_box_constrained(qp, steps=0)
+
+
+def _box_oracle(H, g, lo, hi):
+    """min of J over [lo, hi]^n by enumerating every face of the box.
+
+    Each coordinate is fixed at lo, fixed at hi or free; the free block takes
+    its minimum-norm stationary point, clipped into the box.  Every candidate
+    is feasible, and the optimal set has a vertex whose free block is
+    nonsingular, so the smallest candidate value is the box minimum.
+    """
+    best = np.inf
+    for code in itertools.product((0, 1, 2), repeat=g.size):
+        code = np.array(code)
+        d = np.where(code == 1, hi, lo).astype(float)
+        free = code == 2
+        if free.any():
+            rhs = g[free] + H[np.ix_(free, ~free)] @ d[~free]
+            d[free] = -np.linalg.pinv(H[np.ix_(free, free)], rcond=1e-10, hermitian=True) @ rhs
+        d = np.clip(d, lo, hi)
+        best = min(best, 0.5 * d @ H @ d + g @ d)
+    return best
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 6),
+    rank_drop=st.integers(0, 6),
+    duplicate=st.booleans(),
+    outside=st.booleans(),
+    scale=st.sampled_from([1.0, 1e20]),
+    bounds=st.sampled_from([(0.0, 1.0), (-1.0, 2.0)]),
+    one_task=st.booleans(),
+)
+def test_box_solver_matches_face_enumeration(
+    seed, n, rank_drop, duplicate, outside, scale, bounds, one_task
+):
+    # rank-deficient H, duplicated columns and g outside range(H) are the
+    # cases where the free block is singular and J is linear along its null space
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(max(n - rank_drop, 0), n))
+    if duplicate and n > 1:
+        A[:, -1] = A[:, 0]
+    H = A.T @ A
+    g = A.T @ rng.normal(size=A.shape[0])
+    if outside:
+        g = g + rng.normal(size=n)
+    H, g = scale * H, scale * g
+    lo, hi = bounds
+    K = 1 if one_task else n
+    qp = mq.QuadraticObjective(H=H, g=g, constant=0.0, n_tasks=K, n_directions=n // K)
+    sol = mq.solve_box_constrained(qp, lo=lo, hi=hi)
+    assert sol.converged
+    assert sol.kkt_residual <= 1e-12
+    d = sol.flat
+    assert np.all((d >= lo) & (d <= hi))
+    w = max(abs(lo), abs(hi))
+    magnitude = (np.abs(H).sum() * w + np.abs(g).sum()) * w
+    assert abs(mq.objective_value(qp, d) - _box_oracle(H, g, lo, hi)) <= 1e-9 * magnitude
+
+
+# gen flags of the three benchmark workloads (perfbench/harness.py), and of a
+# bundle whose updates are scaled up until H is about 1e22; all at seed 0
+ORACLE_BUNDLES = {
+    "wide-linear": ("--kind", "linear", "--dims", "256,128,32", "--tasks", "8",
+                    "--n-calib", "15", "--merge-layer", "1"),
+    "relu-sweep": ("--kind", "relu", "--dims", "64,48,32,16", "--merge-layer", "2",
+                   "--tasks", "4", "--n-calib", "40"),
+    "deep-tall": ("--kind", "linear", "--dims", "16,12,8", "--n-layers", "4",
+                  "--merge-layer", "1,2,3", "--tasks", "4", "--n-calib", "600",
+                  "--noise", "0.05"),
+    "delta-scale-1e10": ("--dims", "5,4,3", "--merge-layer", "1,2", "--tasks", "2",
+                         "--delta-scale", "1e10"),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(ORACLE_BUNDLES))
+def test_box_solver_agrees_with_lbfgsb_on_benchmark_qps(tmp_path, workload):
+    minimize = pytest.importorskip("scipy.optimize").minimize
+    path = tmp_path / "bundle.json"
+    assert cli.main(["gen", *ORACLE_BUNDLES[workload], "--seed", "0", "--out", str(path)]) == 0
+    bundle = mq.load_bundle(path)
+    calib = bundle.pooled_calibration()
+    qps = []
+    for layer in bundle.layers_with_updates:
+        deltas = bundle.residuals[layer]
+        qps.append(mq.build_diagonal_qp(bundle.base, deltas, calib))
+        if workload == "relu-sweep":
+            geometry = mq.merge_geometry(bundle.base, layer, calib)
+            basis = mq.layer_basis("eigen", 16, 0, deltas, geometry)
+            qps.append(mq.build_general_basis_qp(bundle.base, deltas, calib, basis))
+    if workload == "relu-sweep":
+        # units dead on every calibration input leave zero rows: H is exactly singular
+        assert not np.all(qps[0].H.any(axis=1))
+    for qp in qps:
+        sol = mq.solve_box_constrained(qp)
+        d = sol.flat
+        assert sol.converged
+        assert np.abs(d - np.clip(d - mq.objective_gradient(qp, d), 0.0, 1.0)).max() <= 1e-8
+        ref = minimize(
+            lambda x: mq.objective_value(qp, x), np.full(qp.dim, 1.0 / qp.n_tasks),
+            jac=lambda x: mq.objective_gradient(qp, x), method="L-BFGS-B",
+            bounds=[(0.0, 1.0)] * qp.dim, options={"maxiter": 10_000, "ftol": 1e-15, "gtol": 1e-12},
+        )
+        ours = mq.objective_value(qp, d)
+        assert ours <= ref.fun + 1e-12 * abs(ref.fun)
+        assert ref.fun - ours <= 1e-9 * abs(ref.fun)
+        adam = mq.objective_value(qp, _projected_adam(qp))
+        assert ours <= adam + 1e-12 * abs(adam)
+
+
+def test_box_solver_step_cap_reports_no_convergence():
+    A = np.array([[0.0, 1.0, 3.0], [2.0, 1.0, 0.0], [0.0, 3.0, -2.0]])
+    qp = mq.QuadraticObjective(
+        H=A.T @ A, g=np.array([4.0, 2.0, -6.0]), constant=0.0, n_tasks=3, n_directions=1
+    )
+    for steps in (1, 2):  # the solve needs three iterations
+        capped = mq.solve_box_constrained(qp, steps=steps)
+        assert not capped.converged
+        assert np.isfinite(capped.kkt_residual) and capped.kkt_residual > 1e-12
+    full = mq.solve_box_constrained(qp, steps=3)
+    assert full.converged and full.kkt_residual <= 1e-12
+    assert np.allclose(full.flat, [0.0, 0.0, 6.0 / 13.0], atol=1e-15)
+    assert mq.solve_unconstrained(qp).kkt_residual is None
+
+
+def _projected_adam(qp, lo=0.0, hi=1.0, steps=500, step_size=1e-2):
+    """The paper's box solver: projected Adam, 500 steps at 1e-2 from d = 1/K.
+
+    Adam's standard moment decay rates 0.9 and 0.999 and eps 1e-8, with no
+    stopping test.  It was the default box solver before the certified
+    Newton solve, which must never end above it.
+    """
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    d = np.clip(np.full(qp.dim, 1.0 / qp.n_tasks), lo, hi)
+    m = np.zeros_like(d)
+    v = np.zeros_like(d)
+    for t in range(1, steps + 1):
+        grad = qp.H @ d + qp.g
+        m = beta1 * m + (1.0 - beta1) * grad
+        v = beta2 * v + (1.0 - beta2) * grad * grad
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        d = np.clip(d - step_size * m_hat / (np.sqrt(v_hat) + eps), lo, hi)
+    return d
+
+
+@pytest.mark.parametrize("kind", sorted(BUNDLES))
+def test_box_solver_never_ends_above_projected_adam(tmp_path, kind):
+    # every single-layer QP the pinned CLI reports solve, at the base model
+    path = tmp_path / "bundle.json"
+    assert cli.main(["gen", *BUNDLES[kind], "--out", str(path)]) == 0
+    bundle = mq.load_bundle(path)
+    calib = bundle.pooled_calibration()
+    for layer in bundle.layers_with_updates:
+        deltas = bundle.residuals[layer]
+        geometry = mq.merge_geometry(bundle.base, layer, calib)
+        p = min(deltas[0].delta.shape[0], bundle.base.output_dim)
+        qps = [mq.build_diagonal_qp(bundle.base, deltas, calib, geometry=geometry)] + [
+            mq.build_general_basis_qp(
+                bundle.base, deltas, calib, mq.layer_basis(b, p, 0, deltas, geometry), geometry
+            )
+            for b in ("eigen", "standard", "svd", "random")
+        ]
+        for qp in qps:
+            for lo, hi in ((0.0, 1.0), (-1.0, 2.0)):
+                box = mq.solve_box_constrained(qp, lo=lo, hi=hi)
+                assert box.converged
+                ours = mq.objective_value(qp, box)
+                adam = mq.objective_value(qp, _projected_adam(qp, lo, hi))
+                assert ours <= adam + 1e-12 * abs(adam), (layer, qp.basis_id, lo, hi)
+
+
+def test_merge_geometry_rejects_an_overflowing_forward_pass():
+    # layer 2's downstream map (the identity) is finite; its inputs are not
+    net = mq.LinearNetwork([np.full((3, 2), 1e308), np.ones((2, 3))])
+    calib = mq.CalibrationSet(np.ones((4, 2)), np.zeros((4, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(mq.NumericalError, match="overflows at or above layer 2"):
+            mq.merge_geometry(net, 2, calib)
 
 
 def test_solve_1d_zeroes_the_objective(rng):

@@ -147,15 +147,6 @@ def test_pullback_basis_inverts_output_map(rng):
     assert np.allclose(basis.columns.T @ basis.columns, np.eye(2), atol=1e-10)
 
 
-def test_output_projector_idempotent_symmetric(rng):
-    L = rng.normal(size=(3, 5))
-    basis = mq.random_basis(5, 2, seed=4)
-    P = mq.output_projector(L, basis)
-    assert np.allclose(P @ P, P, atol=1e-12)
-    assert np.allclose(P, P.T, atol=1e-12)
-    assert np.isclose(np.trace(P), np.linalg.matrix_rank(L @ basis.columns))
-
-
 def test_projection_energy_identity(rng):
     # sum_j ||P b_j||^2 equals tr(S P) for any orthogonal projector
     B = rng.normal(size=(10, 6))
@@ -172,18 +163,6 @@ def test_closed_form_weights_grid():
     assert np.allclose(w, [3 * 2 / tot, 3 * 3 / tot, 3 * 5 / tot])
     assert np.allclose(mq.svd_closed_form_weights((1.0, 1.0), 0), [0.5, 0.5])
     assert mq.svd_closed_form_weights((3.0,), 0)[0] == 1.0  # exact
-
-
-@settings(deadline=None, max_examples=25)
-@given(seed=st.integers(0, 10_000), p=st.integers(1, 4))
-def test_projector_contracts_for_any_seed(seed, p):
-    rng = np.random.default_rng(seed)
-    L = rng.normal(size=(4, 5))
-    P = mq.output_projector(L, mq.random_basis(5, p, seed=seed))
-    assert np.allclose(P @ P, P, atol=1e-10)
-    assert np.allclose(P, P.T, atol=1e-12)
-    b = rng.normal(size=4)
-    assert np.linalg.norm(P @ b) <= np.linalg.norm(b) + 1e-12
 
 
 def test_orthonormal_basis_validation(rng):
