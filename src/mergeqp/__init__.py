@@ -34,7 +34,6 @@ from .qp import (
     merged_delta_from_coefficients,
     objective_gradient,
     objective_value,
-    prefix_objective,
     solve_1d,
     solve_box_constrained,
     solve_unconstrained,

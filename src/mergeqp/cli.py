@@ -344,6 +344,7 @@ def cmd_diagnose(args) -> int:
     rows = [
         [label, *row]
         for label, chain in chains
+        if chain.p  # zero updates leave the svd chain empty
         for row in prefix_sweep(bundle.base, deltas, calib, chain, geometry)
     ]
 
@@ -433,15 +434,11 @@ def cmd_compare(args) -> int:
     _emit_csv(args.out, _table_header(task_ids, "status"), rows)
 
     if "qp-diag" in objectives:
-        tol = 1e-8 * max(1.0, objectives.get("base", 1.0))
-        # fixed-coefficient rows are feasible points of the diagonal QP
-        feasible = [
-            name
-            for name, kind, _ in specs
-            if kind in ("base", "soup", "ta", "dare", "ties") and name in objectives
-        ]
-        for name in feasible:
-            if objectives["qp-diag"] > objectives[name] + tol:
+        # fixed-coefficient rows are feasible points of the diagonal QP; slack relative to base
+        tol = 1e-8 * objectives.get("base", 0.0)
+        for name, kind, _ in specs:
+            feasible = kind in ("base", "soup", "ta", "dare", "ties") and name in objectives
+            if feasible and objectives["qp-diag"] > objectives[name] + tol:
                 print(
                     f"dominance violated: qp-diag objective {objectives['qp-diag']!r} "
                     f"> {name} objective {objectives[name]!r}",

@@ -20,6 +20,8 @@ from .networks import LinearNetwork, apply_merged_residual, forward
 from .qp import (
     CalibrationSet,
     NumericalError,
+    _certified,
+    _eigen_cut,
     build_diagonal_qp,
     build_general_basis_qp,
     calibration_mse,
@@ -27,7 +29,6 @@ from .qp import (
     merge_geometry,
     merged_delta_from_coefficients,
     objective_value,
-    prefix_objective,
     solve_unconstrained,
 )
 from .subspaces import (
@@ -101,9 +102,11 @@ def prefix_sweep(net, deltas, calib, basis, geometry):
     p = 1..basis.p: the captured-energy fraction, the relaxed loss
     total - captured, the calibration MSE of the exact QP solve restricted
     to the first p directions, and the gap to the relaxed loss of the best
-    min(p, c)-dimensional output subspace.  The captured energies come from
-    prefix_captured_energy and the prefix QPs are slices of one QP built on
-    the whole chain.
+    min(p, c)-dimensional output subspace.  Ordered direction-major (flat
+    index i * K + k), prefix p's QP is the leading pK block of the chain's,
+    so if _certified passes on H it does on every block (Cauchy interlacing)
+    and H = L L^T, z = L^{-1}(-g) give its optimum const - 1/2 sum_{i<pK} z_i^2;
+    otherwise each block takes the eigen cut.
     """
     S = energy_matrix(geometry.residuals)
     total = S.total_energy
@@ -111,16 +114,21 @@ def prefix_sweep(net, deltas, calib, basis, geometry):
     # no p-dim subspace captures more than the top p eigenvalues of S
     opt_relaxed = total - np.cumsum(np.linalg.eigvalsh(S.S)[::-1])
     qp = build_general_basis_qp(net, deltas, calib, basis, geometry=geometry)
-    n = len(calib)
-    rows = []
-    for p in range(1, basis.p + 1):
-        sub = prefix_objective(qp, p)
-        fraction = 1.0 if total == 0 else float(captured[p - 1]) / total
-        relaxed = total - float(captured[p - 1])
-        qp_mse = objective_value(sub, solve_unconstrained(sub)) / n
-        gap = relaxed - float(opt_relaxed[min(p, opt_relaxed.shape[0]) - 1])
-        rows.append((p, fraction, relaxed, qp_mse, gap))
-    return rows
+    K = qp.n_tasks
+    order = np.arange(qp.dim).reshape(K, -1).T.ravel()
+    H, g = qp.H[np.ix_(order, order)], qp.g[order]
+    if _certified(H, 1e-10):
+        z = np.linalg.solve(np.linalg.cholesky(H), -g)
+        optima = qp.constant - 0.5 * np.cumsum(z * z)[K - 1 :: K]
+    else:
+        cuts = (_eigen_cut(H[:m, :m], g[:m], 1e-10)[0] for m in range(K, qp.dim + 1, K))
+        optima = qp.constant + 0.5 * np.array([g[: d.size] @ d for d in cuts])
+    p = np.arange(1, basis.p + 1)
+    fraction = captured / total if total else np.ones(basis.p)
+    relaxed = total - captured
+    gap = relaxed - opt_relaxed[np.minimum(p, opt_relaxed.shape[0]) - 1]
+    return list(zip(p.tolist(), fraction.tolist(), relaxed.tolist(),
+                    (optima / len(calib)).tolist(), gap.tolist()))
 
 
 def layer_params(method: str, params: dict | None, layer: int) -> dict:

@@ -259,28 +259,6 @@ def build_general_basis_qp(
     return _build_qp(net, layer, deltas, calib, Q, basis_id, geometry)
 
 
-def prefix_objective(qp: QuadraticObjective, p: int) -> QuadraticObjective:
-    """The QP over the first p directions only, sliced out of the QP over all.
-
-    Coefficients are task-major, so restricting every task to directions
-    0..p-1 keeps flat indices k * P + i for i < p: the sub-block of H, the
-    entries of g and the same constant, as a fresh build on the prefix basis
-    would give.
-    """
-    P = qp.n_directions
-    if not 1 <= p <= P:
-        raise ValueError(f"prefix size {p} outside [1, {P}]")
-    idx = (np.arange(qp.n_tasks)[:, None] * P + np.arange(p)).ravel()
-    return QuadraticObjective(
-        qp.H[np.ix_(idx, idx)],
-        qp.g[idx],
-        qp.constant,
-        n_tasks=qp.n_tasks,
-        n_directions=p,
-        basis_id=qp.basis_id,
-    )
-
-
 # Samples per chunk of the per-sample-Jacobian build are chosen so the
 # stacked design rows of one chunk take about this many bytes.
 _CHUNK_BYTES = 1 << 19
@@ -365,24 +343,42 @@ def _eigen_cut(H, g, rel_cutoff):
     return -Vk @ (coeffs / w[keep]), Vk @ coeffs, V[:, ~keep]
 
 
+def _certified(H, rel_cutoff):
+    """Whether a Cholesky factor proves every eigenvalue of H above the eigen cut.
+
+    It factors H - 2 rel_cutoff ||H||_inf I; the factor 2 covers the
+    factorisation's backward error (Higham 2002, section 10.1).  H = 0 fails.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing bound fails below
+        tau = 2.0 * rel_cutoff * np.abs(H).sum(axis=1).max(initial=0.0)
+        shifted = H - tau * np.eye(H.shape[0])
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return tau > 0
+
+
 def solve_unconstrained(
     qp: QuadraticObjective, rel_cutoff: float = 1e-10
 ) -> MergeCoefficients:
-    """Minimum-norm global minimiser d* = -H^+ g via eigendecomposition.
+    """Minimum-norm global minimiser d* = -H^+ g.
 
-    Eigenvalues at or below rel_cutoff times the largest are treated as zero.
+    Eigenvalues at or below rel_cutoff times the largest count as zero; if
+    _certified shows there are none, d* = -H^{-1} g by one linear solve.
     If g has a component outside the numerical range of H the objective is
-    unbounded along it in exact arithmetic; the solve still minimises over
-    the range and reports the leftover norm in g_range_defect.
+    unbounded along it; the solve minimises over the range and reports the
+    leftover norm in g_range_defect (0 on the certified path).
     """
-    d, in_range, _ = _eigen_cut(qp.H, qp.g, rel_cutoff)
-    defect = float(np.linalg.norm(qp.g - in_range))
-    gnorm = float(np.linalg.norm(qp.g))
-    flag = defect > 1e-8 * gnorm if gnorm > 0 else False
+    if _certified(qp.H, rel_cutoff):
+        d, defect = np.linalg.solve(qp.H, -qp.g), 0.0
+    else:
+        d, in_range, _ = _eigen_cut(qp.H, qp.g, rel_cutoff)
+        defect = float(np.linalg.norm(qp.g - in_range))
     return MergeCoefficients(
         d.reshape(qp.n_tasks, qp.n_directions),
         g_range_defect=defect,
-        g_outside_range=flag,
+        g_outside_range=bool(defect > 1e-8 * np.linalg.norm(qp.g)),
     )
 
 

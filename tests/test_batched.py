@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mergeqp as mq
-from mergeqp import cli, qp, subspaces
+from mergeqp import cli, multilayer, qp, subspaces
 
 from conftest import make_linear_net, make_relu_net
 
@@ -389,6 +389,23 @@ def test_orthonormalized_stack_is_orthonormal_and_spans_prefixes(seed, eps_exp):
             assert np.abs(resid).max() <= 1e-12 * max(np.abs(M[j]).max(), 1e-300)
 
 
+def _prefix_objective(qp, p):
+    """The QP over the first p directions, sliced out of the QP over all.
+
+    Coefficients are task-major, so restricting every task to directions
+    0..p-1 keeps flat indices k * P + i for i < p: the sub-block of H, the
+    entries of g and the same constant.
+    """
+    P = qp.n_directions
+    if not 1 <= p <= P:
+        raise ValueError(f"prefix size {p} outside [1, {P}]")
+    idx = (np.arange(qp.n_tasks)[:, None] * P + np.arange(p)).ravel()
+    return mq.QuadraticObjective(
+        qp.H[np.ix_(idx, idx)], qp.g[idx], qp.constant,
+        n_tasks=qp.n_tasks, n_directions=p, basis_id=qp.basis_id,
+    )
+
+
 @pytest.mark.parametrize("net_name", sorted(NETS))
 def test_prefix_objective_equals_fresh_prefix_build(net_name):
     net, deltas, calib, _ = _instance(5, net_name, 7, K=3)
@@ -396,7 +413,7 @@ def test_prefix_objective_equals_fresh_prefix_build(net_name):
     chain = mq.random_basis(r, r, 5)
     full = mq.build_general_basis_qp(net, deltas, calib, chain)
     for p in range(1, r + 1):
-        sliced = mq.prefix_objective(full, p)
+        sliced = _prefix_objective(full, p)
         fresh = mq.build_general_basis_qp(net, deltas, calib, chain.prefix(p))
         assert (sliced.n_tasks, sliced.n_directions) == (3, p)
         assert sliced.basis_id == fresh.basis_id
@@ -404,7 +421,38 @@ def test_prefix_objective_equals_fresh_prefix_build(net_name):
         _close(sliced.g, fresh.g)
         _close(sliced.constant, fresh.constant)
     with pytest.raises(ValueError):
-        mq.prefix_objective(full, r + 1)
+        _prefix_objective(full, r + 1)
+
+
+def test_prefix_sweep_takes_every_prefix_from_one_factor(tmp_path):
+    # the relu-sweep benchmark bundle: ReLU Jacobians make the standard chain's
+    # H exactly singular, while the other chains are positive definite
+    path = tmp_path / "relu.json"
+    assert cli.main(["gen", "--kind", "relu", "--dims", "64,48,32,16", "--merge-layer", "2",
+                     "--tasks", "4", "--n-calib", "40", "--seed", "0", "--out", str(path)]) == 0
+    bundle = mq.load_bundle(path)
+    calib = bundle.pooled_calibration()
+    deltas = bundle.residuals[2]
+    geometry = mq.merge_geometry(bundle.base, 2, calib)
+    chains = [(kind, 0) for kind in ("eigen", "standard", "svd")] + [("random", s) for s in range(3)]
+    certified = {}
+    for kind, seed in chains:
+        chain = mq.layer_basis(kind, 16, seed, deltas, geometry)
+        full = mq.build_general_basis_qp(bundle.base, deltas, calib, chain, geometry=geometry)
+        with mock.patch.object(multilayer, "_eigen_cut", wraps=qp._eigen_cut) as spy:
+            rows = mq.prefix_sweep(bundle.base, deltas, calib, chain, geometry)
+        certified[kind, seed] = qp._certified(full.H, 1e-10)
+        # a certified chain makes no eigen cut; any other cuts each prefix's block
+        assert spy.call_count == (0 if certified[kind, seed] else chain.p)
+        qp_mse = [row[3] for row in rows]
+        for p, got in enumerate(qp_mse, start=1):
+            sub = _prefix_objective(full, p)
+            want = mq.objective_value(sub, mq.solve_unconstrained(sub)) / len(calib)
+            assert abs(got - want) <= REL * abs(want)
+        # each prefix's QP is a restriction of the next one's
+        assert all(b <= a for a, b in zip(qp_mse, qp_mse[1:]))
+    assert not certified["standard", 0]
+    assert sum(certified.values()) == len(chains) - 1
 
 
 def _reference_diagnose_rows(bundle, args):

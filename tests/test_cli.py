@@ -12,6 +12,7 @@ import pytest
 
 import mergeqp as mq
 from mergeqp.cli import main
+from mergeqp.qp import _eigen_cut
 
 
 def _gen(tmp_path, *extra, name="bundle.json"):
@@ -356,7 +357,7 @@ def test_compare_table_and_dominance(tmp_path):
     for name, val in objectives.items():
         if name == "qp-diag" or name.startswith("qp-basis") or name == "fisher":
             continue
-        assert qp_obj <= val + 1e-8 * max(1.0, objectives["base"])
+        assert qp_obj <= val + 1e-8 * objectives["base"]
 
 
 def test_compare_marks_failed_methods(tmp_path, capsys, monkeypatch):
@@ -376,6 +377,44 @@ def test_compare_marks_failed_methods(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     ties_row = [l for l in out.splitlines() if l.startswith("ties,")][0]
     assert ties_row.endswith(",failed")
+
+
+def test_compare_dominance_slack_is_relative_on_small_objectives(tmp_path, capsys, monkeypatch):
+    # inputs and targets scaled by 1e-4 scale every objective of this linear
+    # bundle by 1e-8, so an absolute slack of 1e-8 would forgive the qp-diag
+    # row below, which lands 1e-3 relative above soup's
+    path = _gen(tmp_path)
+    bundle = mq.load_bundle(path)
+    for cs in bundle.calibration:
+        cs.inputs *= 1e-4
+        cs.targets *= 1e-4
+    mq.save_bundle(bundle, path)
+    import mergeqp.cli as cli_mod
+
+    real = cli_mod.solve_layer
+
+    def worse_than_soup(net, deltas, calib, geometry, basis=None, solver=None):
+        qp, coeffs, merged = real(net, deltas, calib, geometry, basis, solver)
+        if basis is not None:
+            return qp, coeffs, merged
+        soup = mq.baseline_delta("soup", deltas, {})
+        J = [mq.linearized_delta_objective(net, geometry.layer_index, t * soup, calib,
+                                           geometry=geometry) for t in (0.0, 1.0, 2.0)]
+        # J(t) = a t^2 + b t + J(0) along t * soup; step to where it is 1.001 J(1)
+        a = (J[2] - 2 * J[1] + J[0]) / 2
+        b = J[1] - J[0] - a
+        t = (-b + np.sqrt(b * b - 4 * a * (J[0] - 1.001 * J[1]))) / (2 * a)
+        return qp, coeffs, t * soup
+
+    monkeypatch.setattr(cli_mod, "solve_layer", worse_than_soup)
+    out = tmp_path / "cmp.csv"
+    rc = main(["compare", "--bundle", str(path), "--out", str(out)])
+    _, rows = _read_csv(out)
+    objectives = {r[0]: float(r[2]) for r in rows}
+    assert objectives["base"] < 1e-5
+    assert objectives["qp-diag"] / objectives["soup"] == pytest.approx(1.001, rel=1e-6)
+    assert rc == 1
+    assert "dominance violated: qp-diag objective" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_two(tmp_path):
@@ -439,3 +478,69 @@ def test_console_script_installed(tmp_path):
     # argparse help goes to stdout with exit 0
     assert out.returncode == 0
     assert "merge" in out.stdout
+
+
+def _degenerate_bundle(tmp_path, kind):
+    if kind == "delta-scale-1e10":
+        return _gen(tmp_path, "--delta-scale", "1e10")
+    path = _gen(tmp_path, "--tasks", "2" if kind == "identical-tasks" else "3")
+    bundle = mq.load_bundle(path)
+    for ups in bundle.residuals.values():
+        if kind == "zero-updates":
+            for u in ups:
+                u.delta[...] = 0.0
+        else:
+            ups[1].delta[...] = ups[0].delta  # H is exactly rank-deficient
+    mq.save_bundle(bundle, path)
+    return path
+
+
+def _eigen_cut_optimum(qp):
+    return mq.objective_value(qp, _eigen_cut(qp.H, qp.g, 1e-10)[0])
+
+
+@pytest.mark.parametrize("kind", ["zero-updates", "identical-tasks", "delta-scale-1e10"])
+def test_degenerate_bundles_exit_cleanly_with_eigen_cut_objectives(tmp_path, kind, capsys):
+    path = _degenerate_bundle(tmp_path, kind)
+    bundle = mq.load_bundle(path)
+    calib = bundle.pooled_calibration()
+    deltas = bundle.residuals[1]
+    geometry = mq.merge_geometry(bundle.base, 1, calib)
+    p_max = min(deltas[0].delta.shape[0], bundle.base.output_dim)
+
+    def check(got, qp):
+        want = _eigen_cut_optimum(qp)
+        assert np.isfinite(got)
+        assert abs(got - want) <= 1e-9 * abs(want)
+
+    def basis_qp(kind, p, seed=0):
+        basis = mq.layer_basis(kind, p_max, seed, deltas, geometry)
+        return mq.build_general_basis_qp(bundle.base, deltas, calib, basis.prefix(p), geometry)
+
+    diag_qp = mq.build_diagonal_qp(bundle.base, deltas, calib, geometry)
+    for flags, qp in ((["--method", "qp-diag"], diag_qp),
+                      (["--method", "qp-basis"], basis_qp("eigen", p_max))):
+        report = tmp_path / "merge.json"
+        rc = main(["merge", "--bundle", str(path), *flags, "--solver", "exact",
+                   "--format", "json", "--report", str(report)])
+        assert rc in (0, 3)
+        if rc == 0:
+            check(json.loads(report.read_text())["layers"][0]["objective_after"], qp)
+    rc = main(["compare", "--bundle", str(path), "--out", str(tmp_path / "cmp.csv")])
+    assert rc in (0, 3)
+    if rc == 0:
+        _, rows = _read_csv(tmp_path / "cmp.csv")
+        objectives = {r[0]: float(r[2]) for r in rows}
+        check(objectives["qp-diag"], diag_qp)
+        check(objectives[f"qp-basis(eigen,{p_max})"], basis_qp("eigen", p_max))
+    rc = main(["diagnose", "--bundle", str(path), "--random-seeds", "2",
+               "--out", str(tmp_path / "diag.csv")])
+    assert rc in (0, 3)
+    if rc == 0:
+        _, rows = _read_csv(tmp_path / "diag.csv")
+        assert rows
+        for label, p, _, _, qp_mse, _ in rows:
+            seed = int(label[7:-1]) if label.startswith("random(") else 0
+            qp = basis_qp(label.split("(")[0], int(p), seed)
+            check(float(qp_mse) * len(calib), qp)
+    assert "Traceback" not in capsys.readouterr().err

@@ -7,6 +7,7 @@ a mismatch rather than being reproduced on both sides.
 
 import itertools
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mergeqp as mq
-from mergeqp import cli
+from mergeqp import cli, qp as qpmod
 
 from conftest import make_linear_net
 from test_cli_reports import BUNDLES
@@ -138,6 +139,84 @@ def test_solve_unconstrained_reports_range_defect(rng):
     sol = mq.solve_unconstrained(qp)
     assert sol.g_outside_range
     assert np.isclose(sol.g_range_defect, 1.0)
+
+
+def _certified_case(kind, n, rng):
+    """(H, g, path) for one case of the certified-solve test.
+
+    path is "cholesky" or "cut" when the case fixes which one runs, None
+    when either may.
+    """
+    if kind == "pd":
+        M = rng.normal(size=(n, n))
+        return M @ M.T + n * np.eye(n), rng.normal(size=n), "cholesky"
+    if kind == "zero":
+        return np.zeros((n, n)), rng.normal(size=n), "cut"
+    if kind == "duplicated":
+        # repeated indices duplicate rows and columns exactly; g = H x is in range
+        idx = rng.integers(0, max(n - 1, 1), size=n)
+        idx[-1] = idx[0]
+        M = rng.normal(size=(n, n))
+        H = (M @ M.T + n * np.eye(n))[np.ix_(idx, idx)]
+        return H, H @ rng.normal(size=n), "cut"
+    w = rng.uniform(1.0, 10.0, size=n)
+    w[-1] = 10.0
+    V = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    if kind == "planted-cut":
+        # an eigenvalue at 4.2e-11 of the largest with g along its vector, as in
+        # the relu-sweep seed 1755429855 QP: the cut must drop that direction
+        w[0] = 4.2e-11 * w.max()
+        return (V * w) @ V.T, V[:, 0] + rng.normal(size=n), "cut"
+    # planted-near: 5e-10 or 1.5e-10 of the largest, above the cut, near the
+    # certificate's margin of 2e-10 ||H||_inf.  Coordinate 0 is split off the
+    # rest so that both paths resolve it to rounding: rotated into the other
+    # coordinates, any backward-stable solve is only good to about
+    # cond(H) eps = 2e-7 along it.
+    H = np.zeros((n, n))
+    H[0, 0] = rng.choice([5e-10, 1.5e-10]) * w.max()
+    U = np.linalg.qr(rng.normal(size=(n - 1, n - 1)))[0]
+    H[1:, 1:] = (U * w[1:]) @ U.T
+    return H, rng.normal(size=n), None
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 40),
+    kind=st.sampled_from(["pd", "zero", "duplicated", "planted-cut", "planted-near"]),
+    scale=st.sampled_from([1.0, 1e-20, 1e20]),
+)
+def test_solve_unconstrained_matches_the_eigen_cut(seed, n, kind, scale):
+    rng = np.random.default_rng(seed)
+    if kind in ("duplicated", "planted-cut", "planted-near") and n < 2:
+        n = 2
+    H, g, path = _certified_case(kind, n, rng)
+    H, g = scale * (H + H.T) / 2, scale * g
+    ref = qpmod._eigen_cut(H, g, 1e-10)[0]
+    qp = mq.QuadraticObjective(H=H, g=g, constant=0.0, n_tasks=1, n_directions=n)
+    with mock.patch.object(qpmod, "_eigen_cut", wraps=qpmod._eigen_cut) as spy:
+        sol = mq.solve_unconstrained(qp)
+    took_cut = spy.call_count == 1
+    if path is not None:
+        assert took_cut == (path == "cut")
+    if not took_cut:
+        assert sol.g_range_defect == 0.0 and not sol.g_outside_range
+    tol = 1e-9 if kind == "planted-near" else 1e-12
+    assert np.abs(sol.flat - ref).max() <= tol * max(np.abs(ref).max(), 1e-300)
+    if kind == "zero":
+        assert not sol.flat.any()
+    if kind == "planted-cut":
+        # nothing along the dropped eigenvector, and g's part along it left over
+        v = np.linalg.eigh(H)[1][:, 0]
+        assert abs(v @ sol.flat) <= 1e-12 * np.linalg.norm(sol.flat)
+        assert np.isclose(sol.g_range_defect, abs(v @ g), rtol=1e-9)
+    # scaling H and g together takes the same path to the same answer
+    with mock.patch.object(qpmod, "_eigen_cut", wraps=qpmod._eigen_cut) as spy:
+        rescaled = mq.solve_unconstrained(
+            mq.QuadraticObjective(H=1e20 * H, g=1e20 * g, constant=0.0, n_tasks=1, n_directions=n)
+        )
+    assert (spy.call_count == 1) == took_cut
+    assert np.abs(rescaled.flat - sol.flat).max() <= 1e-12 * max(np.abs(ref).max(), 1e-300)
 
 
 def test_box_solver_interior_converges_to_closed_form():
