@@ -90,7 +90,11 @@ class ModelBundle:
         return [u.task_id for u in self.residuals[first]]
 
     def pooled_calibration(self) -> CalibrationSet:
-        return CalibrationSet.concat(self.calibration)
+        """Every calibration set, pooled in task order; tasks without updates go last."""
+        rank = {t: i for i, t in enumerate(self.task_ids)}
+        return CalibrationSet.concat(sorted(
+            self.calibration, key=lambda cs: rank.get((cs.task_ids or [None])[0], len(rank))
+        ))
 
 
 def _encode(arr: np.ndarray, path: str) -> str:
@@ -480,14 +484,12 @@ def gen_shared_direction_instance(
     return bundle
 
 
-def validate_shared_direction_bundle(
-    bundle: ModelBundle, u_tol: float = 1e-12, iso_tol: float = 1e-10
-) -> None:
+def validate_shared_direction_bundle(bundle: ModelBundle) -> None:
     """Re-check the closed-form assumptions on a shared-direction bundle.
 
-    Verifies u^T (delta_k - sigma_k u v^T) vanishes for every task and that
-    the last layer has orthonormal columns.  Raises ValueError on violation
-    or if the bundle lacks the required meta fields.
+    Verifies u^T (delta_k - sigma_k u v^T) vanishes to 1e-12 for every task
+    and that the last layer has orthonormal columns to 1e-10.  Raises
+    ValueError on violation or if the bundle lacks the required meta fields.
     """
     meta = bundle.meta
     for key in ("u", "v", "sigmas"):
@@ -502,13 +504,13 @@ def validate_shared_direction_bundle(
     for k, up in enumerate(updates):
         remainder = up.delta - s[k] * np.outer(u, v)
         worst = np.abs(u @ remainder).max()
-        if worst > u_tol:
+        if worst > 1e-12:
             raise ValueError(
                 f"task {k} remainder is not orthogonal to u (|u^T R| = {worst:.3e})"
             )
     L = bundle.base.layers[-1]
     defect = np.abs(L.T @ L - np.eye(L.shape[1])).max()
-    if defect > iso_tol:
+    if defect > 1e-10:
         raise ValueError(f"downstream map is not an isometry (defect {defect:.3e})")
 
 

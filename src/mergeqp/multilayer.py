@@ -92,7 +92,7 @@ def basis_fraction(basis, geometry):
     if S.total_energy == 0.0:
         return 1.0
     captured = prefix_captured_energy(geometry.downstream, basis, geometry.residuals)
-    return float(captured[-1]) / S.total_energy
+    return float(captured[-1]) / S.total_energy if captured.size else 0.0
 
 
 def prefix_sweep(net, deltas, calib, basis, geometry):
@@ -117,11 +117,11 @@ def prefix_sweep(net, deltas, calib, basis, geometry):
     K = qp.n_tasks
     order = np.arange(qp.dim).reshape(K, -1).T.ravel()
     H, g = qp.H[np.ix_(order, order)], qp.g[order]
-    if _certified(H, 1e-10):
+    if _certified(H):
         z = np.linalg.solve(np.linalg.cholesky(H), -g)
         optima = qp.constant - 0.5 * np.cumsum(z * z)[K - 1 :: K]
     else:
-        cuts = (_eigen_cut(H[:m, :m], g[:m], 1e-10)[0] for m in range(K, qp.dim + 1, K))
+        cuts = (_eigen_cut(H[:m, :m], g[:m])[0] for m in range(K, qp.dim + 1, K))
         optima = qp.constant + 0.5 * np.array([g[: d.size] @ d for d in cuts])
     p = np.arange(1, basis.p + 1)
     fraction = captured / total if total else np.ones(basis.p)

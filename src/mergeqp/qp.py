@@ -230,10 +230,7 @@ def build_diagonal_qp(
 
 
 def _basis_columns(basis):
-    cols = OrthonormalBasis(getattr(basis, "columns", basis), "custom").columns
-    if cols.shape[1] == 0:
-        raise ValueError("basis has no columns")
-    return cols
+    return OrthonormalBasis(getattr(basis, "columns", basis), "custom").columns
 
 
 def build_general_basis_qp(
@@ -246,7 +243,8 @@ def build_general_basis_qp(
     """QP restricting every task's update to shared orthonormal directions.
 
     The merged update is sum_{k,p} d_{kp} q_p q_p^T delta_k.  With the full
-    standard basis this reproduces the diagonal QP exactly.
+    standard basis this reproduces the diagonal QP exactly; with no columns
+    the QP has no coefficients and its one point is the zero update.
     """
     layer = _check_deltas(net, deltas)
     Q = _basis_columns(basis)
@@ -298,10 +296,10 @@ def _build_qp(net, layer, deltas, calib, Q, basis_id, geometry):
         else:
             H = np.zeros((dim, dim))
             g = np.zeros(dim)
-            step = max(1, _CHUNK_BYTES // (8 * c * dim))
+            step = max(1, _CHUNK_BYTES // (8 * c * max(dim, 1)))
             for s in range(0, n, step):
                 M = geometry.downstream.matrix[s : s + step] @ Q  # (m, c, P)
-                rows = (M[:, :, None, :] * alpha[s : s + step, None]).reshape(-1, dim)
+                rows = (M[:, :, None, :] * alpha[s : s + step, None]).reshape(len(M) * c, dim)
                 H += rows.T @ rows
                 g += rows.T @ B[s : s + step].ravel()
         H *= 2.0
@@ -330,27 +328,31 @@ def objective_gradient(qp: QuadraticObjective, d) -> np.ndarray:
     return qp.H @ flat + qp.g
 
 
-def _eigen_cut(H, g, rel_cutoff):
-    """Minimum-norm -H^+ g over the eigenvalues above rel_cutoff times the largest.
+# The eigen cut: eigenvalues of H at or below this times the largest count as zero.
+_EIGEN_CUT = 1e-10
+
+
+def _eigen_cut(H, g):
+    """Minimum-norm -H^+ g over the eigenvalues above _EIGEN_CUT times the largest.
 
     Also returns the part of g in that range and the dropped eigenvectors.
     """
     w, V = np.linalg.eigh(H)
     lam_max = max(float(w[-1]), 0.0) if w.size else 0.0
-    keep = w > rel_cutoff * lam_max
+    keep = w > _EIGEN_CUT * lam_max
     Vk = V[:, keep]
     coeffs = Vk.T @ g
     return -Vk @ (coeffs / w[keep]), Vk @ coeffs, V[:, ~keep]
 
 
-def _certified(H, rel_cutoff):
+def _certified(H):
     """Whether a Cholesky factor proves every eigenvalue of H above the eigen cut.
 
-    It factors H - 2 rel_cutoff ||H||_inf I; the factor 2 covers the
+    It factors H - 2 _EIGEN_CUT ||H||_inf I; the factor 2 covers the
     factorisation's backward error (Higham 2002, section 10.1).  H = 0 fails.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing bound fails below
-        tau = 2.0 * rel_cutoff * np.abs(H).sum(axis=1).max(initial=0.0)
+        tau = 2.0 * _EIGEN_CUT * np.abs(H).sum(axis=1).max(initial=0.0)
         shifted = H - tau * np.eye(H.shape[0])
     try:
         np.linalg.cholesky(shifted)
@@ -359,21 +361,20 @@ def _certified(H, rel_cutoff):
     return tau > 0
 
 
-def solve_unconstrained(
-    qp: QuadraticObjective, rel_cutoff: float = 1e-10
-) -> MergeCoefficients:
+def solve_unconstrained(qp: QuadraticObjective) -> MergeCoefficients:
     """Minimum-norm global minimiser d* = -H^+ g.
 
-    Eigenvalues at or below rel_cutoff times the largest count as zero; if
-    _certified shows there are none, d* = -H^{-1} g by one linear solve.
+    Eigenvalues at or below _EIGEN_CUT (1e-10) times the largest count as
+    zero; if _certified shows there are none, d* = -H^{-1} g by one linear
+    solve.
     If g has a component outside the numerical range of H the objective is
     unbounded along it; the solve minimises over the range and reports the
     leftover norm in g_range_defect (0 on the certified path).
     """
-    if _certified(qp.H, rel_cutoff):
+    if _certified(qp.H):
         d, defect = np.linalg.solve(qp.H, -qp.g), 0.0
     else:
-        d, in_range, _ = _eigen_cut(qp.H, qp.g, rel_cutoff)
+        d, in_range, _ = _eigen_cut(qp.H, qp.g)
         defect = float(np.linalg.norm(qp.g - in_range))
     return MergeCoefficients(
         d.reshape(qp.n_tasks, qp.n_directions),
@@ -396,11 +397,11 @@ def _newton_direction(H, grad, free, d, lo, hi, tiny):
             x, back = np.linalg.solve(Hf, np.stack([-gf, Hf @ probe], axis=1)).T
             # a singular block solves the probe back with an arbitrary null-space part,
             # or steps far along a direction it barely curves
-            curved = x @ Hf @ x > 1e-10 * np.diag(Hf).max() * (x @ x)
+            curved = x @ Hf @ x > _EIGEN_CUT * np.diag(Hf).max() * (x @ x)
             if curved and np.abs(back - probe).max() <= 1e-6:
                 p[free] = x
                 return p
-        x, _, null = _eigen_cut(Hf, gf, 1e-10)
+        x, _, null = _eigen_cut(Hf, gf)
         linear = null @ (null.T @ gf)  # J is linear along this part of the gradient
         reach = np.abs(linear).max(initial=0.0)
         p[free] = x - (hi - lo) / reach * linear if reach > tiny else x
@@ -434,8 +435,8 @@ def solve_box_constrained(
         raise ValueError(f"invalid bounds: lo={lo} must be < hi={hi}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    norm = np.abs(qp.H).sum(axis=1).max()
-    scale = float(norm * max(abs(lo), abs(hi)) + np.abs(qp.g).max())
+    norm = np.abs(qp.H).sum(axis=1).max(initial=0.0)
+    scale = float(norm * max(abs(lo), abs(hi)) + np.abs(qp.g).max(initial=0.0))
     d = np.clip(np.full(qp.dim, 1.0 / qp.n_tasks), lo, hi)
     for it in range(steps + 1):
         grad = qp.H @ d + qp.g

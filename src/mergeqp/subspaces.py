@@ -136,65 +136,25 @@ def coordinate_energy_order(S, L=None) -> np.ndarray:
     return np.argsort(-scores, kind="stable")
 
 
-def _orthonormalize(
-    columns: np.ndarray, tol_scale: float | None = None, max_columns: int | None = None
-):
-    """Modified Gram-Schmidt with one re-orthogonalisation pass.
-
-    Columns are processed in order; a column whose residual falls below
-    1e-10 times the tolerance scale (largest input column norm by default)
-    is dropped as linearly dependent.  Processing stops once max_columns
-    columns are kept, so the result is the first max_columns columns of the
-    full pass.
-    """
-    cols = np.asarray(columns, dtype=float)
-    if cols.ndim != 2:
-        raise ValueError("expected a 2-D array of columns")
-    norms = np.linalg.norm(cols, axis=0) if cols.shape[1] else np.zeros(0)
-    scale = tol_scale if tol_scale is not None else (norms.max() if norms.size else 0.0)
-    tol = 1e-10 * scale
-    kept = []
-    for i in range(cols.shape[1]):
-        v = cols[:, i].copy()
-        for q in kept:
-            v -= (q @ v) * q
-        for q in kept:
-            v -= (q @ v) * q
-        nrm = np.linalg.norm(v)
-        if nrm > tol and nrm > 0.0:
-            kept.append(v / nrm)
-            if len(kept) == max_columns:
-                break
-    if kept:
-        return np.stack(kept, axis=1)
-    return np.zeros((cols.shape[0], 0))
-
-
 def svd_basis(deltas, p: int) -> OrthonormalBasis:
     """Orthonormalised left singular vectors of the task updates.
 
     Every task's (sigma, u) pairs are pooled, sorted by descending singular
-    value (ties by task order, then singular index), and the u's are
-    orthonormalised in that order until p directions are found.  If the
-    pooled updates span fewer than p directions the achieved rank is
-    returned with rank_deficient set and a warning.
+    value (ties by task order, then singular index), and the vectors sigma u
+    are orthonormalised in that order (_orthonormalize_stack) until p
+    directions are kept, so a u is dropped when its residual is at most
+    1e-10 sigma_max / sigma.  If the pooled updates span fewer than p
+    directions the achieved rank is returned with rank_deficient set and a
+    warning.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    mats = _delta_matrices(deltas)
-    entries = []
-    for k, dm in enumerate(mats):
-        U, s, _ = np.linalg.svd(dm, full_matrices=False)
-        for i in range(s.shape[0]):
-            entries.append((float(s[i]), k, i, U[:, i]))
-    entries.sort(key=lambda e: (-e[0], e[1], e[2]))
-    sig_max = entries[0][0] if entries else 0.0
-    weighted = (
-        np.stack([sig * u for sig, _, _, u in entries], axis=1)
-        if entries
-        else np.zeros((mats[0].shape[0], 0))
-    )
-    Q = _orthonormalize(weighted, tol_scale=sig_max if sig_max > 0 else 1.0, max_columns=p)
+    svds = [np.linalg.svd(dm, full_matrices=False)[:2] for dm in _delta_matrices(deltas)]
+    U = np.concatenate([u for u, _ in svds], axis=1)
+    sig = np.concatenate([s for _, s in svds])
+    order = np.argsort(-sig, kind="stable")
+    q = _orthonormalize_stack((U[:, order] * sig[order])[None], max_columns=p)[0]
+    Q = q[:, q.any(axis=0)]
     achieved = Q.shape[1]
     deficient = achieved < p
     if deficient:
@@ -220,9 +180,9 @@ def random_basis(dim: int, p: int, seed: int) -> OrthonormalBasis:
 def pullback_basis(L, directions, origin: str | None = None) -> OrthonormalBasis:
     """Residual-space basis whose image under L tracks given output directions.
 
-    Computes pinv(L) applied to each direction and orthonormalises in order,
-    so prefixes stay nested.  Directions whose preimages are linearly
-    dependent are dropped (rank_deficient set).
+    Computes pinv(L) applied to each direction and orthonormalises in order
+    (_orthonormalize_stack), so prefixes stay nested.  Directions whose
+    preimages are linearly dependent are dropped (rank_deficient set).
     """
     Lmat = L.matrix if isinstance(L, DownstreamMap) else np.asarray(L, dtype=float)
     W = getattr(directions, "columns", directions)
@@ -233,15 +193,15 @@ def pullback_basis(L, directions, origin: str | None = None) -> OrthonormalBasis
         raise ValueError(
             f"directions live in dim {W.shape[0]} but L maps into {Lmat.shape[0]}"
         )
-    pre = np.linalg.pinv(Lmat) @ W
-    Q = _orthonormalize(pre)
+    q = _orthonormalize_stack((np.linalg.pinv(Lmat) @ W)[None])[0]
+    Q = q[:, q.any(axis=0)]
     if origin is None:
         inner = getattr(directions, "origin", "custom")
         origin = f"pullback({inner})"
     return OrthonormalBasis(Q, origin, rank_deficient=Q.shape[1] < W.shape[1])
 
 
-def _orthonormalize_stack(M: np.ndarray) -> np.ndarray:
+def _orthonormalize_stack(M: np.ndarray, max_columns: int | None = None) -> np.ndarray:
     """Orthonormalise the columns of every matrix in an (n, c, P) stack, in order.
 
     Modified Gram-Schmidt batched over the stack: each new unit column is
@@ -250,19 +210,25 @@ def _orthonormalize_stack(M: np.ndarray) -> np.ndarray:
     whose residual is at most 1e-10 times its matrix's largest column norm
     is dropped as linearly dependent and comes back as zeros, so the first
     p output columns of M[j] span the same space as the first p input ones.
+    Processing stops once every matrix has max_columns kept columns, and the
+    columns after that point come back as zeros.
     """
     W = M.copy()
     out = np.zeros_like(W)
     tol = 1e-10 * np.linalg.norm(W, axis=1).max(axis=1, initial=0.0)
+    kept_count = np.zeros(W.shape[0], dtype=int)
     for i in range(W.shape[2]):
         kept = out[:, :, :i]
         v = W[:, :, i]
         v -= np.einsum("ncp,np->nc", kept, np.einsum("ncp,nc->np", kept, v))
         nrm = np.linalg.norm(v, axis=1)
         keep = nrm > tol
+        kept_count += keep
         q = np.zeros_like(v)
         q[keep] = v[keep] / nrm[keep, None]
         out[:, :, i] = q
+        if max_columns is not None and kept_count.min() >= max_columns:
+            break
         later = W[:, :, i + 1 :]
         later -= q[:, :, None] * np.einsum("nc,ncp->np", q, later)[:, None, :]
     return out

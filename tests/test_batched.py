@@ -441,7 +441,7 @@ def test_prefix_sweep_takes_every_prefix_from_one_factor(tmp_path):
         full = mq.build_general_basis_qp(bundle.base, deltas, calib, chain, geometry=geometry)
         with mock.patch.object(multilayer, "_eigen_cut", wraps=qp._eigen_cut) as spy:
             rows = mq.prefix_sweep(bundle.base, deltas, calib, chain, geometry)
-        certified[kind, seed] = qp._certified(full.H, 1e-10)
+        certified[kind, seed] = qp._certified(full.H)
         # a certified chain makes no eigen cut; any other cuts each prefix's block
         assert spy.call_count == (0 if certified[kind, seed] else chain.p)
         qp_mse = [row[3] for row in rows]

@@ -220,6 +220,13 @@ def test_pooled_calibration_concatenates_in_task_order():
     sizes = [len(c) for c in bundle.calibration]
     assert len(pooled) == sum(sizes)
     assert list(pooled.task_ids[: sizes[0]]) == [0] * sizes[0]
+    # storage order does not matter; a set of a task without updates goes last
+    extra = mq.CalibrationSet.for_task(7, pooled.inputs[:2], pooled.targets[:2])
+    stored = [bundle.calibration[2], extra, *bundle.calibration[1::-1]]
+    moved = mq.ModelBundle(bundle.base, bundle.residuals, stored).pooled_calibration()
+    assert np.array_equal(moved.inputs[:-2], pooled.inputs)
+    assert np.array_equal(moved.targets[:-2], pooled.targets)
+    assert moved.task_ids == pooled.task_ids + [7, 7]
 
 
 # --- format version 2: base64 float64 arrays -------------------------------

@@ -192,7 +192,7 @@ def test_solve_unconstrained_matches_the_eigen_cut(seed, n, kind, scale):
         n = 2
     H, g, path = _certified_case(kind, n, rng)
     H, g = scale * (H + H.T) / 2, scale * g
-    ref = qpmod._eigen_cut(H, g, 1e-10)[0]
+    ref = qpmod._eigen_cut(H, g)[0]
     qp = mq.QuadraticObjective(H=H, g=g, constant=0.0, n_tasks=1, n_directions=n)
     with mock.patch.object(qpmod, "_eigen_cut", wraps=qpmod._eigen_cut) as spy:
         sol = mq.solve_unconstrained(qp)

@@ -126,6 +126,114 @@ def test_svd_basis_rank_deficient_warns():
     assert caught
 
 
+def _orthonormalize_loop(columns, tol_scale=None, max_columns=None):
+    """Reference Gram-Schmidt: one column at a time, projected twice.
+
+    Left-looking modified Gram-Schmidt with a second projection pass.  A
+    column whose residual is at most 1e-10 times the tolerance scale
+    (largest input column norm by default) is dropped; processing stops
+    once max_columns columns are kept.  Returns the kept columns and their
+    residual norms before normalisation.
+    """
+    cols = np.asarray(columns, dtype=float)
+    norms = np.linalg.norm(cols, axis=0) if cols.shape[1] else np.zeros(0)
+    scale = tol_scale if tol_scale is not None else (norms.max() if norms.size else 0.0)
+    tol = 1e-10 * scale
+    kept, residuals = [], []
+    for i in range(cols.shape[1]):
+        v = cols[:, i].copy()
+        for q in kept:
+            v -= (q @ v) * q
+        for q in kept:
+            v -= (q @ v) * q
+        nrm = np.linalg.norm(v)
+        if nrm > tol and nrm > 0.0:
+            kept.append(v / nrm)
+            residuals.append(nrm)
+            if len(kept) == max_columns:
+                break
+    Q = np.stack(kept, axis=1) if kept else np.zeros((cols.shape[0], 0))
+    return Q, np.array(residuals)
+
+
+def _svd_basis_loop(deltas, p):
+    """svd_basis through the reference loop: pooled sigma u's in sorted order."""
+    entries = []
+    for k, up in enumerate(deltas):
+        U, s, _ = np.linalg.svd(up.delta, full_matrices=False)
+        entries.extend((float(s[i]), k, i, U[:, i]) for i in range(s.shape[0]))
+    entries.sort(key=lambda e: (-e[0], e[1], e[2]))
+    weighted = np.stack([sig * u for sig, _, _, u in entries], axis=1)
+    sig_max = entries[0][0]
+    Q, residuals = _orthonormalize_loop(
+        weighted, tol_scale=sig_max if sig_max > 0 else 1.0, max_columns=p
+    )
+    return Q, residuals, sig_max
+
+
+def _dependent_columns(rng, rows, eps, zero):
+    """Columns with a near-copy at eps, a multiple, a sum, and zero columns."""
+    M = rng.normal(size=(rows, 7))
+    M[:, 2] = M[:, 0] + eps * rng.normal(size=rows)
+    M[:, 3] = 2.0 * M[:, 1]
+    M[:, 5] = M[:, 0] + M[:, 1]
+    if zero == "one":
+        M[:, 4] = 0.0
+    elif zero == "all":
+        M[:] = 0.0
+    return M
+
+
+def _assert_matches_loop(basis, Q_ref, residuals, scale, p):
+    assert basis.p == Q_ref.shape[1]
+    assert basis.rank_deficient == (Q_ref.shape[1] < p)
+    if basis.p:
+        # a column kept with residual rho carries both routines' rounding times
+        # scale / rho, so nearly dependent inputs loosen the column match
+        kappa = scale / residuals.min()
+        assert np.abs(basis.columns - Q_ref).max() <= 1e-12 * kappa
+        assert np.abs(basis.columns.T @ basis.columns - np.eye(basis.p)).max() <= 1e-13
+
+
+_DEGENERATE = dict(
+    seed=st.integers(0, 2**32 - 1),
+    eps_exp=st.integers(3, 8),
+    scale_exp=st.sampled_from([-100, 0, 100]),
+    zero=st.sampled_from(["none", "one", "all"]),
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(p=st.integers(1, 9), **_DEGENERATE)
+def test_pullback_basis_matches_reference_loop(seed, eps_exp, scale_exp, zero, p):
+    rng = np.random.default_rng(seed)
+    c = int(rng.integers(4, 8))
+    W = 10.0**scale_exp * _dependent_columns(rng, c, 10.0**-eps_exp, zero)[:, :p]
+    L = rng.normal(size=(c, c + 1))
+    basis = mq.pullback_basis(L, W)
+    pre = np.linalg.pinv(L) @ W
+    Q_ref, residuals = _orthonormalize_loop(pre)
+    _assert_matches_loop(basis, Q_ref, residuals, np.linalg.norm(pre, axis=0).max(), p)
+
+
+@settings(deadline=None, max_examples=150)
+@given(p=st.integers(1, 12), rank=st.integers(0, 3), **_DEGENERATE)
+def test_svd_basis_matches_reference_loop(seed, eps_exp, scale_exp, zero, p, rank):
+    # task k's update c_k v_k^T with unit v_k pools sigma u = +-c_k, so the
+    # columns' dependences carry over; one more task adds a generic rank
+    rng = np.random.default_rng(seed)
+    C = _dependent_columns(rng, 6, 10.0**-eps_exp, zero)
+    V = rng.normal(size=(4, C.shape[1]))
+    mats = [np.outer(c, v / np.linalg.norm(v)) for c, v in zip(C.T, V.T)]
+    mats.append(rng.normal(size=(6, rank)) @ rng.normal(size=(rank, 4)))
+    ups = [mq.ResidualUpdate(1, 10.0**scale_exp * m, task_id=k) for k, m in enumerate(mats)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        basis = mq.svd_basis(ups, p)
+    Q_ref, residuals, sig_max = _svd_basis_loop(ups, p)
+    _assert_matches_loop(basis, Q_ref, residuals, sig_max, p)
+
+
 def test_random_basis_seeded(rng):
     a = mq.random_basis(6, 3, seed=9)
     b = mq.random_basis(6, 3, seed=9)
