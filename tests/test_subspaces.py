@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mergeqp as mq
+from mergeqp import subspaces
 
 
 def _proj(Q):
@@ -126,49 +127,42 @@ def test_svd_basis_rank_deficient_warns():
     assert caught
 
 
-def _orthonormalize_loop(columns, tol_scale=None, max_columns=None):
+def _orthonormalize_loop(columns, tol_scale, max_columns=None):
     """Reference Gram-Schmidt: one column at a time, projected twice.
 
     Left-looking modified Gram-Schmidt with a second projection pass.  A
-    column whose residual is at most 1e-10 times the tolerance scale
-    (largest input column norm by default) is dropped; processing stops
-    once max_columns columns are kept.  Returns the kept columns and their
-    residual norms before normalisation.
+    column whose residual is at most 1e-10 * tol_scale is dropped;
+    processing stops once max_columns columns are kept.  Returns the kept
+    columns, the residual norm of every processed column and which of them
+    were kept.
     """
     cols = np.asarray(columns, dtype=float)
-    norms = np.linalg.norm(cols, axis=0) if cols.shape[1] else np.zeros(0)
-    scale = tol_scale if tol_scale is not None else (norms.max() if norms.size else 0.0)
-    tol = 1e-10 * scale
-    kept, residuals = [], []
+    tol = 1e-10 * tol_scale
+    kept, norms = [], []
     for i in range(cols.shape[1]):
         v = cols[:, i].copy()
         for q in kept:
             v -= (q @ v) * q
         for q in kept:
             v -= (q @ v) * q
-        nrm = np.linalg.norm(v)
-        if nrm > tol and nrm > 0.0:
-            kept.append(v / nrm)
-            residuals.append(nrm)
+        norms.append(np.linalg.norm(v))
+        if norms[-1] > tol and norms[-1] > 0.0:
+            kept.append(v / norms[-1])
             if len(kept) == max_columns:
                 break
     Q = np.stack(kept, axis=1) if kept else np.zeros((cols.shape[0], 0))
-    return Q, np.array(residuals)
+    norms = np.array(norms)
+    return Q, norms, (norms > tol) & (norms > 0.0)
 
 
-def _svd_basis_loop(deltas, p):
-    """svd_basis through the reference loop: pooled sigma u's in sorted order."""
+def _pooled_sigma_u(deltas):
+    """The vectors svd_basis orthonormalises: pooled sigma u's in sorted order."""
     entries = []
     for k, up in enumerate(deltas):
         U, s, _ = np.linalg.svd(up.delta, full_matrices=False)
         entries.extend((float(s[i]), k, i, U[:, i]) for i in range(s.shape[0]))
     entries.sort(key=lambda e: (-e[0], e[1], e[2]))
-    weighted = np.stack([sig * u for sig, _, _, u in entries], axis=1)
-    sig_max = entries[0][0]
-    Q, residuals = _orthonormalize_loop(
-        weighted, tol_scale=sig_max if sig_max > 0 else 1.0, max_columns=p
-    )
-    return Q, residuals, sig_max
+    return np.stack([sig * u for sig, _, _, u in entries], axis=1)
 
 
 def _dependent_columns(rng, rows, eps, zero):
@@ -184,14 +178,40 @@ def _dependent_columns(rng, rows, eps, zero):
     return M
 
 
-def _assert_matches_loop(basis, Q_ref, residuals, scale, p):
-    assert basis.p == Q_ref.shape[1]
-    assert basis.rank_deficient == (Q_ref.shape[1] < p)
+def _assert_matches_loop(basis, M, p, max_columns=None):
+    """basis orthonormalises the columns of M; compare it with the loop.
+
+    A column is projected against the kept columns before it, and a kept
+    residual rho leaves rounding times scale / rho in every later column:
+    the two routines' residual norms of column i differ by up to rounding
+    times scale * before[i] (2.7e-16 measured), and a kept column with
+    residual rho_i differs by that over rho_i.  They keep the same columns
+    unless a residual lies that close to the 1e-10 * scale threshold, as a
+    dependent column after a near-copy at 1e-7 can; the columns kept before
+    it still match.  A column whose residual is all rounding (one kept
+    after such a near-copy) gets no bound: its direction is rounding too.
+    """
+    scale = np.linalg.norm(M, axis=0).max(initial=0.0)
+    Q_ref, norms, kept_ref = _orthonormalize_loop(M, scale or 1.0, max_columns)
+    kept = subspaces._orthonormalize_stack(M[None], max_columns)[0].any(axis=0)
+    assert basis.p == kept.sum()
+    assert basis.rank_deficient == (basis.p < p)
+    # before[i]: scale over the smallest residual kept before column i
+    rho = np.where(kept_ref, norms, np.inf)
+    before = scale / np.minimum.accumulate(np.concatenate([[scale or 1.0], rho[:-1]]))
+    differ = np.flatnonzero(kept[: kept_ref.size] != kept_ref)
+    if differ.size:
+        i = differ[0]
+        assert abs(norms[i] - 1e-10 * scale) <= 1e-14 * scale * before[i]
+        n = kept_ref[:i].sum()
+    else:
+        assert basis.p == Q_ref.shape[1]
+        n = basis.p
     if basis.p:
-        # a column kept with residual rho carries both routines' rounding times
-        # scale / rho, so nearly dependent inputs loosen the column match
-        kappa = scale / residuals.min()
-        assert np.abs(basis.columns - Q_ref).max() <= 1e-12 * kappa
+        # well-conditioned columns (before and scale / rho near 1) stay at 1e-12
+        bound = 1e-12 * (before * scale)[kept_ref][:n] / norms[kept_ref][:n]
+        err = np.abs(basis.columns[:, :n] - Q_ref[:, :n]).max(axis=0, initial=0.0)
+        assert (err <= bound).all()
         assert np.abs(basis.columns.T @ basis.columns - np.eye(basis.p)).max() <= 1e-13
 
 
@@ -211,9 +231,7 @@ def test_pullback_basis_matches_reference_loop(seed, eps_exp, scale_exp, zero, p
     W = 10.0**scale_exp * _dependent_columns(rng, c, 10.0**-eps_exp, zero)[:, :p]
     L = rng.normal(size=(c, c + 1))
     basis = mq.pullback_basis(L, W)
-    pre = np.linalg.pinv(L) @ W
-    Q_ref, residuals = _orthonormalize_loop(pre)
-    _assert_matches_loop(basis, Q_ref, residuals, np.linalg.norm(pre, axis=0).max(), p)
+    _assert_matches_loop(basis, np.linalg.pinv(L) @ W, p)
 
 
 @settings(deadline=None, max_examples=150)
@@ -230,8 +248,7 @@ def test_svd_basis_matches_reference_loop(seed, eps_exp, scale_exp, zero, p, ran
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         basis = mq.svd_basis(ups, p)
-    Q_ref, residuals, sig_max = _svd_basis_loop(ups, p)
-    _assert_matches_loop(basis, Q_ref, residuals, sig_max, p)
+    _assert_matches_loop(basis, _pooled_sigma_u(ups), p, max_columns=p)
 
 
 def test_random_basis_seeded(rng):
