@@ -53,9 +53,9 @@ from .subspaces import (
 )
 from .baselines import (
     baseline_delta,
-    combine_row_coefficients,
     dare_coefficients,
     dare_row_uniform,
+    fisher_diagonals,
     fisher_merge,
     soup,
     soup_coefficients,

@@ -12,12 +12,7 @@ import math
 import numpy as np
 
 from .networks import _delta_matrices
-from .qp import merged_delta_from_coefficients
-
-
-def combine_row_coefficients(deltas, coeffs) -> np.ndarray:
-    """sum_k diag(c_k) delta_k: coefficient row k scales task k's rows."""
-    return merged_delta_from_coefficients(deltas, coeffs)
+from .qp import merge_geometry, merged_delta_from_coefficients
 
 
 def soup_coefficients(n_tasks: int, n_rows: int) -> np.ndarray:
@@ -107,14 +102,39 @@ def fisher_merge(thetas, fishers) -> np.ndarray:
     return weighted
 
 
+def fisher_diagonals(net, calib, task_ids, layers) -> dict:
+    """{layer: per-task Fisher diagonals}, one per entry of task_ids.
+
+    Surrogate for honest Fisher information: squared gradients of the
+    squared-error loss with respect to the layer's weights, summed over the
+    task's calibration samples.  grad_j = 2 m_j u_j^T with m_j = L_j^T b_j,
+    so the sum of squares is 4 (M^2)^T (U^2) over the task's rows of one
+    merge geometry per layer.  Samples go to tasks by their label in
+    calib.task_ids, not by position; a task with no samples is a ValueError.
+    """
+    labels = np.array(calib.task_ids, dtype=object)
+    rows = [np.flatnonzero(labels == t) for t in task_ids]
+    for t, idx in zip(task_ids, rows):
+        if idx.size == 0:
+            raise ValueError(f"fisher: task {t!r} has no calibration samples")
+    fishers = {}
+    for layer in layers:
+        geom = merge_geometry(net, layer, calib)
+        M = np.einsum("jcr,jc->jr", geom.downstream.matrix, geom.residuals)
+        M2, U2 = M * M, geom.hidden_inputs * geom.hidden_inputs
+        fishers[layer] = [4.0 * M2[idx].T @ U2[idx] for idx in rows]
+    return fishers
+
+
 def baseline_delta(method: str, deltas, params: dict | None = None) -> np.ndarray:
     """Dispatch a baseline rule by name.
 
     Recognised names: soup, ta (params: lambdas, default 1.0, a scalar
     broadcasting to all tasks), dare (keep_prob default 0.5, seed default 0),
-    ties (density default 0.5), fisher (params: fishers, required).  Every
-    rule but fisher is one row-coefficient matrix for combine_row_coefficients;
-    fisher merges the updates as theta_k = W + delta_k would merge.
+    ties (density default 0.5), fisher (params: fishers, required, as from
+    fisher_diagonals).  Every rule but fisher is one row-coefficient matrix
+    for merged_delta_from_coefficients; fisher merges the updates as
+    theta_k = W + delta_k would merge.
     """
     params = dict(params or {})
     mats = _delta_matrices(deltas)
@@ -138,4 +158,4 @@ def baseline_delta(method: str, deltas, params: dict | None = None) -> np.ndarra
         return fisher_merge(mats, params["fishers"])
     else:
         raise ValueError(f"unknown baseline {method!r}")
-    return combine_row_coefficients(mats, coeffs)
+    return merged_delta_from_coefficients(mats, coeffs)

@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .baselines import baseline_delta
+from .baselines import baseline_delta, fisher_diagonals
 from .bundles import (
     BundleFormatError,
     ModelBundle,
@@ -45,7 +45,6 @@ from .multilayer import (
 )
 from .networks import NumericalError, apply_merged_residual, forward
 from .qp import (
-    CalibrationSet,
     calibration_mse,
     linearized_delta_objective,
     merge_geometry,
@@ -141,33 +140,6 @@ def _single_layer(bundle: ModelBundle, layer):
     raise ValueError(f"bundle has updates at {available}; pick one with --layer")
 
 
-def _fisher_diagonals(bundle: ModelBundle, layers):
-    """{layer: per-task Fisher diagonals}, one per entry of bundle.task_ids.
-
-    Surrogate for honest Fisher information: squared gradients of the
-    squared-error loss with respect to layer N's weights, summed over the
-    task's calibration samples.  grad_j = 2 m_j u_j^T with m_j = L_j^T b_j,
-    so the sum of squares is 4 (M^2)^T (U^2) over the stacked samples.
-    Samples go to tasks by their task label, not by the order of the
-    calibration sets; a task with no samples is a ValueError.
-    """
-    pooled = bundle.pooled_calibration()
-    labels = np.array(pooled.task_ids, dtype=object)
-    task_sets = []
-    for t in bundle.task_ids:
-        rows = np.flatnonzero(labels == t)
-        if rows.size == 0:
-            raise ValueError(f"fisher: task {t!r} has no calibration samples")
-        task_sets.append(CalibrationSet(pooled.inputs[rows], pooled.targets[rows]))
-    fishers = {layer: [] for layer in layers}
-    for layer in layers:
-        for cs in task_sets:
-            geom = merge_geometry(bundle.base, layer, cs)
-            M = np.einsum("jcr,jc->jr", geom.downstream.matrix, geom.residuals)
-            fishers[layer].append(4.0 * (M * M).T @ (geom.hidden_inputs * geom.hidden_inputs))
-    return fishers
-
-
 def _report_rows(report: MergeReport, task_ids):
     return [
         [report.method, rec.layer_index, rec.objective_after, report.final_mse]
@@ -211,7 +183,8 @@ def _baseline_params(args, bundle: ModelBundle, method, layers):
     if method == "ties":
         return {"density": args.density}
     if method == "fisher":
-        return {"fishers": _fisher_diagonals(bundle, layers)}
+        calib = bundle.pooled_calibration()
+        return {"fishers": fisher_diagonals(bundle.base, calib, bundle.task_ids, layers)}
     return {}
 
 
@@ -234,12 +207,7 @@ def cmd_gen(args) -> int:
     elif args.kind == "shared-direction":
         bundle = gen_shared_direction_instance(
             sigmas=_parse_floats(args.sigmas or "1,2"),
-            r=args.r,
-            c=args.c,
-            input_dim=args.input_dim,
             n_samples=args.n_calib if args.n_calib is not None else 12,
-            target_task=args.target_task,
-            orth_scale=args.orth_scale,
             seed=args.seed,
         )
         print("assumption validators passed (shared direction, isometry)")
@@ -250,10 +218,6 @@ def cmd_gen(args) -> int:
             merge_layer=int(args.merge_layer or "2"),
             n_tasks=args.tasks,
             n_samples=args.n_calib if args.n_calib is not None else 100,
-            n_train=args.n_train,
-            train_steps=args.train_steps,
-            learning_rate=args.learning_rate,
-            input_noise=args.input_noise,
             seed=args.seed,
         )
     else:
@@ -328,7 +292,8 @@ def cmd_diagnose(args) -> int:
     p_cap = min(r, c)
     p_max = args.p_max if args.p_max is not None else p_cap
     if p_max > p_cap:
-        print(f"note: clipping p to {p_cap} (min of layer dim {r}, output dim {c})")
+        print(f"note: clipping p to {p_cap} (min of layer dim {r}, output dim {c})",
+              file=sys.stderr)
         p_max = p_cap
     if p_max < 1:
         raise ValueError("p range is empty")
@@ -341,12 +306,13 @@ def cmd_diagnose(args) -> int:
         for seed in range(args.seed, args.seed + args.random_seeds)
     ]
 
-    rows = [
-        [label, *row]
-        for label, chain in chains
-        if chain.p  # zero updates leave the svd chain empty
-        for row in prefix_sweep(bundle.base, deltas, calib, chain, geometry)
-    ]
+    rows = []
+    for label, chain in chains:
+        if chain.p:
+            sweep = prefix_sweep(bundle.base, deltas, calib, chain, geometry)
+            rows += [[label, *row] for row in sweep]
+        else:  # zero updates empty the svd chain, zero ReLU Jacobians the eigen one
+            print(f"note: the {label} basis is empty; no {label} rows", file=sys.stderr)
 
     header = ["basis", "p", "fraction", "relaxed_loss", "qp_mse", "gap"]
     _emit_csv(args.out, header, rows)
@@ -469,15 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--delta-scale", type=_finite_float, default=0.5)
     p_gen.add_argument("--noise", type=_finite_float, default=0.0)
     p_gen.add_argument("--sigmas", help="shared-direction strengths, e.g. 1,2")
-    p_gen.add_argument("--r", type=int, default=4)
-    p_gen.add_argument("--c", type=int, default=6)
-    p_gen.add_argument("--input-dim", type=int, default=5)
-    p_gen.add_argument("--target-task", type=int, default=0)
-    p_gen.add_argument("--orth-scale", type=_finite_float, default=0.1)
-    p_gen.add_argument("--n-train", type=int, default=60)
-    p_gen.add_argument("--train-steps", type=int, default=25)
-    p_gen.add_argument("--learning-rate", type=_finite_float, default=0.05)
-    p_gen.add_argument("--input-noise", type=_finite_float, default=0.3)
     p_gen.set_defaults(func=cmd_gen)
 
     p_merge = sub.add_parser("merge", help="merge a bundle's task updates")

@@ -71,6 +71,9 @@ class LinearNetwork:
         self.layers = [
             _as_float_matrix(W, f"layer {i + 1}") for i, W in enumerate(self.layers)
         ]
+        for i, W in enumerate(self.layers):
+            if 0 in W.shape:
+                raise ValueError(f"layer {i + 1} has shape {W.shape}; dimensions must be positive")
         for i in range(len(self.layers) - 1):
             out_here = self.layers[i].shape[0]
             in_next = self.layers[i + 1].shape[1]

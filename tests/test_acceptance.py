@@ -252,9 +252,9 @@ def _joint_optimum(bundle, calib, seq_start):
         c1 = flat[:split].reshape(K, r1)
         c2 = flat[split:].reshape(K, r2)
         net = mq.apply_merged_residual(
-            bundle.base, 1, mq.combine_row_coefficients(deltas1, c1)
+            bundle.base, 1, mq.merged_delta_from_coefficients(deltas1, c1)
         )
-        net = mq.apply_merged_residual(net, 2, mq.combine_row_coefficients(deltas2, c2))
+        net = mq.apply_merged_residual(net, 2, mq.merged_delta_from_coefficients(deltas2, c2))
         return _total_loss(net, calib)
 
     dim = split + K * r2
@@ -357,7 +357,7 @@ def test_14_linearization_quality(report):
     ok = True
     for _ in range(20):
         coeffs = rng.normal(size=(len(deltas), deltas[0].delta.shape[0]))
-        merged = mq.combine_row_coefficients(deltas, coeffs)
+        merged = mq.merged_delta_from_coefficients(deltas, coeffs)
         lin = mq.linearized_delta_objective(bundle.base, layer, merged, calib)
         exact = _total_loss(mq.apply_merged_residual(bundle.base, layer, merged), calib)
         if abs(lin - exact) > 1e-9 * max(1.0, exact):

@@ -29,10 +29,10 @@ def test_task_arithmetic_scalar_and_per_task():
         mq.baseline_delta("ta", ups, {"lambdas": [1.0, 0.5, 0.25]})
 
 
-def test_combine_row_coefficients_loops(rng):
+def test_merged_delta_from_coefficients_loops(rng):
     ups = _updates(rng.normal(size=(3, 2)), rng.normal(size=(3, 2)))
     coeffs = rng.normal(size=(2, 3))
-    got = mq.combine_row_coefficients(ups, coeffs)
+    got = mq.merged_delta_from_coefficients(ups, coeffs)
     want = np.zeros((3, 2))
     for k in range(2):
         for i in range(3):
@@ -123,7 +123,7 @@ def test_baseline_delta_dispatch(rng):
     ups = _updates(rng.normal(size=(3, 2)), rng.normal(size=(3, 2)))
 
     def combined(coeffs):
-        return mq.combine_row_coefficients(ups, coeffs)
+        return mq.merged_delta_from_coefficients(ups, coeffs)
 
     assert np.array_equal(mq.baseline_delta("soup", ups), mq.soup(ups))
     assert np.array_equal(mq.soup(ups), combined(mq.soup_coefficients(2, 3)))

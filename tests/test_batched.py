@@ -222,12 +222,7 @@ def test_stacked_evaluators_match_per_sample_loops(net_name):
     for t in (0, 1):
         _close(per_task[t], sq[[tid == t for tid in calib.task_ids]].mean())
 
-    bundle = mq.ModelBundle(
-        net,
-        {layer: deltas},
-        [mq.CalibrationSet.for_task(k, calib.inputs[k::2], calib.targets[k::2]) for k in (0, 1)],
-    )
-    for k, fisher in enumerate(cli._fisher_diagonals(bundle, [layer])[layer]):
+    for k, fisher in enumerate(mq.fisher_diagonals(net, calib, [0, 1], [layer])[layer]):
         total = np.zeros(net.layer_shape(layer))
         for j in range(k, len(calib), 2):
             grad = 2.0 * np.outer(maps[j].T @ residuals[j], hidden[j])

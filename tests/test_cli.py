@@ -7,6 +7,7 @@ import json
 import subprocess
 import sys
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -55,6 +56,32 @@ def test_gen_relu_bundle(tmp_path):
     bundle = mq.load_bundle(path)
     assert bundle.base.activations == ["relu", "relu"]
     assert len(bundle.pooled_calibration()) == 200
+
+
+@pytest.mark.parametrize("flags", [
+    ("--dims", "8,0,5"),
+    ("--dims", "0,4,3"),
+    ("--dims", "5,4,0"),
+    ("--kind", "relu", "--dims", "6,0,4", "--merge-layer", "1"),
+])
+def test_gen_rejects_a_zero_dimension_and_writes_nothing(tmp_path, capsys, flags):
+    path = tmp_path / "bundle.json"
+    assert main(["gen", *flags, "--out", str(path)]) == 2
+    assert "dimensions must be positive" in capsys.readouterr().err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("kind, generator", [
+    ("relu", partial(mq.gen_relu_tasks, dims=(16, 12, 8, 4), merge_layer=2, n_tasks=3,
+                     n_samples=100)),
+    ("shared-direction", partial(mq.gen_shared_direction_instance, sigmas=[1.0, 2.0],
+                                 n_samples=12)),
+])
+def test_gen_writes_its_generators_bundle(tmp_path, kind, generator):
+    # gen passes only these values; every other generator parameter keeps its default
+    path = _gen(tmp_path, "--kind", kind, "--seed", "0")
+    mq.save_bundle(generator(seed=0), tmp_path / "direct.json")
+    assert path.read_bytes() == (tmp_path / "direct.json").read_bytes()
 
 
 def test_merge_report_schema(tmp_path):
@@ -313,6 +340,18 @@ def test_diagnose_stdout_when_no_out(tmp_path, capsys):
     assert len(lines) > 3
 
 
+def test_diagnose_clipping_note_leaves_the_stdout_csv_intact(tmp_path, capsys):
+    bundle = _gen(tmp_path, "--kind", "relu", "--seed", "0")
+    capsys.readouterr()
+    assert main(["diagnose", "--bundle", str(bundle), "--p-max", "99",
+                 "--random-seeds", "1"]) == 0
+    captured = capsys.readouterr()
+    header, *rows = csv.reader(io.StringIO(captured.out))
+    assert header == ["basis", "p", "fraction", "relaxed_loss", "qp_mse", "gap"]
+    assert rows and all(len(row) == len(header) for row in rows)
+    assert "note: clipping p to 4 (min of layer dim 8, output dim 4)" in captured.err
+
+
 def test_eval_accuracy_for_one_hot_targets(tmp_path, capsys):
     # classifier-style targets switch on the accuracy metric
     net = mq.LinearNetwork([np.eye(2)])
@@ -441,6 +480,7 @@ def _exit_code(argv):
         ("--method", "qp-diag", "--lo=-inf"),
         ("--method", "qp-diag", "--hi", "inf"),
         ("--method", "dare", "--keep-prob", "nan"),
+        ("--method", "dare", "--keep-prob", "abc"),
     ],
 )
 def test_non_finite_merge_flags_exit_two(tmp_path, flags):
@@ -501,6 +541,22 @@ def _degenerate_bundle(tmp_path, kind):
             ups[1].delta[...] = ups[0].delta  # H is exactly rank-deficient
     mq.save_bundle(bundle, path)
     return path
+
+
+@pytest.mark.parametrize("kind, chain", [("zero-updates", "svd"), ("relu-zero-input", "eigen")])
+def test_diagnose_names_an_empty_chain(tmp_path, capsys, kind, chain):
+    path = _degenerate_bundle(tmp_path, kind)
+    out = tmp_path / "diag.csv"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # svd_basis warns when rank-deficient
+        rc = main(["diagnose", "--bundle", str(path), "--random-seeds", "1", "--out", str(out)])
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert err.count("basis is empty") == 1
+    assert f"note: the {chain} basis is empty; no {chain} rows" in err
+    _, rows = _read_csv(out)
+    assert rows and chain not in {row[0] for row in rows}
 
 
 def _eigen_cut_optimum(qp):

@@ -83,6 +83,18 @@ def test_basis_fraction_full_dimension_captures_everything():
     assert mq.basis_fraction(half, geom) <= 1.0 + 1e-12
 
 
+def test_basis_fraction_is_one_when_the_base_fits_every_target():
+    # zero base residuals leave no energy to capture, so any basis captures all of it
+    bundle = mq.gen_linear_tasks(seed=6)
+    inputs = bundle.pooled_calibration().inputs
+    calib = mq.CalibrationSet(inputs, mq.forward(bundle.base, inputs))
+    layer = bundle.layers_with_updates[0]
+    geom = mq.merge_geometry(bundle.base, layer, calib)
+    assert not np.any(geom.residuals)
+    r = bundle.residuals[layer][0].delta.shape[0]
+    assert mq.basis_fraction(mq.standard_basis(r, 1), geom) == 1.0
+
+
 def test_layer_params_per_layer_rule():
     assert layer_params("dare", {"keep_prob": 0.5, "seed": 3}, 2) == {"keep_prob": 0.5, "seed": 5}
     assert layer_params("dare", None, 2) == {"seed": 2}

@@ -1,5 +1,7 @@
 """Forward pass, layer inputs, and local linearization of small MLPs."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,11 @@ def test_network_validation():
         mq.LinearNetwork([np.ones((2, 2)), np.ones((2, 2))], ["sigmoid"])
     with pytest.raises(ValueError):
         mq.LinearNetwork([np.array([[np.inf, 0.0], [0.0, 1.0]])])
+    # an empty layer could never load back from a bundle file
+    with pytest.raises(ValueError, match=re.escape("layer 1 has shape (2, 0)")):
+        mq.LinearNetwork([np.ones((2, 0))])
+    with pytest.raises(ValueError, match=re.escape("layer 2 has shape (0, 2)")):
+        mq.LinearNetwork([np.ones((2, 3)), np.ones((0, 2))])
 
 
 def test_layer_index_bounds():
