@@ -25,7 +25,7 @@ def main():
 
     S = mq.energy_matrix(geometry.residuals)
     print(f"relu bundle, merging layer {layer}; residual energy to explain: "
-          f"{S.total_energy:.3f}")
+          f"{np.trace(S):.3f}")
     print(f"\n{'basis':<10} {'p':>2} {'fraction':>9} {'qp mse':>9}")
 
     for kind in ("eigen", "standard", "random"):

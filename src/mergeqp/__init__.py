@@ -11,7 +11,6 @@ merging baselines on small synthetic models.
 from .networks import (
     IDENTITY,
     RELU,
-    DownstreamMap,
     LinearNetwork,
     NumericalError,
     ResidualUpdate,
@@ -40,7 +39,6 @@ from .qp import (
 )
 from .subspaces import (
     OrthonormalBasis,
-    ResidualEnergyMatrix,
     coordinate_energy_order,
     energy_matrix,
     optimal_basis,

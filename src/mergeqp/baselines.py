@@ -120,7 +120,7 @@ def fisher_diagonals(net, calib, task_ids, layers) -> dict:
     fishers = {}
     for layer in layers:
         geom = merge_geometry(net, layer, calib)
-        M = np.einsum("jcr,jc->jr", geom.downstream.matrix, geom.residuals)
+        M = np.einsum("...cr,...c->...r", geom.downstream, geom.residuals)
         M2, U2 = M * M, geom.hidden_inputs * geom.hidden_inputs
         fishers[layer] = [4.0 * M2[idx].T @ U2[idx] for idx in rows]
     return fishers

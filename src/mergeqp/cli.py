@@ -266,6 +266,10 @@ def cmd_merge(args) -> int:
             basis_p=args.p, basis_seed=args.seed, solver=solver,
         )
 
+    for rec in report.steps:
+        if rec.rank_deficient:
+            print(f"note: the {args.basis} basis at layer {rec.layer_index} is rank-deficient: "
+                  f"rank {rec.coefficients.shape[1]}", file=sys.stderr)
     if args.out:
         save_network(merged, args.out)
     task_ids = bundle.task_ids
@@ -308,11 +312,15 @@ def cmd_diagnose(args) -> int:
 
     rows = []
     for label, chain in chains:
+        # zero updates empty the svd chain, zero ReLU Jacobians the eigen one
+        if not chain.p:
+            print(f"note: the {label} basis is empty; no {label} rows", file=sys.stderr)
+        elif chain.p < p_max:
+            print(f"note: the {label} basis spans {chain.p} of {p_max} directions; "
+                  f"no {label} rows past p={chain.p}", file=sys.stderr)
         if chain.p:
             sweep = prefix_sweep(bundle.base, deltas, calib, chain, geometry)
             rows += [[label, *row] for row in sweep]
-        else:  # zero updates empty the svd chain, zero ReLU Jacobians the eigen one
-            print(f"note: the {label} basis is empty; no {label} rows", file=sys.stderr)
 
     header = ["basis", "p", "fraction", "relaxed_loss", "qp_mse", "gap"]
     _emit_csv(args.out, header, rows)

@@ -53,6 +53,7 @@ class LayerMergeRecord:
     objective_after: float
     coefficients: np.ndarray
     captured_fraction: float | None = None
+    rank_deficient: bool = False  # the basis spans fewer directions than requested
 
 
 @dataclass
@@ -74,25 +75,24 @@ def layer_basis(kind, p, seed, deltas, geometry):
     if kind == "random":
         return random_basis(r, min(p, r), seed)
     S = energy_matrix(geometry.residuals)
-    maps = geometry.downstream.matrix
-    Lbar = maps[0] if geometry.fixed_downstream else maps.mean(axis=0)
+    L = geometry.downstream
+    Lbar = L if geometry.fixed_downstream else L.mean(axis=0)
     if kind == "standard":
         order = coordinate_energy_order(S, Lbar)
         return standard_basis(r, min(p, r), order)
     if kind == "eigen":
-        c = S.S.shape[0]
-        W = optimal_basis(S, min(p, c))
+        W = optimal_basis(S, min(p, S.shape[0]))
         return pullback_basis(Lbar, W, origin="eigen_S")
     raise ValueError(f"unknown basis kind {kind!r}")
 
 
 def basis_fraction(basis, geometry):
     """Fraction of residual energy the basis's output image captures."""
-    S = energy_matrix(geometry.residuals)
-    if S.total_energy == 0.0:
+    total = float(np.trace(energy_matrix(geometry.residuals)))
+    if total == 0.0:
         return 1.0
     captured = prefix_captured_energy(geometry.downstream, basis, geometry.residuals)
-    return float(captured[-1]) / S.total_energy if captured.size else 0.0
+    return float(captured[-1]) / total if captured.size else 0.0
 
 
 def prefix_sweep(net, deltas, calib, basis, geometry):
@@ -109,10 +109,10 @@ def prefix_sweep(net, deltas, calib, basis, geometry):
     otherwise each block takes the eigen cut.
     """
     S = energy_matrix(geometry.residuals)
-    total = S.total_energy
+    total = float(np.trace(S))
     captured = prefix_captured_energy(geometry.downstream, basis, geometry.residuals)
     # no p-dim subspace captures more than the top p eigenvalues of S
-    opt_relaxed = total - np.cumsum(np.linalg.eigvalsh(S.S)[::-1])
+    opt_relaxed = total - np.cumsum(np.linalg.eigvalsh(S)[::-1])
     qp = build_general_basis_qp(net, deltas, calib, basis, geometry=geometry)
     K = qp.n_tasks
     order = np.arange(qp.dim).reshape(K, -1).T.ravel()
@@ -244,6 +244,7 @@ def _solve_layers(
                 objective_after=objective_value(qp, coeffs),
                 coefficients=coeffs.values.copy(),
                 captured_fraction=fraction,
+                rank_deficient=basis is not None and basis.rank_deficient,
             )
         )
         current = apply_merged_residual(current, layer, merged)

@@ -147,41 +147,6 @@ def _delta_matrices(deltas):
     return mats
 
 
-@dataclass
-class DownstreamMap:
-    """Linear map from a layer's output to the model output.
-
-    kind is "exact" when the downstream gaps are all identity (the map is the
-    plain weight product, independent of the input) and "jacobian" when it is
-    a local linearisation at a particular input's activation pattern.
-
-    matrix is (c, r) for one input.  For an (n, d) sample matrix it is
-    (n, c, r), one map per sample; an exact map is then the one (c, r)
-    matrix broadcast over the samples, never n copies.  Indexing a stack,
-    ``maps[j]``, gives the map at sample j.
-    """
-
-    matrix: np.ndarray
-    kind: str = "exact"
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=float)
-        if self.matrix.ndim not in (2, 3):
-            raise ValueError(
-                f"downstream matrix must be 2-D or a 3-D stack, got shape "
-                f"{self.matrix.shape}"
-            )
-        if not np.all(np.isfinite(self.matrix)):
-            raise NumericalError("downstream matrix contains non-finite entries")
-        if self.kind not in ("exact", "jacobian"):
-            raise ValueError(f"unknown downstream map kind {self.kind!r}")
-
-    def __getitem__(self, j) -> "DownstreamMap":
-        if self.matrix.ndim != 3:
-            raise TypeError("only a per-sample stack of maps can be indexed")
-        return DownstreamMap(self.matrix[j], self.kind)
-
-
 def _propagate(net: LinearNetwork, cols, n_layers: int):
     """Feed input columns through layers 1..n_layers, activations included.
 
@@ -213,14 +178,15 @@ def layer_input(net: LinearNetwork, layer_index: int, x) -> np.ndarray:
     return _propagate(net, _input_columns(net, x), layer_index - 1)[0].T
 
 
-def linearize_downstream(net: LinearNetwork, layer_index: int, x) -> DownstreamMap:
+def linearize_downstream(net: LinearNetwork, layer_index: int, x) -> np.ndarray:
     """Jacobian of the map from layer N's output to the model output at x.
 
     ReLU gaps contribute diagonal 0/1 masks fixed by the base activation
     pattern; a pre-activation sitting exactly at zero masks to 0.  When every
-    downstream gap is identity the result is the exact weight product and is
-    independent of x.  For an (n, d) sample matrix the result stacks one map
-    per sample (see DownstreamMap).
+    downstream gap is identity the result is the exact weight product, one
+    (c, r) matrix independent of x, for a vector and a sample matrix alike.
+    With a ReLU above layer N it is (c, r) for one vector and an (n, c, r)
+    stack, one Jacobian per sample, for an (n, d) sample matrix.
     """
     net._check_layer_index(layer_index)
     cols = _input_columns(net, x)
@@ -235,11 +201,9 @@ def linearize_downstream(net: LinearNetwork, layer_index: int, x) -> DownstreamM
             A = net.layers[i + 1] @ (mask[..., None] * A)
         else:
             A = net.layers[i + 1] @ A
-    if has_relu:
-        return DownstreamMap(A, "jacobian")
-    if cols.ndim == 2:
-        A = np.broadcast_to(A, (cols.shape[1],) + A.shape)
-    return DownstreamMap(A, "exact")
+    if not np.all(np.isfinite(A)):
+        raise NumericalError("downstream matrix contains non-finite entries")
+    return A
 
 
 def apply_merged_residual(

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .networks import (
-    DownstreamMap,
     LinearNetwork,
     NumericalError,
     _delta_matrices,
@@ -158,22 +157,23 @@ class MergeGeometry:
     hidden_inputs
         (n, r_in): row j is the input entering layer N on sample j.
     downstream
-        DownstreamMap with an (n, c, r) matrix: downstream[j].matrix maps
-        layer N's output (dim r) to the model output (dim c) on sample j.
-        With fixed_downstream (no ReLU above N) it is one shared (c, r) map
-        broadcast over the samples; otherwise one Jacobian per sample.
+        Maps layer N's output (dim r) to the model output (dim c).  With
+        fixed_downstream (no ReLU above N) it is one (c, r) matrix shared by
+        every sample; otherwise an (n, c, r) stack whose downstream[j] is the
+        Jacobian at sample j.  Per-sample loops must branch on
+        fixed_downstream: indexing a (c, r) map by sample gives a row.
     residuals
         (n, c): base model output minus target, one row per sample.
     """
 
     layer_index: int
     hidden_inputs: np.ndarray
-    downstream: DownstreamMap
+    downstream: np.ndarray
     residuals: np.ndarray
 
     @property
     def fixed_downstream(self) -> bool:
-        return self.downstream.kind == "exact"
+        return self.downstream.ndim == 2
 
 
 def base_residuals(net: LinearNetwork, calib: CalibrationSet) -> np.ndarray:
@@ -185,7 +185,7 @@ def merge_geometry(
     net: LinearNetwork, layer_index: int, calib: CalibrationSet
 ) -> MergeGeometry:
     """Hidden inputs, downstream maps and residuals for all samples at once."""
-    with np.errstate(over="ignore", invalid="ignore"):  # checked here and in DownstreamMap
+    with np.errstate(over="ignore", invalid="ignore"):  # checked here and in linearize_downstream
         down = linearize_downstream(net, layer_index, calib.inputs)
         U = layer_input(net, layer_index, calib.inputs)
         B = base_residuals(net, calib)
@@ -287,7 +287,7 @@ def _build_qp(net, layer, deltas, calib, Q, basis_id, geometry):
         U = geometry.hidden_inputs
         alpha = np.stack([U @ d.delta.T for d in deltas], axis=1) @ Q  # (n, K, P)
         if geometry.fixed_downstream:
-            M = geometry.downstream.matrix[0] @ Q  # (c, P)
+            M = geometry.downstream @ Q  # (c, P)
             A = alpha.reshape(n, dim)
             H = A.T @ A
             # tile(M^T M) multiplied into the K x K blocks in place
@@ -298,7 +298,7 @@ def _build_qp(net, layer, deltas, calib, Q, basis_id, geometry):
             g = np.zeros(dim)
             step = max(1, _CHUNK_BYTES // (8 * c * max(dim, 1)))
             for s in range(0, n, step):
-                M = geometry.downstream.matrix[s : s + step] @ Q  # (m, c, P)
+                M = geometry.downstream[s : s + step] @ Q  # (m, c, P)
                 rows = (M[:, :, None, :] * alpha[s : s + step, None]).reshape(len(M) * c, dim)
                 H += rows.T @ rows
                 g += rows.T @ B[s : s + step].ravel()
@@ -534,7 +534,7 @@ def linearized_delta_objective(
     if geometry is None:
         geometry = merge_geometry(net, layer_index, calib)
     moved = geometry.hidden_inputs @ delta.T  # (n, r)
-    E = np.einsum("jcr,jr->jc", geometry.downstream.matrix, moved) + geometry.residuals
+    E = np.einsum("...cr,...r->...c", geometry.downstream, moved) + geometry.residuals
     return float(np.einsum("jc,jc->", E, E))
 
 

@@ -9,12 +9,11 @@ eigenvectors of S.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .networks import DownstreamMap, _delta_matrices
+from .networks import _delta_matrices
 
 
 @dataclass
@@ -52,32 +51,16 @@ class OrthonormalBasis:
         return OrthonormalBasis(self.columns[:, :p].copy(), self.origin)
 
 
-@dataclass
-class ResidualEnergyMatrix:
-    """S = sum_j b_j b_j^T with its trace, the total residual energy."""
+def energy_matrix(residuals) -> np.ndarray:
+    """S = sum_j b_j b_j^T from stacked residual rows, symmetrised.
 
-    S: np.ndarray
-    total_energy: float
-
-    def __post_init__(self):
-        self.S = np.asarray(self.S, dtype=float)
-        if self.S.ndim != 2 or self.S.shape[0] != self.S.shape[1]:
-            raise ValueError("S must be square")
-        self.total_energy = float(self.total_energy)
-
-
-def energy_matrix(residuals) -> ResidualEnergyMatrix:
-    """Accumulate S = sum_j b_j b_j^T from stacked residual rows."""
+    Its trace is the total residual energy sum_j ||b_j||^2.
+    """
     B = np.asarray(residuals, dtype=float)
     if B.ndim != 2 or B.shape[0] == 0:
         raise ValueError("residuals must be a non-empty 2-D array of rows")
     S = B.T @ B
-    S = 0.5 * (S + S.T)
-    return ResidualEnergyMatrix(S, float(np.trace(S)))
-
-
-def _energy_array(S):
-    return S.S if isinstance(S, ResidualEnergyMatrix) else np.asarray(S, dtype=float)
+    return 0.5 * (S + S.T)
 
 
 def optimal_basis(S, p: int) -> OrthonormalBasis:
@@ -88,7 +71,7 @@ def optimal_basis(S, p: int) -> OrthonormalBasis:
     broken by the ascending index of that entry, so the result is
     deterministic up to degenerate eigenspaces.
     """
-    Smat = _energy_array(S)
+    Smat = np.asarray(S, dtype=float)
     c = Smat.shape[0]
     if not 1 <= p <= c:
         raise ValueError(f"p={p} outside [1, {c}]")
@@ -125,11 +108,11 @@ def coordinate_energy_order(S, L=None) -> np.ndarray:
     that direction captures.  With L = I this ranks by the diagonal of S, so
     for diagonal S the top-p coordinates match the top-p eigenvectors.
     """
-    Smat = _energy_array(S)
+    Smat = np.asarray(S, dtype=float)
     if L is None:
         scores = np.diag(Smat).copy()
     else:
-        Lmat = L.matrix if isinstance(L, DownstreamMap) else np.asarray(L, dtype=float)
+        Lmat = np.asarray(L, dtype=float)
         nrm2 = np.einsum("ci,ci->i", Lmat, Lmat)
         quad = np.einsum("ci,ci->i", Smat @ Lmat, Lmat)
         scores = np.divide(quad, nrm2, out=np.zeros_like(quad), where=nrm2 > 0)
@@ -144,8 +127,7 @@ def svd_basis(deltas, p: int) -> OrthonormalBasis:
     are orthonormalised in that order (_orthonormalize_stack) until p
     directions are kept, so a u is dropped when its residual is at most
     1e-10 sigma_max / sigma.  If the pooled updates span fewer than p
-    directions the achieved rank is returned with rank_deficient set and a
-    warning.
+    directions the achieved rank is returned with rank_deficient set.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -155,14 +137,7 @@ def svd_basis(deltas, p: int) -> OrthonormalBasis:
     order = np.argsort(-sig, kind="stable")
     q = _orthonormalize_stack((U[:, order] * sig[order])[None], max_columns=p)[0]
     Q = q[:, q.any(axis=0)]
-    achieved = Q.shape[1]
-    deficient = achieved < p
-    if deficient:
-        warnings.warn(
-            f"requested p={p} but task updates only span {achieved} directions",
-            stacklevel=2,
-        )
-    return OrthonormalBasis(Q, "svd_residuals", deficient)
+    return OrthonormalBasis(Q, "svd_residuals", Q.shape[1] < p)
 
 
 def random_basis(dim: int, p: int, seed: int) -> OrthonormalBasis:
@@ -184,7 +159,7 @@ def pullback_basis(L, directions, origin: str | None = None) -> OrthonormalBasis
     (_orthonormalize_stack), so prefixes stay nested.  Directions whose
     preimages are linearly dependent are dropped (rank_deficient set).
     """
-    Lmat = L.matrix if isinstance(L, DownstreamMap) else np.asarray(L, dtype=float)
+    Lmat = np.asarray(L, dtype=float)
     W = getattr(directions, "columns", directions)
     W = np.asarray(W, dtype=float)
     if W.ndim != 2:
@@ -239,9 +214,8 @@ def prefix_captured_energy(downstream, basis, residuals) -> np.ndarray:
 
     Entry p - 1 is the energy captured by the output image of the first p
     columns of Q: sum_j b_j^T P_j b_j with P_j the projector onto
-    span(L_j Q[:, :p]) for per-sample maps L_j (an (n, c, r) stack or a
-    "jacobian" DownstreamMap), or tr(S P) with S = sum_j b_j b_j^T for one
-    fixed map (a (c, r) matrix or an "exact" DownstreamMap).  residuals
+    span(L_j Q[:, :p]) for per-sample maps L_j (an (n, c, r) stack), or
+    tr(S P) with S = sum_j b_j b_j^T for one fixed (c, r) map L.  residuals
     holds the b_j as (n, c) rows.
 
     The columns of L_j Q are orthonormalised in order, batched over samples
@@ -253,15 +227,10 @@ def prefix_captured_energy(downstream, basis, residuals) -> np.ndarray:
     """
     Q = np.asarray(getattr(basis, "columns", basis), dtype=float)
     B = np.asarray(residuals, dtype=float)
-    if isinstance(downstream, DownstreamMap):
-        L = downstream.matrix
-        if downstream.kind == "exact" and L.ndim == 3:
-            L = L[0]
-    else:
-        L = np.asarray(downstream, dtype=float)
+    L = np.asarray(downstream, dtype=float)
     if L.ndim == 2:
         q = _orthonormalize_stack((L @ Q)[None])[0]
-        S = energy_matrix(B).S
+        S = energy_matrix(B)
         per_column = np.einsum("ip,ip->p", q, S @ q)
     else:
         q = _orthonormalize_stack(L @ Q)

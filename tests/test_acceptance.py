@@ -68,7 +68,7 @@ def test_02_projected_energy_trace_identity(report):
         Q, _ = np.linalg.qr(rng.normal(size=(6, p)))
         P = Q @ Q.T
         direct = sum(float(np.sum((P @ b) ** 2)) for b in B)
-        trace_val = float(np.trace(em.S @ P))
+        trace_val = float(np.trace(em @ P))
         if abs(direct - trace_val) > 1e-9 * max(1.0, abs(direct)):
             ok = False
     report(2, "projected energy equals trace of S P", ok)
@@ -76,7 +76,7 @@ def test_02_projected_energy_trace_identity(report):
 
 def test_03_eigenbasis_beats_random_subspaces(report):
     rng = np.random.default_rng(7)
-    S = mq.energy_matrix(rng.normal(size=(30, 10))).S
+    S = mq.energy_matrix(rng.normal(size=(30, 10)))
     w = np.linalg.eigvalsh(S)[::-1]
     ok = True
     for p in range(1, 10):
@@ -102,11 +102,11 @@ def test_04_capture_gap_matches_relaxed_loss_difference(report):
         p = int(rng.integers(1, 5))
         Qm, _ = np.linalg.qr(rng.normal(size=(5, p)))
         P_model = Qm @ Qm.T
-        opt = mq.optimal_basis(em.S, p)
+        opt = mq.optimal_basis(em, p)
         P_opt = opt.columns @ opt.columns.T
         relaxed_model = sum(float(np.sum((b - P_model @ b) ** 2)) for b in B)
         relaxed_opt = sum(float(np.sum((b - P_opt @ b) ** 2)) for b in B)
-        formula = float(np.trace(em.S @ (P_opt - P_model)))
+        formula = float(np.trace(em @ (P_opt - P_model)))
         if abs((relaxed_model - relaxed_opt) - formula) > 1e-9 * max(1.0, abs(formula)):
             ok = False
     report(4, "optimality gap formula matches direct relaxed losses", ok)
@@ -388,7 +388,7 @@ def test_14_linearization_quality(report):
         up = mq.forward(mq.apply_merged_residual(net, layer, h * V), x)
         dn = mq.forward(mq.apply_merged_residual(net, layer, -h * V), x)
         fd = (up - dn) / (2 * h)
-        pred = m.matrix @ (V @ u)
+        pred = m @ (V @ u)
         if np.linalg.norm(fd - pred) > 1e-5 * max(1.0, np.linalg.norm(pred)):
             ok = False
 
@@ -402,7 +402,7 @@ def test_14_linearization_quality(report):
         total = 0.0
         for j in range(len(calib_r)):
             xj = calib_r.inputs[j]
-            pred = eps * geom.downstream[j].matrix @ (delta @ geom.hidden_inputs[j])
+            pred = eps * geom.downstream[j] @ (delta @ geom.hidden_inputs[j])
             total += np.linalg.norm(mq.forward(pert, xj) - mq.forward(net, xj) - pred)
         rates.append(total / len(calib_r) / eps)
     ok = ok and rates[0] > rates[1] > rates[2]

@@ -11,7 +11,6 @@ The stacked code sums in another order, so results are compared within
 """
 
 import csv
-import warnings
 from unittest import mock
 
 import numpy as np
@@ -40,9 +39,14 @@ def _loop_geometry(net, layer, calib):
     hidden, maps, residuals = [], [], []
     for x, y in zip(calib.inputs, calib.targets):
         hidden.append(mq.layer_input(net, layer, x))
-        maps.append(mq.linearize_downstream(net, layer, x).matrix)
+        maps.append(mq.linearize_downstream(net, layer, x))
         residuals.append(mq.forward(net, x) - y)
     return hidden, maps, residuals
+
+
+def _per_sample(maps, n):
+    """The map of each of n samples: a (c, r) map is every sample's."""
+    return maps if maps.ndim == 3 else [maps] * n
 
 
 def _loop_qp(net, deltas, calib, Q):
@@ -142,15 +146,14 @@ def test_geometry_rows_match_per_sample_calls(net_name):
     geom = mq.merge_geometry(net, layer, calib)
     hidden, maps, residuals = _loop_geometry(net, layer, calib)
     assert geom.hidden_inputs.shape == (9, net.layer_shape(layer)[1])
-    assert geom.downstream.matrix.shape == (9,) + maps[0].shape
+    # a fixed map is one (c, r) matrix shared by the samples, not n copies
+    n_maps = () if geom.fixed_downstream else (9,)
+    assert geom.downstream.shape == n_maps + maps[0].shape
     assert geom.residuals.shape == (9, net.output_dim)
     for j in range(9):
         _close(geom.hidden_inputs[j], hidden[j])
-        _close(geom.downstream[j].matrix, maps[j])
+        _close(_per_sample(geom.downstream, 9)[j], maps[j])
         _close(geom.residuals[j], residuals[j])
-    if geom.fixed_downstream:
-        # one shared map broadcast over the samples, not n copies
-        assert geom.downstream.matrix.strides[0] == 0
 
 
 def test_batched_network_functions_match_rows_at_exact_zero():
@@ -166,13 +169,11 @@ def test_batched_network_functions_match_rows_at_exact_zero():
     for layer in (1, 2, 3):
         rows = np.stack([mq.layer_input(net, layer, x) for x in X])
         assert np.array_equal(mq.layer_input(net, layer, X), rows)
-        batched = mq.linearize_downstream(net, layer, X)
-        singles = [mq.linearize_downstream(net, layer, x) for x in X]
-        assert batched.kind == singles[0].kind
-        for j, single in enumerate(singles):
-            assert np.array_equal(batched[j].matrix, single.matrix)
+        batched = _per_sample(mq.linearize_downstream(net, layer, X), len(X))
+        for j, x in enumerate(X):
+            assert np.array_equal(batched[j], mq.linearize_downstream(net, layer, x))
     # the pre-activation at exactly 0 masks its unit out (strict >)
-    first = mq.linearize_downstream(net, 1, X[0]).matrix
+    first = mq.linearize_downstream(net, 1, X[0])
     assert np.array_equal(first[:, [0, 2]], np.zeros((1, 2)))
 
 
@@ -185,15 +186,9 @@ def test_batched_network_functions_match_rows(rng):
         for layer in range(1, model.depth + 1):
             rows = [mq.layer_input(model, layer, x) for x in X]
             _close(mq.layer_input(model, layer, X), np.stack(rows))
-            batched = mq.linearize_downstream(model, layer, X)
+            batched = _per_sample(mq.linearize_downstream(model, layer, X), len(X))
             for j, x in enumerate(X):
-                _close(batched[j].matrix, mq.linearize_downstream(model, layer, x).matrix)
-
-
-def test_single_map_cannot_be_indexed(rng):
-    m = mq.linearize_downstream(make_linear_net(np.eye(2)), 1, np.ones(2))
-    with pytest.raises(TypeError):
-        m[0]
+                _close(batched[j], mq.linearize_downstream(model, layer, x))
 
 
 def test_batched_input_validation():
@@ -254,17 +249,12 @@ def test_svd_basis_early_stop_equals_full_pass_prefix(seed, K, rank):
         mq.ResidualUpdate(1, rng.normal(size=(5, rank)) @ rng.normal(size=(rank, 4)), k)
         for k in range(K)
     ]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        full = mq.svd_basis(ups, 5 * K * 4)  # more than all pooled vectors: no early stop
-    assert full.rank_deficient and caught
+    full = mq.svd_basis(ups, 5 * K * 4)  # more than all pooled vectors: no early stop
+    assert full.rank_deficient
     for p in range(1, 6):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            basis = mq.svd_basis(ups, p)
+        basis = mq.svd_basis(ups, p)
         assert np.array_equal(basis.columns, full.columns[:, :p])
         assert basis.rank_deficient == (full.p < p)
-        assert bool(caught) == (full.p < p)
 
 
 def _output_projector(L, basis):
@@ -313,7 +303,7 @@ def _loop_prefix_energy(maps, Q, B):
     out = []
     for p in range(1, Q.shape[1] + 1):
         if isinstance(maps, np.ndarray) and maps.ndim == 2:
-            S = mq.energy_matrix(B).S
+            S = mq.energy_matrix(B)
             out.append(float(np.einsum("ij,ji->", S, _output_projector(maps, Q[:, :p]))))
             continue
         total = 0.0
@@ -349,15 +339,15 @@ def test_prefix_energy_matches_projector_loop(seed, fixed, standard, n, p):
     geom = mq.merge_geometry(net, 1, calib)
     basis = mq.standard_basis(4, p, rng.permutation(4)) if standard else mq.random_basis(4, p, seed)
     if fixed:
-        maps = geom.downstream.matrix[0]
+        maps = geom.downstream
     else:
-        maps = [mq.linearize_downstream(net, 1, x).matrix for x in X]
+        maps = [mq.linearize_downstream(net, 1, x) for x in X]
     expected = _loop_prefix_energy(maps, basis.columns, geom.residuals)
     got = mq.prefix_captured_energy(geom.downstream, basis, geom.residuals)
     _close(got, expected)
-    # the plain arrays go through the same path as the DownstreamMap
+    # the per-sample maps, stacked by hand, give the same energies
     _close(mq.prefix_captured_energy(np.asarray(maps), basis, geom.residuals), expected)
-    total = mq.energy_matrix(geom.residuals).total_energy
+    total = float(np.trace(mq.energy_matrix(geom.residuals)))
     assert mq.basis_fraction(basis, geom) == (1.0 if total == 0.0 else got[-1] / total)
 
 
@@ -457,6 +447,7 @@ def _reference_diagnose_rows(bundle, args):
     deltas = bundle.residuals[layer]
     geometry = mq.merge_geometry(bundle.base, layer, calib)
     S = mq.energy_matrix(geometry.residuals)
+    total = float(np.trace(S))
     c = bundle.base.output_dim
     n = len(calib)
     p_max = min(deltas[0].delta.shape[0], c)
@@ -470,25 +461,25 @@ def _reference_diagnose_rows(bundle, args):
     opt_relaxed = {}
     for p in range(1, p_max + 1):
         P_opt = _output_projector(np.eye(c), mq.optimal_basis(S, p))
-        opt_relaxed[p] = S.total_energy - float(np.einsum("ij,ji->", S.S, P_opt))
+        opt_relaxed[p] = total - float(np.einsum("ij,ji->", S, P_opt))
     rows = []
     for label, chain in chains:
         for p in range(1, chain.p + 1):
             Q = chain.prefix(p)
             if geometry.fixed_downstream:
-                P_model = _output_projector(geometry.downstream.matrix[0], Q)
-                captured = float(np.einsum("ij,ji->", S.S, P_model))
+                P_model = _output_projector(geometry.downstream, Q)
+                captured = float(np.einsum("ij,ji->", S, P_model))
             else:
                 captured = 0.0
-                for L, b in zip(geometry.downstream.matrix, geometry.residuals):
+                for L, b in zip(geometry.downstream, geometry.residuals):
                     captured += float(b @ _output_projector(L, Q) @ b)
-            fraction = 1.0 if S.total_energy == 0 else captured / S.total_energy
-            relaxed = S.total_energy - captured
+            fraction = 1.0 if total == 0 else captured / total
+            relaxed = total - captured
             gap = relaxed - opt_relaxed[min(p, c)]
             qp = mq.build_general_basis_qp(bundle.base, deltas, calib, Q, geometry=geometry)
             qp_mse = mq.objective_value(qp, mq.solve_unconstrained(qp)) / n
             rows.append([label, p, fraction, relaxed, qp_mse, gap])
-    return rows, S.total_energy
+    return rows, total
 
 
 @pytest.mark.parametrize(

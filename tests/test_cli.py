@@ -549,7 +549,7 @@ def test_diagnose_names_an_empty_chain(tmp_path, capsys, kind, chain):
     out = tmp_path / "diag.csv"
     capsys.readouterr()
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # svd_basis warns when rank-deficient
+        warnings.simplefilter("error")
         rc = main(["diagnose", "--bundle", str(path), "--random-seeds", "1", "--out", str(out)])
     assert rc == 0
     err = capsys.readouterr().err
@@ -557,6 +557,49 @@ def test_diagnose_names_an_empty_chain(tmp_path, capsys, kind, chain):
     assert f"note: the {chain} basis is empty; no {chain} rows" in err
     _, rows = _read_csv(out)
     assert rows and chain not in {row[0] for row in rows}
+
+
+def test_diagnose_notes_a_chain_shorter_than_p_max(tmp_path, capsys):
+    # both tasks' updates are rank 1 along one shared direction u
+    path = _gen(tmp_path, "--tasks", "2")
+    bundle = mq.load_bundle(path)
+    u = np.arange(1.0, 7.0)
+    for k, up in enumerate(bundle.residuals[1]):
+        up.delta[...] = np.outer(u, np.arange(8.0) - 3.0 * k)
+    mq.save_bundle(bundle, path)
+    out = tmp_path / "diag.csv"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["diagnose", "--bundle", str(path), "--random-seeds", "1", "--out", str(out)])
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert err == "note: the svd basis spans 1 of 5 directions; no svd rows past p=1\n"
+    _, rows = _read_csv(out)
+    assert [row[1] for row in rows if row[0] == "svd"] == ["1"]
+    assert [row[1] for row in rows if row[0] == "eigen"] == ["1", "2", "3", "4", "5"]
+
+
+def test_merge_notes_a_rank_deficient_basis_without_a_warning(tmp_path, capsys):
+    # zero updates at layer 2 only: its svd basis is empty, layer 1's is full
+    path = _gen(tmp_path, "--dims", "5,4,3", "--merge-layer", "1,2", "--tasks", "2")
+    bundle = mq.load_bundle(path)
+    for up in bundle.residuals[2]:
+        up.delta[...] = 0.0
+    mq.save_bundle(bundle, path)
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["merge", "--bundle", str(path), "--method", "qp-basis", "--basis", "svd",
+                   "--format", "json", "--report", str(report)])
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert err == "note: the svd basis at layer 2 is rank-deficient: rank 0\n"
+    layers = json.loads(report.read_text())["layers"]
+    assert [sorted(layer) for layer in layers] == [
+        ["basis", "coefficients", "fraction", "layer", "objective_after", "objective_before"]
+    ] * 2
 
 
 def _eigen_cut_optimum(qp):
@@ -585,9 +628,7 @@ def test_degenerate_bundles_exit_cleanly_with_eigen_cut_objectives(tmp_path, kin
         assert abs(got - want) <= 1e-9 * abs(want) + 1e-13 * qp.constant
 
     def basis_qp(kind, p=None, seed=0):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # svd_basis warns when rank-deficient
-            basis = mq.layer_basis(kind, p_max, seed, deltas, geometry)
+        basis = mq.layer_basis(kind, p_max, seed, deltas, geometry)
         basis = basis if p is None else basis.prefix(p)
         return mq.build_general_basis_qp(bundle.base, deltas, calib, basis, geometry)
 

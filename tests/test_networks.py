@@ -41,17 +41,18 @@ def test_linearize_matches_factorize_on_linear_nets(rng):
     for W in net.layers[1:]:
         L = W @ L
     m = mq.linearize_downstream(net, 1, rng.normal(size=3))
-    assert m.kind == "exact"
-    assert np.array_equal(m.matrix, L)
+    assert np.array_equal(m, L)
 
 
 def test_non_finite_downstream_map_is_a_numerical_error():
     assert mq.NumericalError is mq.qp.NumericalError is mq.networks.NumericalError
-    with pytest.raises(mq.NumericalError, match="downstream matrix"):
-        mq.DownstreamMap(np.array([[np.inf, 0.0]]))
     big = make_linear_net([[1.0]], [[1e300]], [[1e300]])
     with np.errstate(over="ignore"), pytest.raises(mq.NumericalError):
         mq.linearize_downstream(big, 1, [1.0])
+    # the weight product above layer 1 overflows while building the geometry
+    calib = mq.CalibrationSet([[1.0]], [[0.0]])
+    with pytest.raises(mq.NumericalError, match="downstream matrix"):
+        mq.merge_geometry(big, 1, calib)
 
 
 def _sample_with_margin(rng, net, margin=1e-3, tries=200):
@@ -85,16 +86,26 @@ def test_linearize_downstream_matches_finite_differences(rng):
             up = mq.forward(mq.apply_merged_residual(net, layer, h * V), x)
             dn = mq.forward(mq.apply_merged_residual(net, layer, -h * V), x)
             fd = (up - dn) / (2 * h)
-            pred = m.matrix @ (V @ u)
+            pred = m @ (V @ u)
             assert np.linalg.norm(fd - pred) <= 1e-5 * max(1.0, np.linalg.norm(pred))
 
 
-def test_linearize_kind_reflects_downstream_relu(rng):
-    net = make_relu_net(rng.normal(size=(3, 2)), rng.normal(size=(2, 3)))
-    x = np.array([0.3, -0.7])
-    assert mq.linearize_downstream(net, 1, x).kind == "jacobian"
-    # nothing nonlinear above the last layer
-    assert mq.linearize_downstream(net, 2, x).kind == "exact"
+def test_downstream_map_shapes(rng):
+    # one (c, r) map when no ReLU lies above the layer, for a vector and a
+    # sample matrix alike; an (n, c, r) stack of Jacobians when one does
+    W1, W2 = rng.normal(size=(3, 2)), rng.normal(size=(4, 3))
+    lin, relu = make_linear_net(W1, W2), make_relu_net(W1, W2)
+    X = rng.normal(size=(5, 2))
+    calib = mq.CalibrationSet(X, rng.normal(size=(5, 4)))
+    for x in (X[0], X):
+        assert mq.linearize_downstream(lin, 1, x).shape == (4, 3)
+        # nothing nonlinear above the last layer
+        assert mq.linearize_downstream(relu, 2, x).shape == (4, 4)
+    assert mq.linearize_downstream(relu, 1, X[0]).shape == (4, 3)
+    assert mq.linearize_downstream(relu, 1, X).shape == (5, 4, 3)
+    assert mq.merge_geometry(lin, 1, calib).fixed_downstream
+    assert mq.merge_geometry(relu, 2, calib).fixed_downstream
+    assert not mq.merge_geometry(relu, 1, calib).fixed_downstream
 
 
 def test_apply_merged_residual_leaves_base_untouched():
