@@ -220,18 +220,20 @@ def prefix_captured_energy(downstream, basis, residuals) -> np.ndarray:
 
     The columns of L_j Q are orthonormalised in order, batched over samples
     (see _orthonormalize_stack); prefix p then captures the cumulative sum
-    of (q_i^T b_j)^2, or q_i^T S q_i, over the kept columns i < p.  The drop
-    rule matters: ReLU Jacobians make L_j Q exactly rank-deficient once p
-    exceeds the sample's active units, and a QR that keeps every column
-    would count rounding noise as captured directions.
+    of (q_i^T b_j)^2 over the samples j and the kept columns i < p.  The
+    drop rule matters: ReLU Jacobians make L_j Q exactly rank-deficient once
+    p exceeds the sample's active units, and a QR that keeps every column
+    would count rounding noise as captured directions.  The fixed map sums
+    the same squares rather than q_i^T S q_i: S has entries of size
+    ||b||^2, so a small captured energy read through S loses digits to
+    cancellation.
     """
     Q = np.asarray(getattr(basis, "columns", basis), dtype=float)
     B = np.asarray(residuals, dtype=float)
     L = np.asarray(downstream, dtype=float)
     if L.ndim == 2:
         q = _orthonormalize_stack((L @ Q)[None])[0]
-        S = energy_matrix(B)
-        per_column = np.einsum("ip,ip->p", q, S @ q)
+        per_column = ((B @ q) ** 2).sum(axis=0)
     else:
         q = _orthonormalize_stack(L @ Q)
         per_column = (np.einsum("ncp,nc->np", q, B) ** 2).sum(axis=0)

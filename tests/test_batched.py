@@ -3,9 +3,8 @@
 The references here evaluate one calibration sample at a time with the 1-D
 network functions and sum in python, the way the library did before its
 passes were stacked over sample matrices.  The prefix-sweep references
-compute one explicit output projector per sample and prefix and build one
-QP per prefix, the way diagnose did before it swept each basis chain in one
-pass.
+take one output-image SVD per sample and prefix and build one QP per
+prefix, the way diagnose did before it swept each basis chain in one pass.
 The stacked code sums in another order, so results are compared within
 1e-12 relative to the largest entry.
 """
@@ -257,18 +256,26 @@ def test_svd_basis_early_stop_equals_full_pass_prefix(seed, K, rank):
         assert basis.rank_deficient == (full.p < p)
 
 
-def _output_projector(L, basis):
-    """Orthogonal projector onto span(L Q) = B (B^T B)^+ B^T with B = L Q.
+def _output_image(L, basis):
+    """Orthonormal columns U spanning span(L Q), from the SVD of B = L Q.
 
-    Computed through the SVD of B, so the result is symmetric and idempotent
-    to machine precision even when B is rank-deficient: singular values at
-    or below s_max * max(shape) * eps count as zero.
+    Singular values at or below s_max * max(shape) * eps count as zero, so a
+    rank-deficient B gives fewer columns than Q (none when B = 0).
     """
     B = np.asarray(L, dtype=float) @ np.asarray(getattr(basis, "columns", basis), dtype=float)
     U, s, _ = np.linalg.svd(B, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
-        return np.zeros((B.shape[0], B.shape[0]))
-    Uk = U[:, s > s[0] * max(B.shape) * np.finfo(float).eps]
+        return U[:, :0]
+    return U[:, s > s[0] * max(B.shape) * np.finfo(float).eps]
+
+
+def _output_projector(L, basis):
+    """Orthogonal projector onto span(L Q) = B (B^T B)^+ B^T with B = L Q.
+
+    Built as U U^T from _output_image, so the result is symmetric and
+    idempotent to machine precision even when B is rank-deficient.
+    """
+    Uk = _output_image(L, basis)
     P = Uk @ Uk.T
     return 0.5 * (P + P.T)
 
@@ -295,20 +302,19 @@ def test_projector_contracts_for_any_seed(seed, p):
 
 
 def _loop_prefix_energy(maps, Q, B):
-    """Captured energy of each prefix the way diagnose summed it before.
+    """Captured energy of each prefix, one output-image SVD at a time.
 
-    One output_projector SVD per sample and prefix, then b_j^T P_j b_j summed
-    one sample at a time; a fixed map gets one projector and tr(S P).
+    b_j^T P_j b_j = ||U_j^T b_j||^2 with U_j from _output_image, summed one
+    sample at a time; a fixed map gets one SVD per prefix.  The squares are
+    summed rather than b^T P b or tr(S P) formed: those cancel down from
+    ||b||^2 and lose about 1e-12 of a small captured energy.
     """
+    fixed = isinstance(maps, np.ndarray) and maps.ndim == 2
     out = []
     for p in range(1, Q.shape[1] + 1):
-        if isinstance(maps, np.ndarray) and maps.ndim == 2:
-            S = mq.energy_matrix(B)
-            out.append(float(np.einsum("ij,ji->", S, _output_projector(maps, Q[:, :p]))))
-            continue
         total = 0.0
-        for L, b in zip(maps, B):
-            total += float(b @ _output_projector(L, Q[:, :p]) @ b)
+        for L, b in zip([maps] * len(B) if fixed else maps, B):
+            total += float(((_output_image(L, Q[:, :p]).T @ b) ** 2).sum())
         out.append(total)
     return np.array(out)
 
