@@ -382,6 +382,10 @@ def cmd_compare(args) -> int:
                 delta = solve_layer(bundle.base, deltas, calib, geometry)[2]
             elif kind == "qp-basis":
                 basis = layer_basis("eigen", p, args.seed, deltas, geometry)
+                name = f"qp-basis(eigen,{basis.p})"
+                if basis.p < p:
+                    print(f"note: the eigen basis spans {basis.p} of {p} directions",
+                          file=sys.stderr)
                 delta = solve_layer(bundle.base, deltas, calib, geometry, basis)[2]
             else:
                 if params is None:

@@ -179,34 +179,30 @@ def pullback_basis(L, directions, origin: str | None = None) -> OrthonormalBasis
 def _orthonormalize_stack(M: np.ndarray, max_columns: int | None = None) -> np.ndarray:
     """Orthonormalise the columns of every matrix in an (n, c, P) stack, in order.
 
-    Modified Gram-Schmidt batched over the stack: each new unit column is
-    removed from all later columns at once, and every column is projected
-    once more against the kept columns before its norm is taken.  A column
-    whose residual is at most 1e-10 times its matrix's largest column norm
-    is dropped as linearly dependent and comes back as zeros, so the first
-    p output columns of M[j] span the same space as the first p input ones.
-    Processing stops once every matrix has max_columns kept columns, and the
-    columns after that point come back as zeros.
+    Modified Gram-Schmidt on a (P, c, n) copy with the samples contiguous,
+    so each step is one sweep over all samples: a new unit column is removed
+    from all later columns, and every column is projected once more against
+    the kept ones before its norm is taken.  A column whose residual is at
+    most 1e-10 times its matrix's largest column norm comes back as zeros,
+    so the first p output columns of M[j] span the first p input ones.
+    Processing stops once every matrix has max_columns kept columns; later
+    columns come back as zeros.  Without max_columns, a matrix in a stack of
+    two or more gets the same bits in any window of two or more around it.
     """
-    W = M.copy()
+    W = M.transpose(2, 1, 0).copy()
     out = np.zeros_like(W)
-    tol = 1e-10 * np.linalg.norm(W, axis=1).max(axis=1, initial=0.0)
-    kept_count = np.zeros(W.shape[0], dtype=int)
-    for i in range(W.shape[2]):
-        kept = out[:, :, :i]
-        v = W[:, :, i]
-        v -= np.einsum("ncp,np->nc", kept, np.einsum("ncp,nc->np", kept, v))
-        nrm = np.linalg.norm(v, axis=1)
-        keep = nrm > tol
-        kept_count += keep
-        q = np.zeros_like(v)
-        q[keep] = v[keep] / nrm[keep, None]
-        out[:, :, i] = q
+    tol = 1e-10 * np.sqrt(np.einsum("pcn,pcn->pn", W, W)).max(axis=0, initial=0.0)
+    kept_count = np.zeros(W.shape[2], dtype=int)
+    for i in range(W.shape[0]):
+        v = W[i]
+        v -= np.einsum("pcn,pn->cn", out[:i], np.einsum("pcn,cn->pn", out[:i], v))
+        nrm = np.sqrt(np.einsum("cn,cn->n", v, v))
+        kept_count += nrm > tol
+        np.divide(v, nrm, out=out[i], where=nrm > tol)
         if max_columns is not None and kept_count.min() >= max_columns:
             break
-        later = W[:, :, i + 1 :]
-        later -= q[:, :, None] * np.einsum("nc,ncp->np", q, later)[:, None, :]
-    return out
+        W[i + 1 :] -= out[i] * np.einsum("cn,pcn->pn", out[i], W[i + 1 :])[:, None, :]
+    return out.transpose(2, 1, 0)
 
 
 def prefix_captured_energy(downstream, basis, residuals) -> np.ndarray:

@@ -559,6 +559,24 @@ def test_diagnose_names_an_empty_chain(tmp_path, capsys, kind, chain):
     assert rows and chain not in {row[0] for row in rows}
 
 
+def test_compare_labels_the_eigen_row_with_the_directions_it_kept(tmp_path, capsys):
+    # zero ReLU Jacobians empty the eigen pullback: its row is the zero update
+    path = _degenerate_bundle(tmp_path, "relu-zero-input")
+    bundle = mq.load_bundle(path)
+    layer = bundle.layers_with_updates[0]
+    p = min(bundle.residuals[layer][0].delta.shape[0], bundle.base.output_dim)
+    out = tmp_path / "cmp.csv"
+    capsys.readouterr()
+    rc = main(["compare", "--bundle", str(path), "--out", str(out)])
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert err == f"note: the eigen basis spans 0 of {p} directions\n"
+    _, rows = _read_csv(out)
+    by_name = {row[0]: row for row in rows}
+    assert [name for name in by_name if name.startswith("qp-basis")] == ["qp-basis(eigen,0)"]
+    assert by_name["qp-basis(eigen,0)"][2:] == by_name["base"][2:]
+
+
 def test_diagnose_notes_a_chain_shorter_than_p_max(tmp_path, capsys):
     # both tasks' updates are rank 1 along one shared direction u
     path = _gen(tmp_path, "--tasks", "2")
@@ -655,7 +673,8 @@ def test_degenerate_bundles_exit_cleanly_with_eigen_cut_objectives(tmp_path, kin
         _, rows = _read_csv(tmp_path / "cmp.csv")
         objectives = {r[0]: float(r[2]) for r in rows}
         check(objectives["qp-diag"], diag_qp)
-        check(objectives[f"qp-basis(eigen,{p_max})"], basis_qp("eigen"))
+        k = mq.layer_basis("eigen", p_max, 0, deltas, geometry).p
+        check(objectives[f"qp-basis(eigen,{k})"], basis_qp("eigen"))
     rc = main(["diagnose", "--bundle", str(path), "--random-seeds", "2",
                "--out", str(tmp_path / "diag.csv")])
     assert rc in (0, 3)

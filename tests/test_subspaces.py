@@ -178,7 +178,15 @@ def _dependent_columns(rng, rows, eps, zero):
 
 
 def _assert_matches_loop(basis, M, p, max_columns=None):
-    """basis orthonormalises the columns of M; compare it with the loop.
+    """basis orthonormalises the columns of M; compare it with the loop."""
+    kept = subspaces._orthonormalize_stack(M[None], max_columns)[0].any(axis=0)
+    assert basis.p == kept.sum()
+    assert basis.rank_deficient == (basis.p < p)
+    _assert_kept_columns_match_loop(basis.columns, kept, M, max_columns)
+
+
+def _assert_kept_columns_match_loop(columns, kept, M, max_columns=None):
+    """columns, M's Gram-Schmidt output at the kept mask, match the loop.
 
     A column is projected against the kept columns before it, and a kept
     residual rho leaves rounding times scale / rho in every later column:
@@ -192,9 +200,7 @@ def _assert_matches_loop(basis, M, p, max_columns=None):
     """
     scale = np.linalg.norm(M, axis=0).max(initial=0.0)
     Q_ref, norms, kept_ref = _orthonormalize_loop(M, scale or 1.0, max_columns)
-    kept = subspaces._orthonormalize_stack(M[None], max_columns)[0].any(axis=0)
-    assert basis.p == kept.sum()
-    assert basis.rank_deficient == (basis.p < p)
+    p = columns.shape[1]
     # before[i]: scale over the smallest residual kept before column i
     rho = np.where(kept_ref, norms, np.inf)
     before = scale / np.minimum.accumulate(np.concatenate([[scale or 1.0], rho[:-1]]))
@@ -204,14 +210,14 @@ def _assert_matches_loop(basis, M, p, max_columns=None):
         assert abs(norms[i] - 1e-10 * scale) <= 1e-14 * scale * before[i]
         n = kept_ref[:i].sum()
     else:
-        assert basis.p == Q_ref.shape[1]
-        n = basis.p
-    if basis.p:
+        assert p == Q_ref.shape[1]
+        n = p
+    if p:
         # well-conditioned columns (before and scale / rho near 1) stay at 1e-12
         bound = 1e-12 * (before * scale)[kept_ref][:n] / norms[kept_ref][:n]
-        err = np.abs(basis.columns[:, :n] - Q_ref[:, :n]).max(axis=0, initial=0.0)
+        err = np.abs(columns[:, :n] - Q_ref[:, :n]).max(axis=0, initial=0.0)
         assert (err <= bound).all()
-        assert np.abs(basis.columns.T @ basis.columns - np.eye(basis.p)).max() <= 1e-13
+        assert np.abs(columns.T @ columns - np.eye(p)).max() <= 1e-13
 
 
 _DEGENERATE = dict(
@@ -246,6 +252,32 @@ def test_svd_basis_matches_reference_loop(seed, eps_exp, scale_exp, zero, p, ran
     ups = [mq.ResidualUpdate(1, 10.0**scale_exp * m, task_id=k) for k, m in enumerate(mats)]
     basis = mq.svd_basis(ups, p)
     _assert_matches_loop(basis, _pooled_sigma_u(ups), p, max_columns=p)
+
+
+@settings(deadline=None, max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), eps_exp=st.integers(3, 8), n=st.integers(2, 8),
+       p=st.integers(1, 7))
+def test_orthonormalize_stack_matches_loop_per_sample(seed, eps_exp, n, p):
+    # every sample draws its own scale, zero pattern (none, one zero column,
+    # a zero matrix) and inactive units (zero columns), so a stack mixes them
+    rng = np.random.default_rng(seed)
+    c = int(rng.integers(4, 8))
+    M = np.stack([
+        10.0 ** rng.choice([-100, 0, 100])
+        * _dependent_columns(rng, c, 10.0**-eps_exp, rng.choice(["none", "one", "all"]))
+        for _ in range(n)
+    ])[:, :, rng.permutation(7)[:p]]
+    M *= rng.random((n, 1, p)) >= 0.2
+    Q = subspaces._orthonormalize_stack(M)
+    for j in range(n):
+        kept = Q[j].any(axis=0)
+        _assert_kept_columns_match_loop(Q[j][:, kept], kept, M[j])
+    # a sample's bits do not depend on the rest of its stack
+    bits = Q.view(np.uint64)
+    for a in range(n - 1):
+        for b in range(a + 2, n + 1):
+            assert np.array_equal(subspaces._orthonormalize_stack(M[a:b]).view(np.uint64),
+                                  bits[a:b])
 
 
 def test_random_basis_seeded(rng):
