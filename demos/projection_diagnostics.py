@@ -33,14 +33,12 @@ def main():
         for p in range(1, p_max + 1):
             prefix = basis.prefix(p)
             fraction = mq.basis_fraction(prefix, geometry)
-            qp = mq.build_general_basis_qp(
-                bundle.base, deltas, calib, prefix, geometry=geometry
-            )
+            qp = mq.build_general_basis_qp(geometry, deltas, prefix)
             mse = mq.objective_value(qp, mq.solve_unconstrained(qp)) / n
             print(f"{kind:<10} {p:>2} {fraction:>9.3f} {mse:>9.4f}")
 
     # the full diagonal merge for reference
-    qp_full = mq.build_diagonal_qp(bundle.base, deltas, calib, geometry=geometry)
+    qp_full = mq.build_diagonal_qp(geometry, deltas)
     full_mse = mq.objective_value(qp_full, mq.solve_unconstrained(qp_full)) / n
     print(f"\nfull diagonal merge mse for comparison: {full_mse:.4f}")
     print("higher captured fraction lines up with lower merge error")

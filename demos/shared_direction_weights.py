@@ -21,7 +21,8 @@ def merge_weights(sigmas, target_task=0, seed=11):
     layer = bundle.layers_with_updates[0]
     u = np.asarray(bundle.meta["u"], dtype=float)
     basis = mq.OrthonormalBasis(u[:, None], origin="shared")
-    qp = mq.build_general_basis_qp(bundle.base, bundle.residuals[layer], calib, basis)
+    geometry = mq.merge_geometry(bundle.base, layer, calib)
+    qp = mq.build_general_basis_qp(geometry, bundle.residuals[layer], basis)
     return mq.solve_unconstrained(qp).flat
 
 

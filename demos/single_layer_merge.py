@@ -20,7 +20,7 @@ def main():
     print(f"bundle: {len(deltas)} tasks, layer 1 shape {deltas[0].delta.shape}, "
           f"{len(calib)} calibration samples")
 
-    qp = mq.build_diagonal_qp(bundle.base, deltas, calib)
+    qp = mq.build_diagonal_qp(mq.merge_geometry(bundle.base, 1, calib), deltas)
     print(f"\nquadratic objective over {qp.dim} coefficients "
           f"(3 tasks x 6 rows); loss with no update at all: {qp.constant:.4f}")
 

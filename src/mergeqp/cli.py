@@ -319,7 +319,7 @@ def cmd_diagnose(args) -> int:
             print(f"note: the {label} basis spans {chain.p} of {p_max} directions; "
                   f"no {label} rows past p={chain.p}", file=sys.stderr)
         if chain.p:
-            sweep = prefix_sweep(bundle.base, deltas, calib, chain, geometry)
+            sweep = prefix_sweep(geometry, deltas, chain)
             rows += [[label, *row] for row in sweep]
 
     header = ["basis", "p", "fraction", "relaxed_loss", "qp_mse", "gap"]
@@ -379,14 +379,14 @@ def cmd_compare(args) -> int:
             if kind == "base":
                 delta = np.zeros(deltas[0].delta.shape)
             elif kind == "qp-diag":
-                delta = solve_layer(bundle.base, deltas, calib, geometry)[2]
+                delta = solve_layer(geometry, deltas)[2]
             elif kind == "qp-basis":
                 basis = layer_basis("eigen", p, args.seed, deltas, geometry)
                 name = f"qp-basis(eigen,{basis.p})"
                 if basis.p < p:
                     print(f"note: the eigen basis spans {basis.p} of {p} directions",
                           file=sys.stderr)
-                delta = solve_layer(bundle.base, deltas, calib, geometry, basis)[2]
+                delta = solve_layer(geometry, deltas, basis)[2]
             else:
                 if params is None:
                     params = _baseline_params(args, bundle, kind, [layer])
@@ -395,9 +395,7 @@ def cmd_compare(args) -> int:
                 raise NumericalError(f"{name} produced non-finite weights")
             merged = apply_merged_residual(bundle.base, layer, delta)
             mse, per_task = calibration_mse(merged, calib)  # a model that overflows exits 3
-            objective = linearized_delta_objective(
-                bundle.base, layer, delta, calib, geometry=geometry
-            )
+            objective = linearized_delta_objective(geometry, delta)
             objectives[name] = objective
             rows.append(
                 [name, layer, objective, mse] + [per_task.get(t) for t in task_ids] + ["ok"]

@@ -20,8 +20,6 @@ from .networks import LinearNetwork, apply_merged_residual, forward
 from .qp import (
     CalibrationSet,
     NumericalError,
-    _certified,
-    _eigen_cut,
     build_diagonal_qp,
     build_general_basis_qp,
     calibration_mse,
@@ -29,6 +27,7 @@ from .qp import (
     merge_geometry,
     merged_delta_from_coefficients,
     objective_value,
+    prefix_optima,
     solve_unconstrained,
 )
 from .subspaces import (
@@ -82,7 +81,7 @@ def layer_basis(kind, p, seed, deltas, geometry):
         return standard_basis(r, min(p, r), order)
     if kind == "eigen":
         W = optimal_basis(S, min(p, S.shape[0]))
-        return pullback_basis(Lbar, W, origin="eigen_S")
+        return pullback_basis(Lbar, W.columns, origin="eigen_S")
     raise ValueError(f"unknown basis kind {kind!r}")
 
 
@@ -95,40 +94,27 @@ def basis_fraction(basis, geometry):
     return float(captured[-1]) / total if captured.size else 0.0
 
 
-def prefix_sweep(net, deltas, calib, basis, geometry):
+def prefix_sweep(geometry, deltas, basis):
     """Diagnostics of every prefix of a basis chain from one pass over the chain.
 
     Returns one (p, fraction, relaxed_loss, qp_mse, gap) tuple per prefix
     p = 1..basis.p: the captured-energy fraction, the relaxed loss
     total - captured, the calibration MSE of the exact QP solve restricted
-    to the first p directions, and the gap to the relaxed loss of the best
-    min(p, c)-dimensional output subspace.  Ordered direction-major (flat
-    index i * K + k), prefix p's QP is the leading pK block of the chain's,
-    so if _certified passes on H it does on every block (Cauchy interlacing)
-    and H = L L^T, z = L^{-1}(-g) give its optimum const - 1/2 sum_{i<pK} z_i^2;
-    otherwise each block takes the eigen cut.
+    to the first p directions (prefix_optima), and the gap to the relaxed
+    loss of the best min(p, c)-dimensional output subspace.
     """
     S = energy_matrix(geometry.residuals)
     total = float(np.trace(S))
     captured = prefix_captured_energy(geometry.downstream, basis, geometry.residuals)
     # no p-dim subspace captures more than the top p eigenvalues of S
     opt_relaxed = total - np.cumsum(np.linalg.eigvalsh(S)[::-1])
-    qp = build_general_basis_qp(net, deltas, calib, basis, geometry=geometry)
-    K = qp.n_tasks
-    order = np.arange(qp.dim).reshape(K, -1).T.ravel()
-    H, g = qp.H[np.ix_(order, order)], qp.g[order]
-    if _certified(H):
-        z = np.linalg.solve(np.linalg.cholesky(H), -g)
-        optima = qp.constant - 0.5 * np.cumsum(z * z)[K - 1 :: K]
-    else:
-        cuts = (_eigen_cut(H[:m, :m], g[:m])[0] for m in range(K, qp.dim + 1, K))
-        optima = qp.constant + 0.5 * np.array([g[: d.size] @ d for d in cuts])
+    optima = prefix_optima(build_general_basis_qp(geometry, deltas, basis))
     p = np.arange(1, basis.p + 1)
     fraction = captured / total if total else np.ones(basis.p)
     relaxed = total - captured
     gap = relaxed - opt_relaxed[np.minimum(p, opt_relaxed.shape[0]) - 1]
     return list(zip(p.tolist(), fraction.tolist(), relaxed.tolist(),
-                    (optima / len(calib)).tolist(), gap.tolist()))
+                    (optima / len(geometry.residuals)).tolist(), gap.tolist()))
 
 
 def layer_params(method: str, params: dict | None, layer: int) -> dict:
@@ -193,17 +179,18 @@ def baseline_merge(
     return current, MergeReport(method, records, pooled, per_task)
 
 
-def solve_layer(net, deltas, calib, geometry, basis=None, solver=None):
-    """Build one layer's QP on precomputed geometry, solve it, assemble the update.
+def solve_layer(geometry, deltas, basis=None, solver=None):
+    """Build one layer's QP on its geometry, solve it, assemble the update.
 
-    basis None gives the diagonal QP, otherwise the QP over that basis.  solver
-    maps the QuadraticObjective to MergeCoefficients; None looks up
-    solve_unconstrained at call time.  Returns (qp, coefficients, merged update).
+    basis None gives the diagonal QP, otherwise the QP over that
+    OrthonormalBasis.  solver maps the QuadraticObjective to
+    MergeCoefficients; None looks up solve_unconstrained at call time.
+    Returns (qp, coefficients, merged update).
     """
     if basis is None:
-        qp = build_diagonal_qp(net, deltas, calib, geometry=geometry)
+        qp = build_diagonal_qp(geometry, deltas)
     else:
-        qp = build_general_basis_qp(net, deltas, calib, basis, geometry=geometry)
+        qp = build_general_basis_qp(geometry, deltas, basis)
     coeffs = (solve_unconstrained if solver is None else solver)(qp)
     return qp, coeffs, merged_delta_from_coefficients(deltas, coeffs, basis=basis)
 
@@ -230,12 +217,11 @@ def _solve_layers(
             p = basis_p if basis_p is not None else min(r, current.output_dim)
             basis = layer_basis(basis_kind, p, basis_seed, deltas, geometry)
             fraction = basis_fraction(basis, geometry)
-        qp, coeffs, merged = solve_layer(current, deltas, calib, geometry, basis, solver)
+        qp, coeffs, merged = solve_layer(geometry, deltas, basis, solver)
         if not np.all(np.isfinite(merged)):
             raise NumericalError(f"layer {layer} merge produced non-finite weights")
-        before = qp.constant if applied is None else linearized_delta_objective(
-            current, layer, applied[layer], calib, geometry=geometry
-        )
+        before = (qp.constant if applied is None
+                  else linearized_delta_objective(geometry, applied[layer]))
         records.append(
             LayerMergeRecord(
                 layer_index=layer,

@@ -134,7 +134,6 @@ class MergeCoefficients:
 
     values: np.ndarray
     g_range_defect: float = 0.0
-    g_outside_range: bool = False
     kkt_residual: float | None = None
     converged: bool | None = None
 
@@ -194,51 +193,37 @@ def merge_geometry(
     return MergeGeometry(layer_index, U, down, B)
 
 
-def _check_deltas(net, deltas):
+def _check_deltas(geometry, deltas):
     if not deltas:
         raise ValueError("no residual updates to merge")
-    layer = deltas[0].layer_index
-    shape = net.layer_shape(layer)
+    layer = geometry.layer_index
+    shape = (geometry.downstream.shape[-1], geometry.hidden_inputs.shape[1])
     for d in deltas:
         if d.layer_index != layer:
             raise ValueError(
-                f"residual updates target layers {layer} and {d.layer_index}; "
-                "one QP merges a single layer"
+                f"residual update targets layer {d.layer_index} but the geometry "
+                f"is layer {layer}'s; one QP merges a single layer"
             )
         if d.delta.shape != shape:
             raise ValueError(
                 f"delta shape {d.delta.shape} does not match layer shape {shape}"
             )
-    return layer
 
 
-def build_diagonal_qp(
-    net: LinearNetwork,
-    deltas: list,
-    calib: CalibrationSet,
-    geometry: MergeGeometry | None = None,
-) -> QuadraticObjective:
+def build_diagonal_qp(geometry: MergeGeometry, deltas: list) -> QuadraticObjective:
     """QP over per-task diagonal masks D_k applied to each residual update.
 
     The merged update is sum_k diag(d_k) delta_k, so each task contributes a
     per-output-coordinate scaling.  This is the general-basis QP with the
     full standard basis Q = I.
     """
-    layer = _check_deltas(net, deltas)
+    _check_deltas(geometry, deltas)
     r = deltas[0].delta.shape[0]
-    return _build_qp(net, layer, deltas, calib, np.eye(r), "standard", geometry)
-
-
-def _basis_columns(basis):
-    return OrthonormalBasis(getattr(basis, "columns", basis), "custom").columns
+    return _build_qp(geometry, deltas, np.eye(r), "standard")
 
 
 def build_general_basis_qp(
-    net: LinearNetwork,
-    deltas: list,
-    calib: CalibrationSet,
-    basis,
-    geometry: MergeGeometry | None = None,
+    geometry: MergeGeometry, deltas: list, basis: OrthonormalBasis
 ) -> QuadraticObjective:
     """QP restricting every task's update to shared orthonormal directions.
 
@@ -246,15 +231,14 @@ def build_general_basis_qp(
     standard basis this reproduces the diagonal QP exactly; with no columns
     the QP has no coefficients and its one point is the zero update.
     """
-    layer = _check_deltas(net, deltas)
-    Q = _basis_columns(basis)
+    _check_deltas(geometry, deltas)
+    Q = basis.columns
     r = deltas[0].delta.shape[0]
     if Q.shape[0] != r:
         raise ValueError(
             f"basis lives in dim {Q.shape[0]} but layer output dim is {r}"
         )
-    basis_id = getattr(basis, "origin", "custom")
-    return _build_qp(net, layer, deltas, calib, Q, basis_id, geometry)
+    return _build_qp(geometry, deltas, Q, basis.origin)
 
 
 # Samples per chunk of the per-sample-Jacobian build are chosen so the
@@ -262,7 +246,7 @@ def build_general_basis_qp(
 _CHUNK_BYTES = 1 << 19
 
 
-def _build_qp(net, layer, deltas, calib, Q, basis_id, geometry):
+def _build_qp(geometry, deltas, Q, basis_id):
     """J(d) = sum_j ||A_j d + b_j||^2 over coefficients of directions Q.
 
     With alpha[j, k, p] = q_p^T delta_k u_j, M_j = L_j Q and b_j the base
@@ -273,10 +257,6 @@ def _build_qp(net, layer, deltas, calib, Q, basis_id, geometry):
     GEMM.  Per-sample Jacobians stack the rows of A_j over a chunk of samples
     and add their Gram matrix, one GEMM per chunk.
     """
-    if geometry is None:
-        geometry = merge_geometry(net, layer, calib)
-    elif geometry.layer_index != layer:
-        raise ValueError("geometry was computed for a different layer")
     K = len(deltas)
     P = Q.shape[1]
     dim = K * P
@@ -376,11 +356,25 @@ def solve_unconstrained(qp: QuadraticObjective) -> MergeCoefficients:
     else:
         d, in_range, _ = _eigen_cut(qp.H, qp.g)
         defect = float(np.linalg.norm(qp.g - in_range))
-    return MergeCoefficients(
-        d.reshape(qp.n_tasks, qp.n_directions),
-        g_range_defect=defect,
-        g_outside_range=bool(defect > 1e-8 * np.linalg.norm(qp.g)),
-    )
+    return MergeCoefficients(d.reshape(qp.n_tasks, qp.n_directions), g_range_defect=defect)
+
+
+def prefix_optima(qp: QuadraticObjective) -> np.ndarray:
+    """Exact optimum of J over directions 0..p-1, for every p = 1..n_directions.
+
+    Ordered direction-major (flat index i * K + k), prefix p's QP is the
+    leading pK block, so if _certified passes on H it does on every block
+    (Cauchy interlacing) and H = L L^T, z = L^{-1}(-g) give its optimum
+    const - 1/2 sum_{i<pK} z_i^2; otherwise each block takes the eigen cut.
+    """
+    K = qp.n_tasks
+    order = np.arange(qp.dim).reshape(K, -1).T.ravel()
+    H, g = qp.H[np.ix_(order, order)], qp.g[order]
+    if _certified(H):
+        z = np.linalg.solve(np.linalg.cholesky(H), -g)
+        return qp.constant - 0.5 * np.cumsum(z * z)[K - 1 :: K]
+    cuts = (_eigen_cut(H[:m, :m], g[:m])[0] for m in range(K, qp.dim + 1, K))
+    return qp.constant + 0.5 * np.array([g[: d.size] @ d for d in cuts])
 
 
 # A box solve is certified once its KKT residual is at most this.
@@ -478,7 +472,9 @@ def solve_1d(m, beta: float) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # its merge-path callers check finiteness
-def merged_delta_from_coefficients(deltas: list, coeffs, basis=None) -> np.ndarray:
+def merged_delta_from_coefficients(
+    deltas: list, coeffs, basis: OrthonormalBasis | None = None
+) -> np.ndarray:
     """Assemble the merged weight update a coefficient vector encodes.
 
     Diagonal parameterisation (basis None): sum_k diag(d_k) delta_k, so
@@ -505,7 +501,7 @@ def merged_delta_from_coefficients(deltas: list, coeffs, basis=None) -> np.ndarr
         for k, dm in enumerate(mats):
             merged += values[k][:, None] * dm
     else:
-        Q = _basis_columns(basis)
+        Q = basis.columns
         if Q.shape[0] != shape[0]:
             raise ValueError("basis dimension does not match delta rows")
         if values.shape[1] != Q.shape[1]:
@@ -517,13 +513,7 @@ def merged_delta_from_coefficients(deltas: list, coeffs, basis=None) -> np.ndarr
     return merged
 
 
-def linearized_delta_objective(
-    net: LinearNetwork,
-    layer_index: int,
-    merged_delta,
-    calib: CalibrationSet,
-    geometry: MergeGeometry | None = None,
-) -> float:
+def linearized_delta_objective(geometry: MergeGeometry, merged_delta) -> float:
     """J_lin(Delta) = sum_j ||L_j Delta u_j + b_j||^2 for any merged update.
 
     Equals the QP objective at the corresponding coefficients whenever Delta
@@ -531,8 +521,6 @@ def linearized_delta_objective(
     loss on all-identity networks.
     """
     delta = np.asarray(merged_delta, dtype=float)
-    if geometry is None:
-        geometry = merge_geometry(net, layer_index, calib)
     moved = geometry.hidden_inputs @ delta.T  # (n, r)
     E = np.einsum("...cr,...r->...c", geometry.downstream, moved) + geometry.residuals
     return float(np.einsum("jc,jc->", E, E))

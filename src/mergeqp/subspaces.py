@@ -76,12 +76,8 @@ def optimal_basis(S, p: int) -> OrthonormalBasis:
     if not 1 <= p <= c:
         raise ValueError(f"p={p} outside [1, {c}]")
     w, V = np.linalg.eigh(Smat)
-    anchors = np.empty(c, dtype=int)
-    for i in range(c):
-        idx = int(np.argmax(np.abs(V[:, i])))
-        if V[idx, i] < 0:
-            V[:, i] = -V[:, i]
-        anchors[i] = idx
+    anchors = np.argmax(np.abs(V), axis=0)
+    V *= np.where(V[anchors, np.arange(c)] < 0, -1.0, 1.0)
     order = np.lexsort((anchors, -w))
     return OrthonormalBasis(V[:, order[:p]].copy(), "eigen_S")
 
@@ -152,16 +148,15 @@ def random_basis(dim: int, p: int, seed: int) -> OrthonormalBasis:
     return OrthonormalBasis(Q * signs[None, :], f"random({seed})")
 
 
-def pullback_basis(L, directions, origin: str | None = None) -> OrthonormalBasis:
+def pullback_basis(L, directions, origin: str = "pullback(custom)") -> OrthonormalBasis:
     """Residual-space basis whose image under L tracks given output directions.
 
-    Computes pinv(L) applied to each direction and orthonormalises in order
-    (_orthonormalize_stack), so prefixes stay nested.  Directions whose
-    preimages are linearly dependent are dropped (rank_deficient set).
+    Computes pinv(L) applied to each column of directions and orthonormalises
+    in order (_orthonormalize_stack), so prefixes stay nested.  Directions
+    whose preimages are linearly dependent are dropped (rank_deficient set).
     """
     Lmat = np.asarray(L, dtype=float)
-    W = getattr(directions, "columns", directions)
-    W = np.asarray(W, dtype=float)
+    W = np.asarray(directions, dtype=float)
     if W.ndim != 2:
         raise ValueError("directions must be a 2-D array of columns")
     if W.shape[0] != Lmat.shape[0]:
@@ -170,9 +165,6 @@ def pullback_basis(L, directions, origin: str | None = None) -> OrthonormalBasis
         )
     q = _orthonormalize_stack((np.linalg.pinv(Lmat) @ W)[None])[0]
     Q = q[:, q.any(axis=0)]
-    if origin is None:
-        inner = getattr(directions, "origin", "custom")
-        origin = f"pullback({inner})"
     return OrthonormalBasis(Q, origin, rank_deficient=Q.shape[1] < W.shape[1])
 
 
@@ -205,7 +197,7 @@ def _orthonormalize_stack(M: np.ndarray, max_columns: int | None = None) -> np.n
     return out.transpose(2, 1, 0)
 
 
-def prefix_captured_energy(downstream, basis, residuals) -> np.ndarray:
+def prefix_captured_energy(downstream, basis: OrthonormalBasis, residuals) -> np.ndarray:
     """Captured residual energy of every prefix of a basis chain, in one pass.
 
     Entry p - 1 is the energy captured by the output image of the first p
@@ -224,7 +216,7 @@ def prefix_captured_energy(downstream, basis, residuals) -> np.ndarray:
     ||b||^2, so a small captured energy read through S loses digits to
     cancellation.
     """
-    Q = np.asarray(getattr(basis, "columns", basis), dtype=float)
+    Q = basis.columns
     B = np.asarray(residuals, dtype=float)
     L = np.asarray(downstream, dtype=float)
     if L.ndim == 2:

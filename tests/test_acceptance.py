@@ -43,7 +43,7 @@ def test_01_qp_dominates_row_baselines(report):
         )
         calib = bundle.pooled_calibration()
         deltas = bundle.residuals[1]
-        qp = mq.build_diagonal_qp(bundle.base, deltas, calib)
+        qp = mq.build_diagonal_qp(mq.merge_geometry(bundle.base, 1, calib), deltas)
         star = mq.objective_value(qp, mq.solve_unconstrained(qp))
         tol = 1e-9 * max(1.0, qp.constant)
         mats = [d.delta for d in deltas]
@@ -126,7 +126,7 @@ def test_05_energy_capture_tracks_merge_quality_on_relu(report):
         for p in range(1, p_max + 1):
             prefix = basis.prefix(p)
             fracs.append(mq.basis_fraction(prefix, geometry))
-            qp = mq.build_general_basis_qp(bundle.base, deltas, calib, prefix, geometry=geometry)
+            qp = mq.build_general_basis_qp(geometry, deltas, prefix)
             mses.append(mq.objective_value(qp, mq.solve_unconstrained(qp)) / n)
         return fracs, mses
 
@@ -153,7 +153,8 @@ def test_06_shared_strength_closed_form(report):
         layer = bundle.layers_with_updates[0]
         u = np.asarray(bundle.meta["u"], dtype=float)
         basis = mq.OrthonormalBasis(u[:, None], origin="shared")
-        qp = mq.build_general_basis_qp(bundle.base, bundle.residuals[layer], calib, basis)
+        geometry = mq.merge_geometry(bundle.base, layer, calib)
+        qp = mq.build_general_basis_qp(geometry, bundle.residuals[layer], basis)
         got = mq.solve_unconstrained(qp).flat
         want = mq.svd_closed_form_weights(sigmas, 0)
         if np.max(np.abs(got - want)) > 1e-8:
@@ -191,8 +192,9 @@ def test_08_full_standard_basis_reproduces_diagonal(report):
             mq.ResidualUpdate(1, 0.4 * rng.normal(size=(r, d)), task_id=k) for k in range(K)
         ]
         calib = mq.CalibrationSet(rng.normal(size=(8, d)), rng.normal(size=(8, c)))
-        diag = mq.build_diagonal_qp(net, deltas, calib)
-        full = mq.build_general_basis_qp(net, deltas, calib, mq.standard_basis(r, r))
+        geometry = mq.merge_geometry(net, 1, calib)
+        diag = mq.build_diagonal_qp(geometry, deltas)
+        full = mq.build_general_basis_qp(geometry, deltas, mq.standard_basis(r, r))
         scale = max(1.0, float(np.max(np.abs(diag.H))))
         if np.max(np.abs(full.H - diag.H)) > 1e-10 * scale:
             ok = False
@@ -207,7 +209,9 @@ def test_09_box_solver_matches_closed_form_inside_bounds(report):
         bundle = mq.gen_linear_tasks(seed=seed)
         calib = bundle.pooled_calibration()
         layer = bundle.layers_with_updates[0]
-        qp = mq.build_diagonal_qp(bundle.base, bundle.residuals[layer], calib)
+        qp = mq.build_diagonal_qp(
+            mq.merge_geometry(bundle.base, layer, calib), bundle.residuals[layer]
+        )
         exact = mq.solve_unconstrained(qp)
         # these seeds are chosen so the optimum is strictly interior
         if exact.flat.min() <= 0.0 or exact.flat.max() >= 1.0:
@@ -226,7 +230,9 @@ def test_10_gradient_matches_finite_differences(report):
         bundle = mq.gen_linear_tasks(seed=int(rng.integers(0, 1000)))
         calib = bundle.pooled_calibration()
         layer = bundle.layers_with_updates[0]
-        qp = mq.build_diagonal_qp(bundle.base, bundle.residuals[layer], calib)
+        qp = mq.build_diagonal_qp(
+            mq.merge_geometry(bundle.base, layer, calib), bundle.residuals[layer]
+        )
         d = rng.normal(size=qp.dim)
         grad = mq.objective_gradient(qp, d)
         h = 1e-6
@@ -276,7 +282,9 @@ def test_11_sequential_merging_contracts(report):
     bundle = mq.gen_linear_tasks(seed=4)
     calib = bundle.pooled_calibration()
     layer = bundle.layers_with_updates[0]
-    qp = mq.build_diagonal_qp(bundle.base, bundle.residuals[layer], calib)
+    qp = mq.build_diagonal_qp(
+        mq.merge_geometry(bundle.base, layer, calib), bundle.residuals[layer]
+    )
     direct = mq.solve_unconstrained(qp)
     _, rep = mq.sequential_merge(bundle.base, bundle.residuals, calib, solver=mq.solve_unconstrained)
     ok = np.array_equal(rep.steps[0].coefficients, direct.values)
@@ -358,7 +366,7 @@ def test_14_linearization_quality(report):
     for _ in range(20):
         coeffs = rng.normal(size=(len(deltas), deltas[0].delta.shape[0]))
         merged = mq.merged_delta_from_coefficients(deltas, coeffs)
-        lin = mq.linearized_delta_objective(bundle.base, layer, merged, calib)
+        lin = mq.linearized_delta_objective(mq.merge_geometry(bundle.base, layer, calib), merged)
         exact = _total_loss(mq.apply_merged_residual(bundle.base, layer, merged), calib)
         if abs(lin - exact) > 1e-9 * max(1.0, exact):
             ok = False

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mergeqp as mq
-from mergeqp import cli, multilayer, qp, subspaces
+from mergeqp import cli, qp, subspaces
 
 from conftest import make_linear_net, make_relu_net
 
@@ -114,12 +114,13 @@ def test_builder_matches_per_sample_oracle(seed, net_name, random_basis, n):
         Q = np.eye(r)
     c = net.output_dim
     dim = len(deltas) * Q.shape[1]
+    geometry = mq.merge_geometry(net, deltas[0].layer_index, calib)
     # three samples per chunk, so n (never a multiple of 3) ends on a short chunk
     with mock.patch.object(qp, "_CHUNK_BYTES", 3 * 8 * c * dim):
         if basis is None:
-            built = mq.build_diagonal_qp(net, deltas, calib)
+            built = mq.build_diagonal_qp(geometry, deltas)
         else:
-            built = mq.build_general_basis_qp(net, deltas, calib, basis)
+            built = mq.build_general_basis_qp(geometry, deltas, basis)
     H, g, const = _loop_qp(net, deltas, calib, Q)
     _close(built.H, H)
     _close(built.g, g)
@@ -132,7 +133,7 @@ def test_builder_default_chunks_match_oracle():
     step = qp._CHUNK_BYTES // (8 * net.output_dim * dim)
     net, deltas, calib, _ = _instance(7, "relu-jacobian", 2 * step + 5)
     H, g, const = _loop_qp(net, deltas, calib, np.eye(deltas[0].delta.shape[0]))
-    built = mq.build_diagonal_qp(net, deltas, calib)
+    built = mq.build_diagonal_qp(mq.merge_geometry(net, deltas[0].layer_index, calib), deltas)
     _close(built.H, H)
     _close(built.g, g)
     _close(built.constant, const)
@@ -208,7 +209,7 @@ def test_stacked_evaluators_match_per_sample_loops(net_name):
 
     merged = 0.7 * deltas[0].delta - 0.2 * deltas[1].delta
     lin = sum(float(np.sum((L @ (merged @ u) + b) ** 2)) for u, L, b in zip(hidden, maps, residuals))
-    _close(mq.linearized_delta_objective(net, layer, merged, calib), lin)
+    _close(mq.linearized_delta_objective(mq.merge_geometry(net, layer, calib), merged), lin)
 
     sq = np.array([float(b @ b) for b in residuals])
     pooled, per_task = mq.calibration_mse(net, calib)
@@ -402,10 +403,11 @@ def test_prefix_objective_equals_fresh_prefix_build(net_name):
     net, deltas, calib, _ = _instance(5, net_name, 7, K=3)
     r = deltas[0].delta.shape[0]
     chain = mq.random_basis(r, r, 5)
-    full = mq.build_general_basis_qp(net, deltas, calib, chain)
+    geometry = mq.merge_geometry(net, deltas[0].layer_index, calib)
+    full = mq.build_general_basis_qp(geometry, deltas, chain)
     for p in range(1, r + 1):
         sliced = _prefix_objective(full, p)
-        fresh = mq.build_general_basis_qp(net, deltas, calib, chain.prefix(p))
+        fresh = mq.build_general_basis_qp(geometry, deltas, chain.prefix(p))
         assert (sliced.n_tasks, sliced.n_directions) == (3, p)
         assert sliced.basis_id == fresh.basis_id
         _close(sliced.H, fresh.H)
@@ -429,9 +431,9 @@ def test_prefix_sweep_takes_every_prefix_from_one_factor(tmp_path):
     certified = {}
     for kind, seed in chains:
         chain = mq.layer_basis(kind, 16, seed, deltas, geometry)
-        full = mq.build_general_basis_qp(bundle.base, deltas, calib, chain, geometry=geometry)
-        with mock.patch.object(multilayer, "_eigen_cut", wraps=qp._eigen_cut) as spy:
-            rows = mq.prefix_sweep(bundle.base, deltas, calib, chain, geometry)
+        full = mq.build_general_basis_qp(geometry, deltas, chain)
+        with mock.patch.object(qp, "_eigen_cut", wraps=qp._eigen_cut) as spy:
+            rows = mq.prefix_sweep(geometry, deltas, chain)
         certified[kind, seed] = qp._certified(full.H)
         # a certified chain makes no eigen cut; any other cuts each prefix's block
         assert spy.call_count == (0 if certified[kind, seed] else chain.p)
@@ -482,7 +484,7 @@ def _reference_diagnose_rows(bundle, args):
             fraction = 1.0 if total == 0 else captured / total
             relaxed = total - captured
             gap = relaxed - opt_relaxed[min(p, c)]
-            qp = mq.build_general_basis_qp(bundle.base, deltas, calib, Q, geometry=geometry)
+            qp = mq.build_general_basis_qp(geometry, deltas, Q)
             qp_mse = mq.objective_value(qp, mq.solve_unconstrained(qp)) / n
             rows.append([label, p, fraction, relaxed, qp_mse, gap])
     return rows, total

@@ -60,7 +60,7 @@ def test_golden_fixture_loads_exactly():
     delta = bundle.residuals[1][0].delta
     assert np.array_equal(delta, [[0.5, 0.0], [0.0, 0.5]])
     calib = bundle.pooled_calibration()
-    qp = mq.build_diagonal_qp(bundle.base, bundle.residuals[1], calib)
+    qp = mq.build_diagonal_qp(mq.merge_geometry(bundle.base, 1, calib), bundle.residuals[1])
     sol = mq.solve_unconstrained(qp)
     # doubling the update hits the target exactly
     assert np.allclose(sol.flat, [2.0, 2.0], atol=1e-12)

@@ -432,13 +432,12 @@ def test_compare_dominance_slack_is_relative_on_small_objectives(tmp_path, capsy
 
     real = cli_mod.solve_layer
 
-    def worse_than_soup(net, deltas, calib, geometry, basis=None, solver=None):
-        qp, coeffs, merged = real(net, deltas, calib, geometry, basis, solver)
+    def worse_than_soup(geometry, deltas, basis=None, solver=None):
+        qp, coeffs, merged = real(geometry, deltas, basis, solver)
         if basis is not None:
             return qp, coeffs, merged
         soup = mq.baseline_delta("soup", deltas, {})
-        J = [mq.linearized_delta_objective(net, geometry.layer_index, t * soup, calib,
-                                           geometry=geometry) for t in (0.0, 1.0, 2.0)]
+        J = [mq.linearized_delta_objective(geometry, t * soup) for t in (0.0, 1.0, 2.0)]
         # J(t) = a t^2 + b t + J(0) along t * soup; step to where it is 1.001 J(1)
         a = (J[2] - 2 * J[1] + J[0]) / 2
         b = J[1] - J[0] - a
@@ -648,9 +647,9 @@ def test_degenerate_bundles_exit_cleanly_with_eigen_cut_objectives(tmp_path, kin
     def basis_qp(kind, p=None, seed=0):
         basis = mq.layer_basis(kind, p_max, seed, deltas, geometry)
         basis = basis if p is None else basis.prefix(p)
-        return mq.build_general_basis_qp(bundle.base, deltas, calib, basis, geometry)
+        return mq.build_general_basis_qp(geometry, deltas, basis)
 
-    diag_qp = mq.build_diagonal_qp(bundle.base, deltas, calib, geometry)
+    diag_qp = mq.build_diagonal_qp(geometry, deltas)
     for basis, solver in itertools.product((None, "eigen", "svd"), ("exact", "box")):
         flags = ["qp-diag"] if basis is None else ["qp-basis", "--basis", basis]
         report = tmp_path / "merge.json"

@@ -20,7 +20,9 @@ def test_single_layer_plan_equals_standalone_solve():
     bundle = mq.gen_linear_tasks(seed=4)
     calib = bundle.pooled_calibration()
     layer = bundle.layers_with_updates[0]
-    qp = mq.build_diagonal_qp(bundle.base, bundle.residuals[layer], calib)
+    qp = mq.build_diagonal_qp(
+        mq.merge_geometry(bundle.base, layer, calib), bundle.residuals[layer]
+    )
     direct = mq.solve_unconstrained(qp)
     merged, report = mq.sequential_merge(
         bundle.base, bundle.residuals, calib, solver=mq.solve_unconstrained

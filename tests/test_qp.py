@@ -58,7 +58,7 @@ def test_diagonal_qp_scalar_chain_by_hand():
     net = make_linear_net([[2.0]], [[3.0]])
     delta = mq.ResidualUpdate(1, np.array([[0.5]]), task_id=0)
     calib = mq.CalibrationSet(np.array([[1.0]]), np.array([[7.0]]))
-    qp = mq.build_diagonal_qp(net, [delta], calib)
+    qp = mq.build_diagonal_qp(mq.merge_geometry(net, 1, calib), [delta])
     # u = 1, L = 3, base output 6, b = -1, A = 3 * 0.5 = 1.5
     assert qp.H.shape == (1, 1)
     assert np.isclose(qp.H[0, 0], 2 * 1.5**2)
@@ -70,7 +70,7 @@ def test_diagonal_qp_scalar_chain_by_hand():
 
 def test_diagonal_qp_matches_loop_loss(rng):
     net, deltas, calib = _random_instance(rng)
-    qp = mq.build_diagonal_qp(net, deltas, calib)
+    qp = mq.build_diagonal_qp(mq.merge_geometry(net, 1, calib), deltas)
     for _ in range(10):
         coeffs = rng.normal(size=(2, 4))
         direct = _loop_loss(net, 1, deltas, coeffs, calib)
@@ -80,7 +80,7 @@ def test_diagonal_qp_matches_loop_loss(rng):
 def test_general_basis_qp_matches_loop_loss(rng):
     net, deltas, calib = _random_instance(rng)
     basis = mq.random_basis(4, 2, seed=3)
-    qp = mq.build_general_basis_qp(net, deltas, calib, basis)
+    qp = mq.build_general_basis_qp(mq.merge_geometry(net, 1, calib), deltas, basis)
     assert qp.n_directions == 2
     for _ in range(10):
         coeffs = rng.normal(size=(2, 2))
@@ -90,8 +90,9 @@ def test_general_basis_qp_matches_loop_loss(rng):
 
 def test_full_standard_basis_reproduces_diagonal(rng):
     net, deltas, calib = _random_instance(rng)
-    diag = mq.build_diagonal_qp(net, deltas, calib)
-    full = mq.build_general_basis_qp(net, deltas, calib, mq.standard_basis(4, 4))
+    geometry = mq.merge_geometry(net, 1, calib)
+    diag = mq.build_diagonal_qp(geometry, deltas)
+    full = mq.build_general_basis_qp(geometry, deltas, mq.standard_basis(4, 4))
     assert np.allclose(full.H, diag.H, atol=1e-12)
     assert np.allclose(full.g, diag.g, atol=1e-12)
     assert np.isclose(full.constant, diag.constant)
@@ -101,7 +102,36 @@ def test_basis_orthonormality_enforced(rng):
     net, deltas, calib = _random_instance(rng)
     bad = np.ones((4, 2))
     with pytest.raises(ValueError):
-        mq.build_general_basis_qp(net, deltas, calib, bad)
+        mq.build_general_basis_qp(
+            mq.merge_geometry(net, 1, calib), deltas, mq.OrthonormalBasis(bad, "custom")
+        )
+
+
+@pytest.mark.parametrize("build", ["diagonal", "basis"])
+@pytest.mark.parametrize("activation", ["identity", "relu"])
+def test_builders_reject_updates_the_geometry_does_not_fit(build, activation):
+    # layer 1 is (4, 3) and layer 2 is (4, 4); ReLU gaps give per-sample maps
+    rng = np.random.default_rng(0)
+    net = mq.LinearNetwork(
+        [rng.normal(size=(4, 3)), rng.normal(size=(4, 4)), rng.normal(size=(2, 4))],
+        [activation, activation],
+    )
+    calib = mq.CalibrationSet(rng.normal(size=(5, 3)), rng.normal(size=(5, 2)))
+    geometry = mq.merge_geometry(net, 1, calib)
+
+    def qp(deltas):
+        if build == "diagonal":
+            return mq.build_diagonal_qp(geometry, deltas)
+        return mq.build_general_basis_qp(geometry, deltas, mq.standard_basis(4, 2))
+
+    assert qp([mq.ResidualUpdate(1, rng.normal(size=(4, 3)), 0)]).n_tasks == 1
+    with pytest.raises(ValueError, match="targets layer 2 but the geometry is layer 1's"):
+        qp([mq.ResidualUpdate(1, rng.normal(size=(4, 3)), 0),
+            mq.ResidualUpdate(2, rng.normal(size=(4, 4)), 1)])
+    with pytest.raises(ValueError, match=r"shape \(4, 4\) does not match layer shape \(4, 3\)"):
+        qp([mq.ResidualUpdate(1, rng.normal(size=(4, 4)), 0)])
+    with pytest.raises(ValueError, match="no residual updates"):
+        qp([])
 
 
 def test_base_residuals_are_prediction_minus_target():
@@ -118,7 +148,7 @@ def test_solve_unconstrained_matches_dense_solve(rng):
     qp = mq.QuadraticObjective(H=H, g=g, constant=1.0, n_tasks=1, n_directions=5)
     d = mq.solve_unconstrained(qp).flat
     assert np.allclose(d, np.linalg.solve(H, -g), atol=1e-10)
-    assert not mq.solve_unconstrained(qp).g_outside_range
+    assert not mq.solve_unconstrained(qp).g_range_defect > 1e-8 * np.linalg.norm(qp.g)
 
 
 def test_solve_unconstrained_singular_min_norm(rng):
@@ -137,7 +167,7 @@ def test_solve_unconstrained_reports_range_defect(rng):
     g = np.array([0.0, 1.0])  # entirely outside range(H)
     qp = mq.QuadraticObjective(H=H, g=g, constant=0.0, n_tasks=1, n_directions=2)
     sol = mq.solve_unconstrained(qp)
-    assert sol.g_outside_range
+    assert sol.g_range_defect > 1e-8 * np.linalg.norm(qp.g)
     assert np.isclose(sol.g_range_defect, 1.0)
 
 
@@ -200,7 +230,8 @@ def test_solve_unconstrained_matches_the_eigen_cut(seed, n, kind, scale):
     if path is not None:
         assert took_cut == (path == "cut")
     if not took_cut:
-        assert sol.g_range_defect == 0.0 and not sol.g_outside_range
+        assert sol.g_range_defect == 0.0
+        assert not sol.g_range_defect > 1e-8 * np.linalg.norm(qp.g)
     tol = 1e-9 if kind == "planted-near" else 1e-12
     assert np.abs(sol.flat - ref).max() <= tol * max(np.abs(ref).max(), 1e-300)
     if kind == "zero":
@@ -332,11 +363,11 @@ def test_box_solver_agrees_with_lbfgsb_on_benchmark_qps(tmp_path, workload):
     qps = []
     for layer in bundle.layers_with_updates:
         deltas = bundle.residuals[layer]
-        qps.append(mq.build_diagonal_qp(bundle.base, deltas, calib))
+        geometry = mq.merge_geometry(bundle.base, layer, calib)
+        qps.append(mq.build_diagonal_qp(geometry, deltas))
         if workload == "relu-sweep":
-            geometry = mq.merge_geometry(bundle.base, layer, calib)
             basis = mq.layer_basis("eigen", 16, 0, deltas, geometry)
-            qps.append(mq.build_general_basis_qp(bundle.base, deltas, calib, basis))
+            qps.append(mq.build_general_basis_qp(geometry, deltas, basis))
     if workload == "relu-sweep":
         # units dead on every calibration input leave zero rows: H is exactly singular
         assert not np.all(qps[0].H.any(axis=1))
@@ -404,10 +435,8 @@ def test_box_solver_never_ends_above_projected_adam(tmp_path, kind):
         deltas = bundle.residuals[layer]
         geometry = mq.merge_geometry(bundle.base, layer, calib)
         p = min(deltas[0].delta.shape[0], bundle.base.output_dim)
-        qps = [mq.build_diagonal_qp(bundle.base, deltas, calib, geometry=geometry)] + [
-            mq.build_general_basis_qp(
-                bundle.base, deltas, calib, mq.layer_basis(b, p, 0, deltas, geometry), geometry
-            )
+        qps = [mq.build_diagonal_qp(geometry, deltas)] + [
+            mq.build_general_basis_qp(geometry, deltas, mq.layer_basis(b, p, 0, deltas, geometry))
             for b in ("eigen", "standard", "svd", "random")
         ]
         for qp in qps:
@@ -440,7 +469,7 @@ def test_solve_1d_zeroes_the_objective(rng):
 
 def test_gradient_matches_finite_differences(rng):
     net, deltas, calib = _random_instance(rng)
-    qp = mq.build_diagonal_qp(net, deltas, calib)
+    qp = mq.build_diagonal_qp(mq.merge_geometry(net, 1, calib), deltas)
     d = rng.normal(size=qp.dim)
     grad = mq.objective_gradient(qp, d)
     h = 1e-6
@@ -476,7 +505,7 @@ def test_merged_delta_with_basis_projects_rows(rng):
 def test_linearized_objective_equals_exact_loss_on_linear_nets(rng):
     net, deltas, calib = _random_instance(rng)
     merged = 0.4 * deltas[0].delta + 0.1 * deltas[1].delta
-    lin = mq.linearized_delta_objective(net, 1, merged, calib)
+    lin = mq.linearized_delta_objective(mq.merge_geometry(net, 1, calib), merged)
     model = mq.apply_merged_residual(net, 1, merged)
     exact = sum(
         float(np.sum((mq.forward(model, calib.inputs[j]) - calib.targets[j]) ** 2))
@@ -524,7 +553,7 @@ def test_closed_form_is_a_global_minimum(seed):
     # the eigendecomposition solve can never be beaten by a random probe
     rng = np.random.default_rng(seed)
     net, deltas, calib = _random_instance(rng, d=3, r=3, c=2, K=2, n=5)
-    qp = mq.build_diagonal_qp(net, deltas, calib)
+    qp = mq.build_diagonal_qp(mq.merge_geometry(net, 1, calib), deltas)
     star = mq.objective_value(qp, mq.solve_unconstrained(qp))
     probe = rng.normal(size=qp.dim)
     val = mq.objective_value(qp, probe)
@@ -536,4 +565,4 @@ def test_nonfinite_inputs_raise_numerical_error(rng):
     net, deltas, calib = _random_instance(rng)
     deltas[0].delta[0, 0] = np.inf
     with pytest.raises((mq.NumericalError, ValueError)):
-        mq.build_diagonal_qp(net, deltas, calib)
+        mq.build_diagonal_qp(mq.merge_geometry(net, 1, calib), deltas)
