@@ -101,6 +101,21 @@ class QuadraticObjective:
     basis_id: str = "standard"
 
     def __post_init__(self):
+        self._check_values()
+        scale = np.abs(self.H).max() if self.H.size else 0.0
+        if scale > 0 and np.abs(self.H - self.H.T).max() > 1e-10 * scale:
+            raise ValueError("H is not symmetric")
+
+    @classmethod
+    def _symmetric(cls, H, g, constant, n_tasks, n_directions, basis_id):
+        """Construct from an H symmetric by construction: no symmetry scan."""
+        qp = cls.__new__(cls)
+        qp.H, qp.g, qp.constant = H, g, constant
+        qp.n_tasks, qp.n_directions, qp.basis_id = n_tasks, n_directions, basis_id
+        qp._check_values()
+        return qp
+
+    def _check_values(self):
         self.H = np.asarray(self.H, dtype=float)
         self.g = np.asarray(self.g, dtype=float)
         self.constant = float(self.constant)
@@ -115,9 +130,6 @@ class QuadraticObjective:
             and np.isfinite(self.constant)
         ):
             raise NumericalError("objective contains non-finite values")
-        scale = np.abs(self.H).max() if self.H.size else 0.0
-        if scale > 0 and np.abs(self.H - self.H.T).max() > 1e-10 * scale:
-            raise ValueError("H is not symmetric")
 
     @property
     def dim(self) -> int:
@@ -215,11 +227,10 @@ def build_diagonal_qp(geometry: MergeGeometry, deltas: list) -> QuadraticObjecti
 
     The merged update is sum_k diag(d_k) delta_k, so each task contributes a
     per-output-coordinate scaling.  This is the general-basis QP with the
-    full standard basis Q = I.
+    full standard basis Q = I, built without forming Q.
     """
     _check_deltas(geometry, deltas)
-    r = deltas[0].delta.shape[0]
-    return _build_qp(geometry, deltas, np.eye(r), "standard")
+    return _build_qp(geometry, deltas, None, "standard")
 
 
 def build_general_basis_qp(
@@ -247,7 +258,7 @@ _CHUNK_BYTES = 1 << 19
 
 
 def _build_qp(geometry, deltas, Q, basis_id):
-    """J(d) = sum_j ||A_j d + b_j||^2 over coefficients of directions Q.
+    """J(d) = sum_j ||A_j d + b_j||^2 over coefficients of directions Q (None: I).
 
     With alpha[j, k, p] = q_p^T delta_k u_j, M_j = L_j Q and b_j the base
     residual, A_j[i, (k, p)] = M_j[i, p] alpha[j, k, p], so
@@ -255,19 +266,24 @@ def _build_qp(geometry, deltas, Q, basis_id):
     g = 2 sum_j alpha_j * (M_j^T b_j).  A fixed map takes the tile out of the
     sum: H = 2 (A^T A) * tile(M^T M) with A = alpha reshaped to (n, K P), one
     GEMM.  Per-sample Jacobians stack the rows of A_j over a chunk of samples
-    and add their Gram matrix, one GEMM per chunk.
+    and add their Gram matrix, one GEMM per chunk.  Each Gram matrix is a
+    symmetric rank-k update and each tile M^T M is symmetric, so H is
+    exactly symmetric and the objective skips the symmetry scan.
     """
     K = len(deltas)
-    P = Q.shape[1]
+    r = deltas[0].delta.shape[0]
+    P = r if Q is None else Q.shape[1]
     dim = K * P
     B = geometry.residuals
     n, c = B.shape
     # overflow here surfaces as a NumericalError from the objective validation
     with np.errstate(over="ignore", invalid="ignore"):
         U = geometry.hidden_inputs
-        alpha = np.stack([U @ d.delta.T for d in deltas], axis=1) @ Q  # (n, K, P)
+        alpha = (U @ np.concatenate([d.delta for d in deltas]).T).reshape(n, K, r)
+        if Q is not None:
+            alpha = alpha @ Q  # (n, K, P)
         if geometry.fixed_downstream:
-            M = geometry.downstream @ Q  # (c, P)
+            M = geometry.downstream if Q is None else geometry.downstream @ Q  # (c, P)
             A = alpha.reshape(n, dim)
             H = A.T @ A
             # tile(M^T M) multiplied into the K x K blocks in place
@@ -278,14 +294,15 @@ def _build_qp(geometry, deltas, Q, basis_id):
             g = np.zeros(dim)
             step = max(1, _CHUNK_BYTES // (8 * c * max(dim, 1)))
             for s in range(0, n, step):
-                M = geometry.downstream[s : s + step] @ Q  # (m, c, P)
+                L = geometry.downstream[s : s + step]
+                M = L if Q is None else L @ Q  # (m, c, P)
                 rows = (M[:, :, None, :] * alpha[s : s + step, None]).reshape(len(M) * c, dim)
                 H += rows.T @ rows
                 g += rows.T @ B[s : s + step].ravel()
         H *= 2.0
         g *= 2.0
         const = float(np.einsum("jc,jc->", B, B))
-    return QuadraticObjective(H, g, const, n_tasks=K, n_directions=P, basis_id=basis_id)
+    return QuadraticObjective._symmetric(H, g, const, K, P, basis_id)
 
 
 def _flat_coefficients(qp, d):
@@ -331,9 +348,10 @@ def _certified(H):
     It factors H - 2 _EIGEN_CUT ||H||_inf I; the factor 2 covers the
     factorisation's backward error (Higham 2002, section 10.1).  H = 0 fails.
     """
+    shifted = H.copy()
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing bound fails below
         tau = 2.0 * _EIGEN_CUT * np.abs(H).sum(axis=1).max(initial=0.0)
-        shifted = H - tau * np.eye(H.shape[0])
+        shifted.flat[:: H.shape[0] + 1] -= tau
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
@@ -385,7 +403,7 @@ def _newton_direction(H, grad, free, d, lo, hi, tiny):
     """Newton step of J on the free coordinates at d, zero on the others."""
     while free.any():
         p = np.zeros_like(d)
-        Hf, gf = H[np.ix_(free, free)], grad[free]
+        Hf, gf = (H, grad) if free.all() else (H[np.ix_(free, free)], grad[free])
         probe = np.linspace(1.0, 2.0, gf.size)
         with contextlib.suppress(np.linalg.LinAlgError):
             x, back = np.linalg.solve(Hf, np.stack([-gf, Hf @ probe], axis=1)).T

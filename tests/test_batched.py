@@ -139,6 +139,38 @@ def test_builder_default_chunks_match_oracle():
     _close(built.constant, const)
 
 
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 10_000),
+    net_name=st.sampled_from(sorted(NETS)),
+    random_basis=st.booleans(),
+    dims=st.tuples(*[st.integers(1, 24)] * 4),
+    K=st.integers(1, 8),
+    n=st.integers(7, 40),
+)
+def test_builder_hessian_is_exactly_symmetric(seed, net_name, random_basis, dims, K, n):
+    # builder QPs skip QuadraticObjective's symmetry scan on the strength of this
+    rng = np.random.default_rng(seed)
+    activations, layer = NETS[net_name]
+    net = mq.LinearNetwork(
+        [rng.normal(size=(dims[i + 1], dims[i])) for i in range(3)], activations
+    )
+    shape = net.layer_shape(layer)
+    deltas = [mq.ResidualUpdate(layer, rng.normal(size=shape), k) for k in range(K)]
+    calib = mq.CalibrationSet(rng.normal(size=(n, dims[0])), rng.normal(size=(n, dims[3])))
+    geometry = mq.merge_geometry(net, layer, calib)
+    r = shape[0]
+    basis = mq.random_basis(r, 1 + seed % r, seed) if random_basis else None
+    dim = K * (r if basis is None else basis.columns.shape[1])
+    # three samples per chunk, so a per-sample map sums at least three chunks
+    with mock.patch.object(qp, "_CHUNK_BYTES", 3 * 8 * net.output_dim * dim):
+        if basis is None:
+            built = mq.build_diagonal_qp(geometry, deltas)
+        else:
+            built = mq.build_general_basis_qp(geometry, deltas, basis)
+    assert np.array_equal(built.H, built.H.T)
+
+
 @pytest.mark.parametrize("net_name", sorted(NETS))
 def test_geometry_rows_match_per_sample_calls(net_name):
     net, deltas, calib, _ = _instance(3, net_name, 9)

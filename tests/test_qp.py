@@ -5,6 +5,7 @@ with plain python loops, so any vectorization bug in the library shows up as
 a mismatch rather than being reproduced on both sides.
 """
 
+import contextlib
 import itertools
 import warnings
 from unittest import mock
@@ -544,6 +545,48 @@ def test_objective_requires_symmetric_h():
     H = np.array([[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises((ValueError, mq.NumericalError)):
         mq.QuadraticObjective(H=H, g=np.zeros(2), constant=0.0, n_tasks=1, n_directions=2)
+
+
+@pytest.mark.parametrize("asymmetry, raises", [(1e-9, True), (1e-12, False)])
+def test_objective_symmetry_check_at_its_tolerance(asymmetry, raises):
+    # a caller's H is checked to 1e-10 of its largest entry
+    H = np.array([[3.0, -1.0, 0.5], [-1.0, 4.0, 2.0], [0.5, 2.0, -6.0]])
+    H[0, 2] += asymmetry * np.abs(H).max()
+    check = pytest.raises(ValueError, match="not symmetric") if raises else contextlib.nullcontext()
+    with check:
+        mq.QuadraticObjective(H=H, g=np.zeros(3), constant=0.0, n_tasks=1, n_directions=3)
+
+
+def _unchanged_after(qp, solve):
+    before = qp.H.tobytes(), qp.g.tobytes()
+    solve(qp)
+    return (qp.H.tobytes(), qp.g.tobytes()) == before
+
+
+@pytest.mark.parametrize("path", ["certified", "eigen-cut"])
+def test_exact_solvers_leave_the_qp_unchanged(path, rng):
+    # 12 samples against 8 coefficients give a positive definite H, 3 a singular one
+    net, deltas, calib = _random_instance(rng, d=5, K=2, n=12 if path == "certified" else 3)
+    qp = mq.build_diagonal_qp(mq.merge_geometry(net, 1, calib), deltas)
+    assert qpmod._certified(qp.H) == (path == "certified")
+    assert _unchanged_after(qp, mq.solve_unconstrained)
+    assert _unchanged_after(qp, qpmod.prefix_optima)
+
+
+def test_box_solver_leaves_the_qp_unchanged(rng):
+    net, deltas, calib = _random_instance(rng, K=2, n=3)
+    qp = mq.build_diagonal_qp(mq.merge_geometry(net, 1, calib), deltas)
+    # d = 1/K starts inside the box, so the first Newton step is on H itself
+    with mock.patch.object(qpmod, "_newton_direction", wraps=qpmod._newton_direction) as spy:
+        assert _unchanged_after(qp, mq.solve_box_constrained)
+    assert spy.call_args_list[0].args[2].all()
+    # one task starts at the upper bound, where coordinate 0's gradient holds it
+    held = mq.QuadraticObjective(
+        H=np.eye(3), g=np.array([-5.0, 0.5, -0.5]), constant=0.0, n_tasks=1, n_directions=3
+    )
+    with mock.patch.object(qpmod, "_newton_direction", wraps=qpmod._newton_direction) as spy:
+        assert _unchanged_after(held, mq.solve_box_constrained)
+    assert spy.call_args_list[0].args[2].tolist() == [False, True, True]
 
 
 @settings(deadline=None, max_examples=25)
