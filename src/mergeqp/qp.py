@@ -91,7 +91,10 @@ class CalibrationSet:
 
 @dataclass
 class QuadraticObjective:
-    """J(d) = 1/2 d^T H d + g^T d + constant over flattened coefficients."""
+    """J(d) = 1/2 d^T H d + g^T d + constant over flattened coefficients.
+
+    H must be symmetric to 1e-10; solvers pass LAPACK H^T, so it is kept as (H + H^T) / 2.
+    """
 
     H: np.ndarray
     g: np.ndarray
@@ -102,9 +105,11 @@ class QuadraticObjective:
 
     def __post_init__(self):
         self._check_values()
-        scale = np.abs(self.H).max() if self.H.size else 0.0
-        if scale > 0 and np.abs(self.H - self.H.T).max() > 1e-10 * scale:
+        skew = self.H - self.H.T
+        if np.abs(skew).max(initial=0.0) > 1e-10 * np.abs(self.H).max(initial=0.0):
             raise ValueError("H is not symmetric")
+        if skew.any():
+            self.H = 0.5 * (self.H + self.H.T)
 
     @classmethod
     def _symmetric(cls, H, g, constant, n_tasks, n_directions, basis_id):
@@ -334,7 +339,7 @@ def _eigen_cut(H, g):
 
     Also returns the part of g in that range and the dropped eigenvectors.
     """
-    w, V = np.linalg.eigh(H)
+    w, V = np.linalg.eigh(H.T)  # H.T: the same values, already in LAPACK's column order
     lam_max = max(float(w[-1]), 0.0) if w.size else 0.0
     keep = w > _EIGEN_CUT * lam_max
     Vk = V[:, keep]
@@ -353,7 +358,7 @@ def _certified(H):
         tau = 2.0 * _EIGEN_CUT * np.abs(H).sum(axis=1).max(initial=0.0)
         shifted.flat[:: H.shape[0] + 1] -= tau
     try:
-        np.linalg.cholesky(shifted)
+        np.linalg.cholesky(shifted.T)
     except np.linalg.LinAlgError:
         return False
     return tau > 0
@@ -370,7 +375,7 @@ def solve_unconstrained(qp: QuadraticObjective) -> MergeCoefficients:
     leftover norm in g_range_defect (0 on the certified path).
     """
     if _certified(qp.H):
-        d, defect = np.linalg.solve(qp.H, -qp.g), 0.0
+        d, defect = np.linalg.solve(qp.H.T, -qp.g), 0.0
     else:
         d, in_range, _ = _eigen_cut(qp.H, qp.g)
         defect = float(np.linalg.norm(qp.g - in_range))
@@ -389,7 +394,7 @@ def prefix_optima(qp: QuadraticObjective) -> np.ndarray:
     order = np.arange(qp.dim).reshape(K, -1).T.ravel()
     H, g = qp.H[np.ix_(order, order)], qp.g[order]
     if _certified(H):
-        z = np.linalg.solve(np.linalg.cholesky(H), -g)
+        z = np.linalg.solve(np.linalg.cholesky(H.T), -g)
         return qp.constant - 0.5 * np.cumsum(z * z)[K - 1 :: K]
     cuts = (_eigen_cut(H[:m, :m], g[:m])[0] for m in range(K, qp.dim + 1, K))
     return qp.constant + 0.5 * np.array([g[: d.size] @ d for d in cuts])
@@ -403,10 +408,11 @@ def _newton_direction(H, grad, free, d, lo, hi, tiny):
     """Newton step of J on the free coordinates at d, zero on the others."""
     while free.any():
         p = np.zeros_like(d)
-        Hf, gf = (H, grad) if free.all() else (H[np.ix_(free, free)], grad[free])
+        idx = np.flatnonzero(free)
+        Hf, gf = (H, grad) if free.all() else (H.take(idx, 0).take(idx, 1), grad[idx])
         probe = np.linspace(1.0, 2.0, gf.size)
         with contextlib.suppress(np.linalg.LinAlgError):
-            x, back = np.linalg.solve(Hf, np.stack([-gf, Hf @ probe], axis=1)).T
+            x, back = np.linalg.solve(Hf.T, np.stack([-gf, Hf @ probe], axis=1)).T
             # a singular block solves the probe back with an arbitrary null-space part,
             # or steps far along a direction it barely curves
             curved = x @ Hf @ x > _EIGEN_CUT * np.diag(Hf).max() * (x @ x)

@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mergeqp as mq
@@ -25,11 +25,12 @@ from conftest import make_linear_net, make_relu_net
 REL = 1e-12
 
 
-def _close(actual, expected):
+def _close(actual, expected, floor=0.0):
+    """actual within REL of the largest |expected|, or of floor if that is larger."""
     actual = np.asarray(actual, dtype=float)
     expected = np.asarray(expected, dtype=float)
     assert actual.shape == expected.shape
-    scale = max(np.abs(expected).max(initial=0.0), 1e-300)
+    scale = max(np.abs(expected).max(initial=0.0), floor, 1e-300)
     assert np.abs(actual - expected).max(initial=0.0) <= REL * scale
 
 
@@ -360,6 +361,10 @@ def _loop_prefix_energy(maps, Q, B):
     n=st.integers(1, 12),
     p=st.integers(1, 4),
 )
+# fixed maps that capture 1e-8 to 1e-11 of the residual energy
+@example(seed=1449, fixed=True, standard=True, n=1, p=1)
+@example(seed=1951, fixed=True, standard=False, n=1, p=1)
+@example(seed=3610, fixed=True, standard=False, n=1, p=1)
 def test_prefix_energy_matches_projector_loop(seed, fixed, standard, n, p):
     rng = np.random.default_rng(seed)
     # Small integer weights and inputs put many pre-activations exactly at 0;
@@ -383,10 +388,15 @@ def test_prefix_energy_matches_projector_loop(seed, fixed, standard, n, p):
         maps = [mq.linearize_downstream(net, 1, x) for x in X]
     expected = _loop_prefix_energy(maps, basis.columns, geom.residuals)
     got = mq.prefix_captured_energy(geom.downstream, basis, geom.residuals)
-    _close(got, expected)
-    # the per-sample maps, stacked by hand, give the same energies
-    _close(mq.prefix_captured_energy(np.asarray(maps), basis, geom.residuals), expected)
     total = float(np.trace(mq.energy_matrix(geom.residuals)))
+    # A fixed map that captures E << ||B||^2 reads each (q^T b)^2 with condition
+    # about 2 ||b|| / sqrt(E), so no evaluation gets within 1e-12 of E: the
+    # error scale is sqrt(E ||B||^2), which is about E once E is comparable
+    # to ||B||^2.
+    floor = np.sqrt(np.abs(expected).max(initial=0.0) * total) if fixed else 0.0
+    _close(got, expected, floor)
+    # the per-sample maps, stacked by hand, give the same energies
+    _close(mq.prefix_captured_energy(np.asarray(maps), basis, geom.residuals), expected, floor)
     assert mq.basis_fraction(basis, geom) == (1.0 if total == 0.0 else got[-1] / total)
 
 

@@ -589,6 +589,120 @@ def test_box_solver_leaves_the_qp_unchanged(rng):
     assert spy.call_args_list[0].args[2].tolist() == [False, True, True]
 
 
+def test_caller_h_is_stored_as_its_symmetric_part():
+    H = np.array([[3.0, -1.0, 0.5], [-1.0, 4.0, 2.0], [0.5, 2.0, -6.0]])
+    near = H.copy()
+    near[0, 2] += 1e-12 * np.abs(H).max()
+    caller = near.tobytes()
+    qp = mq.QuadraticObjective(H=near, g=np.zeros(3), constant=0.0, n_tasks=1, n_directions=3)
+    assert np.array_equal(qp.H, qp.H.T)
+    assert np.array_equal(qp.H, 0.5 * (near + near.T))
+    assert near.tobytes() == caller
+    # an exactly symmetric H is stored as given
+    qp = mq.QuadraticObjective(H=H, g=np.zeros(3), constant=0.0, n_tasks=1, n_directions=3)
+    assert qp.H.tobytes() == H.tobytes()
+    far = H.copy()
+    far[0, 2] += 1e-9 * np.abs(H).max()
+    with pytest.raises(ValueError, match="not symmetric"):
+        mq.QuadraticObjective(H=far, g=np.zeros(3), constant=0.0, n_tasks=1, n_directions=3)
+
+
+@contextlib.contextmanager
+def _lapack_spy():
+    """Record every matrix handed to np.linalg's solve, cholesky and eigh."""
+    seen = []
+
+    def spy(name):
+        real = getattr(np.linalg, name)
+
+        def call(a, *args, **kwargs):
+            seen.append((name, a))
+            return real(a, *args, **kwargs)
+
+        return mock.patch.object(np.linalg, name, call)
+
+    with spy("solve"), spy("cholesky"), spy("eigh"):
+        yield seen
+
+
+def _partly_held_qp(rng, n=12):
+    """One task starting at d = 1 = hi, with a negative gradient on half the coordinates."""
+    M = rng.normal(size=(n, n))
+    H = M @ M.T + np.eye(n)
+    H = 0.5 * (H + H.T)
+    push = np.where(np.arange(n) % 2 == 0, -1.0, 1.0)
+    return mq.QuadraticObjective(
+        H=H, g=push - H @ np.ones(n), constant=0.0, n_tasks=1, n_directions=n
+    )
+
+
+@pytest.mark.parametrize(
+    "case", ["exact-certified", "exact-cut", "prefix-certified", "box-all-free", "box-held"]
+)
+def test_solvers_hand_lapack_column_ordered_qp_matrices(case, rng):
+    # H is exactly symmetric, so its transpose view holds the same values and
+    # is already in LAPACK's column order: numpy's copy into the LAPACK buffer
+    # reads contiguous columns.  The Cholesky factor prefix_optima solves
+    # with is triangular, not a QP matrix, and is the one C-ordered operand.
+    net, deltas, calib = _random_instance(rng, d=5, K=2, n=12 if "cut" not in case else 3)
+    qp = mq.build_diagonal_qp(mq.merge_geometry(net, 1, calib), deltas)
+    if case == "box-held":
+        qp = _partly_held_qp(rng)
+    if not case.startswith("box"):
+        assert qpmod._certified(qp.H) == case.endswith("certified")
+    solve = {
+        "exact-certified": mq.solve_unconstrained,
+        "exact-cut": mq.solve_unconstrained,
+        "prefix-certified": qpmod.prefix_optima,
+        "box-all-free": mq.solve_box_constrained,
+        "box-held": mq.solve_box_constrained,
+    }[case]
+    with mock.patch.object(qpmod, "_newton_direction", wraps=qpmod._newton_direction) as newton:
+        with _lapack_spy() as seen:
+            solve(qp)
+    if case.startswith("box"):
+        free = newton.call_args_list[0].args[2]
+        assert free.all() == (case == "box-all-free") and free.any()
+    symmetric = [(name, a) for name, a in seen if np.array_equal(a, a.T)]
+    assert symmetric and all(a.flags.f_contiguous for _, a in symmetric)
+    others = [name for name, a in seen if not np.array_equal(a, a.T)]
+    assert others == (["solve"] if case == "prefix-certified" else [])
+
+
+def test_prefix_eigen_cuts_read_contiguous_columns(rng):
+    # uncertified, prefix_optima cuts each leading block of the reordered H: a
+    # view whose transpose has unit stride down each column
+    net, deltas, calib = _random_instance(rng, d=5, K=2, n=3)
+    qp = mq.build_diagonal_qp(mq.merge_geometry(net, 1, calib), deltas)
+    with _lapack_spy() as seen:
+        qpmod.prefix_optima(qp)
+    eigh = [a for name, a in seen if name == "eigh"]
+    assert len(eigh) == qp.n_directions
+    assert all(a.strides[0] == a.itemsize and np.array_equal(a, a.T) for a in eigh)
+
+
+def _c_ordered(name):
+    """np.linalg.<name> run on a C-ordered copy of its matrix."""
+    real = getattr(np.linalg, name)
+    return mock.patch.object(
+        np.linalg, name, lambda a, *args, **kw: real(np.ascontiguousarray(a), *args, **kw)
+    )
+
+
+@pytest.mark.parametrize("K, r, c, n", [(2, 64, 8, 40), (8, 128, 32, 120)])
+def test_transposed_operands_keep_every_bit(K, r, c, n, rng):
+    # K * r = 128, and 1024 as on the wide-linear workload
+    net, deltas, calib = _random_instance(rng, d=64, r=r, c=c, K=K, n=n)
+    qp = mq.build_diagonal_qp(mq.merge_geometry(net, 1, calib), deltas)
+    assert qp.dim == K * r and qpmod._certified(qp.H)
+    d = mq.solve_unconstrained(qp).flat
+    assert np.array_equal(d, np.linalg.solve(np.ascontiguousarray(qp.H), -qp.g))
+    cut = qpmod._eigen_cut(qp.H, qp.g)
+    with _c_ordered("eigh"):
+        reference = qpmod._eigen_cut(qp.H, qp.g)
+    assert all(np.array_equal(a, b) for a, b in zip(cut, reference))
+
+
 @settings(deadline=None, max_examples=25)
 @given(seed=st.integers(0, 10_000))
 def test_closed_form_is_a_global_minimum(seed):

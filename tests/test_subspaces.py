@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mergeqp as mq
@@ -103,13 +103,24 @@ def test_coordinate_energy_order_with_output_map():
 
 
 def _coordinate_energy_order_loop(S, L):
-    """Reference ranking: one w^T S w / w^T w score per column w of L, in a loop."""
+    """Reference ranking: one w^T S w / w^T w score per column w of L, in a loop.
+
+    Walking the scores in descending order, a score at most 1e-12 times the
+    largest below the previous one joins its run; each run ranks by index.
+    """
     scores = np.empty(L.shape[1])
     for i in range(L.shape[1]):
         w = L[:, i]
         nrm2 = float(w @ w)
         scores[i] = float(w @ S @ w) / nrm2 if nrm2 > 0 else 0.0
-    return np.argsort(-scores, kind="stable")
+    tol = 1e-12 * max((abs(s) for s in scores), default=0.0)
+    order, run = [], []
+    for i in sorted(range(len(scores)), key=lambda i: -scores[i]):
+        if run and scores[run[-1]] - scores[i] > tol:
+            order += sorted(run)
+            run = []
+        run.append(i)
+    return np.array(order + sorted(run), dtype=int)
 
 
 @settings(deadline=None, max_examples=200)
@@ -136,6 +147,25 @@ def test_coordinate_energy_order_matches_loop(seed, c, r, integral):
     L[rng.random(c) < 0.2] = 0.0
     S = mq.energy_matrix(B)
     assert np.array_equal(mq.coordinate_energy_order(S, L), _coordinate_energy_order_loop(S, L))
+
+
+@settings(deadline=None, max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), c=st.integers(2, 10), r=st.integers(2, 12))
+def test_coordinate_energy_order_breaks_near_ties_by_index(seed, c, r):
+    # S = 2 I + 0.3 1 1^T does not change under a permutation of coordinates,
+    # so columns of L that permute one vector score the same in exact
+    # arithmetic; summed in other orders, the computed scores split in the
+    # last bits.  Columns permute one of two vectors: two tied runs.
+    rng = np.random.default_rng(seed)
+    S = 2.0 * np.eye(c) + 0.3 * np.ones((c, c))
+    v = rng.normal(size=(2, c))
+    which = rng.integers(0, 2, size=r)
+    L = np.stack([rng.permutation(v[k]) for k in which], axis=1)
+    order = mq.coordinate_energy_order(S, L)
+    assert np.array_equal(order, _coordinate_energy_order_loop(S, L))
+    exact = [(2.0 * (u @ u) + 0.3 * u.sum() ** 2) / (u @ u) for u in v]
+    assume(abs(exact[0] - exact[1]) > 1e-9 * max(exact))
+    assert order.tolist() == sorted(range(r), key=lambda i: (-exact[which[i]], i))
 
 
 def test_svd_basis_single_delta_top_direction(rng):
