@@ -17,7 +17,6 @@ weights, and a small ReLU classifier fine-tuned on disjoint class subsets.
 from __future__ import annotations
 
 import base64
-import binascii
 import json
 import math
 from dataclasses import dataclass, field
@@ -97,12 +96,23 @@ class ModelBundle:
         ))
 
 
+class _Payload(str):
+    """A base64 array payload, which _write_json writes as it stands."""
+
+
+@dataclass
+class _Slot:
+    """A _Payload while _write_json encodes: unknown to the encoder, so it reaches default."""
+
+    text: str
+
+
 def _encode(arr: np.ndarray, path: str) -> str:
     """Row-major little-endian float64 bytes of arr as one base64 string."""
     arr = np.ascontiguousarray(arr, dtype="<f8")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{path}: non-finite values, refusing to save")
-    return base64.b64encode(arr.tobytes()).decode("ascii")
+    return _Payload(base64.b64encode(arr.tobytes()), "ascii")
 
 
 def _task_id(task, path, error=BundleFormatError):
@@ -161,11 +171,35 @@ def bundle_to_obj(bundle: ModelBundle) -> dict:
 
 
 def _write_json(obj, path) -> None:
-    """Write obj as strict JSON, encoded before the file opens: a failure writes nothing."""
-    # the chunks json.dump would write; joining them into one str is slower on large bundles
-    chunks = [*json.JSONEncoder(indent=1, allow_nan=False).iterencode(obj), "\n"]
+    """Write obj as strict JSON, encoded before the file opens: a failure writes nothing.
+
+    The text is JSONEncoder(indent=1, allow_nan=False)'s.  Base64 holds no
+    character JSON escapes (RFC 4648 section 4, RFC 8259 section 7), so each
+    payload skips the string escaper: its _Slot makes the encoder call default
+    and write "null", and the payload in quotes takes that chunk's place.
+    """
+    slots = []
+
+    def slotted(o):  # meta is the caller's and holds no payload
+        if isinstance(o, dict):
+            return {k: v if k == "meta" else slotted(v) for k, v in o.items()}
+        if isinstance(o, list):
+            return [slotted(v) for v in o]
+        return _Slot(o) if isinstance(o, _Payload) else o
+
+    def default(o):
+        if not isinstance(o, _Slot):
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        slots.append(o)
+
+    chunks = []  # the chunks, not their join, which is slower on large bundles
+    encoder = json.JSONEncoder(indent=1, allow_nan=False, default=default)
+    for chunk in encoder.iterencode(slotted(obj)):
+        if slots and chunk != "null":
+            raise RuntimeError(f"a payload slot encoded as {chunk!r}, not null")
+        chunks += ('"', slots.pop().text, '"') if slots else (chunk,)
     with open(path, "w") as fh:
-        fh.writelines(chunks)
+        fh.writelines([*chunks, "\n"])
 
 
 def save_bundle(bundle: ModelBundle, path) -> None:
@@ -191,17 +225,18 @@ def _expect(obj, key, kinds, path):
     return val
 
 
-def _floats(value, path, cols, rows=None) -> np.ndarray:
-    """A (rows, cols) float64 array from a base64 string or a number list.
+def _floats(entry, key, cols, path, rows=None) -> np.ndarray:
+    """The (rows, cols) float64 array in entry[key]: a base64 string or a number list.
 
     A string holds row-major little-endian float64 bytes (version 2).  A list
     is flat when rows is given and a list of rows otherwise (version 1).
     rows=None takes the row count from the data, which must be non-empty.
     """
+    value, path = _expect(entry, key, None, path), f"{path}.{key}"
     if isinstance(value, str):
         try:
             raw = base64.b64decode(value, validate=True)
-        except binascii.Error as exc:
+        except ValueError as exc:  # binascii.Error, or a non-ASCII character
             raise BundleFormatError(f"{path}: invalid base64: {exc}") from exc
         if len(raw) % 8:
             raise BundleFormatError(
@@ -242,11 +277,7 @@ def _parse_matrix(obj, path) -> np.ndarray:
     cols = _expect(obj, "cols", int, path)
     if rows < 1 or cols < 1:
         raise BundleFormatError(f"{path}: rows and cols must be positive")
-    return _parse_2d(obj, "data", cols, path, rows)
-
-
-def _parse_2d(entry, key, cols, path, rows=None) -> np.ndarray:
-    return _floats(_expect(entry, key, None, path), f"{path}.{key}", cols, rows)
+    return _floats(obj, "data", cols, path, rows)
 
 
 def _parse_network(obj, path) -> LinearNetwork:
@@ -269,14 +300,11 @@ def _parse_network(obj, path) -> LinearNetwork:
 
 
 def _load_obj(path) -> dict:
-    """Read a JSON file and check it carries a readable format version."""
     with open(path) as fh:
         try:
-            obj = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise BundleFormatError(f"not valid JSON: {exc}") from exc
-    _check_version(obj)
-    return obj
 
 
 def _check_version(obj) -> None:
@@ -301,7 +329,7 @@ def bundle_from_obj(obj) -> ModelBundle:
             raise BundleFormatError(f"{path}.layer: {layer} outside [1, {base.depth}]")
         task = _task_id(_expect(entry, "task", None, path), f"{path}.task")
         rows, cols = base.layer_shape(layer)
-        delta = _parse_2d(entry, "data", cols, path, rows)
+        delta = _floats(entry, "data", cols, path, rows)
         residuals.setdefault(layer, []).append(ResidualUpdate(layer, delta, task))
     calibration = []
     cal_list = _expect(obj, "calibration", list, "$")
@@ -310,8 +338,8 @@ def bundle_from_obj(obj) -> ModelBundle:
     for i, entry in enumerate(cal_list):
         path = f"$.calibration[{i}]"
         task = _task_id(_expect(entry, "task", None, path), f"{path}.task")
-        inputs = _parse_2d(entry, "inputs", base.input_dim, path)
-        targets = _parse_2d(entry, "targets", base.output_dim, path)
+        inputs = _floats(entry, "inputs", base.input_dim, path)
+        targets = _floats(entry, "targets", base.output_dim, path)
         if inputs.shape[0] != targets.shape[0]:
             raise BundleFormatError(
                 f"{path}: {inputs.shape[0]} inputs but {targets.shape[0]} targets"
@@ -343,12 +371,8 @@ def save_network(net: LinearNetwork, path) -> None:
 
 def load_network(path) -> LinearNetwork:
     obj = _load_obj(path)
+    _check_version(obj)
     return _parse_network(_expect(obj, "network", dict, "$"), "$.network")
-
-
-def _layer_sizes(dims, n_layers):
-    d, r, c = dims
-    return [d] + [r] * (n_layers - 1) + [c]
 
 
 def gen_linear_tasks(
@@ -377,10 +401,7 @@ def gen_linear_tasks(
     layers_to_merge = (
         [int(merge_layer)] if np.isscalar(merge_layer) else sorted(int(l) for l in merge_layer)
     )
-    sizes = _layer_sizes(dims, n_layers)
-    for N in layers_to_merge:
-        if not 1 <= N <= n_layers:
-            raise ValueError(f"merge layer {N} outside [1, {n_layers}]")
+    sizes = [dims[0]] + [dims[1]] * (n_layers - 1) + [dims[2]]
     rng = np.random.default_rng(seed)
     weights = [
         rng.standard_normal((sizes[l + 1], sizes[l])) / math.sqrt(sizes[l])

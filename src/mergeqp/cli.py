@@ -128,16 +128,20 @@ def _select_layers(bundle: ModelBundle, spec: str):
     return chosen
 
 
-def _single_layer(bundle: ModelBundle, layer):
-    """The layer diagnose and compare study: --layer, or the only one with updates."""
+def _single_layer(args):
+    """What diagnose and compare study: (bundle, layer, pooled calibration, updates, geometry).
+
+    The layer is --layer, or the only one with updates.
+    """
+    bundle = load_bundle(args.bundle)
     available = bundle.layers_with_updates
-    if layer is not None:
-        if layer not in available:
-            raise ValueError(f"no residual updates at layer {layer}; bundle has {available}")
-        return layer
-    if len(available) == 1:
-        return available[0]
-    raise ValueError(f"bundle has updates at {available}; pick one with --layer")
+    layer = available[0] if args.layer is None and len(available) == 1 else args.layer
+    if layer is None:
+        raise ValueError(f"bundle has updates at {available}; pick one with --layer")
+    if layer not in available:
+        raise ValueError(f"no residual updates at layer {layer}; bundle has {available}")
+    calib = bundle.pooled_calibration()
+    return bundle, layer, calib, bundle.residuals[layer], merge_geometry(bundle.base, layer, calib)
 
 
 def _report_rows(report: MergeReport, task_ids):
@@ -189,6 +193,7 @@ def _baseline_params(args, bundle: ModelBundle, method, layers):
 
 
 def cmd_gen(args) -> int:
+    n_samples = {} if args.n_calib is None else {"n_samples": args.n_calib}
     if args.kind == "linear":
         dims = _parse_ints(args.dims or "8,6,5")
         if len(dims) != 3:
@@ -199,16 +204,14 @@ def cmd_gen(args) -> int:
             n_layers=args.n_layers,
             merge_layer=merge_layers if len(merge_layers) > 1 else merge_layers[0],
             n_tasks=args.tasks,
-            n_samples=args.n_calib if args.n_calib is not None else 20,
             delta_scale=args.delta_scale,
             noise=args.noise,
             seed=args.seed,
+            **n_samples,
         )
     elif args.kind == "shared-direction":
         bundle = gen_shared_direction_instance(
-            sigmas=_parse_floats(args.sigmas or "1,2"),
-            n_samples=args.n_calib if args.n_calib is not None else 12,
-            seed=args.seed,
+            sigmas=_parse_floats(args.sigmas or "1,2"), seed=args.seed, **n_samples
         )
         print("assumption validators passed (shared direction, isometry)")
     elif args.kind == "relu":
@@ -217,8 +220,8 @@ def cmd_gen(args) -> int:
             dims=tuple(dims),
             merge_layer=int(args.merge_layer or "2"),
             n_tasks=args.tasks,
-            n_samples=args.n_calib if args.n_calib is not None else 100,
             seed=args.seed,
+            **n_samples,
         )
     else:
         raise ValueError(f"unknown bundle kind {args.kind!r}")
@@ -286,11 +289,7 @@ def cmd_merge(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    bundle = load_bundle(args.bundle)
-    layer = _single_layer(bundle, args.layer)
-    calib = bundle.pooled_calibration()
-    deltas = bundle.residuals[layer]
-    geometry = merge_geometry(bundle.base, layer, calib)
+    bundle, layer, calib, deltas, geometry = _single_layer(args)
     c = bundle.base.output_dim
     r = deltas[0].delta.shape[0]
     p_cap = min(r, c)
@@ -355,11 +354,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    bundle = load_bundle(args.bundle)
-    layer = _single_layer(bundle, args.layer)
-    calib = bundle.pooled_calibration()
-    deltas = bundle.residuals[layer]
-    geometry = merge_geometry(bundle.base, layer, calib)
+    bundle, layer, calib, deltas, geometry = _single_layer(args)
     task_ids = bundle.task_ids
     p = args.p if args.p is not None else min(deltas[0].delta.shape[0], bundle.base.output_dim)
 

@@ -132,9 +132,11 @@ def layer_params(method: str, params: dict | None, layer: int) -> dict:
     return params
 
 
-def _baseline_deltas(method, deltas_by_layer, params, layers):
-    """Yield (layer, merged update) of baseline rule `method` at each layer."""
-    for layer in layers:
+def _baseline_deltas(method, deltas_by_layer, params):
+    """Yield (layer, merged update) of baseline rule `method` at each layer, bottom-up."""
+    if not deltas_by_layer:
+        raise ValueError("no layers to merge")
+    for layer in sorted(deltas_by_layer):
         delta = baseline_delta(
             method, list(deltas_by_layer[layer]), layer_params(method, params, layer)
         )
@@ -157,13 +159,11 @@ def baseline_merge(
     and after its layer, and no coefficients.  Returns (merged_network,
     MergeReport).
     """
-    if not deltas_by_layer:
-        raise ValueError("no layers to merge")
     n = len(calib)
     current = net
     pooled, per_task = calibration_mse(current, calib)
     records = []
-    for layer, delta in _baseline_deltas(method, deltas_by_layer, params, sorted(deltas_by_layer)):
+    for layer, delta in _baseline_deltas(method, deltas_by_layer, params):
         before = pooled
         current = apply_merged_residual(current, layer, delta)
         pooled, per_task = calibration_mse(current, calib)
@@ -285,14 +285,11 @@ def hybrid_refine(
     as in solve_layer.  Returns (merged_network, MergeReport) with
     baseline_mse recording the loss before refinement.
     """
-    if not deltas_by_layer:
-        raise ValueError("no layers to merge")
-    all_layers = sorted(deltas_by_layer)
-    refine_layers = all_layers if refine_layers is None else sorted(set(refine_layers))
+    refine_layers = sorted(set(deltas_by_layer if refine_layers is None else refine_layers))
     missing = [l for l in refine_layers if l not in deltas_by_layer]
     if missing:
         raise ValueError(f"refine layers {missing} have no residual updates")
-    applied = dict(_baseline_deltas(init_method, deltas_by_layer, init_params, all_layers))
+    applied = dict(_baseline_deltas(init_method, deltas_by_layer, init_params))
     current = net
     for layer, delta0 in applied.items():
         current = apply_merged_residual(current, layer, delta0)

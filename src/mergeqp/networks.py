@@ -74,13 +74,10 @@ class LinearNetwork:
         for i, W in enumerate(self.layers):
             if 0 in W.shape:
                 raise ValueError(f"layer {i + 1} has shape {W.shape}; dimensions must be positive")
-        for i in range(len(self.layers) - 1):
-            out_here = self.layers[i].shape[0]
-            in_next = self.layers[i + 1].shape[1]
-            if in_next != out_here:
+            if i and W.shape[1] != self.layers[i - 1].shape[0]:
                 raise ValueError(
-                    f"layer {i + 2} expects input dim {in_next} but layer "
-                    f"{i + 1} produces dim {out_here}"
+                    f"layer {i + 1} expects input dim {W.shape[1]} but layer "
+                    f"{i} produces dim {self.layers[i - 1].shape[0]}"
                 )
         if self.activations is None:
             self.activations = [IDENTITY] * (len(self.layers) - 1)

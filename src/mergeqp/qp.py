@@ -234,7 +234,6 @@ def build_diagonal_qp(geometry: MergeGeometry, deltas: list) -> QuadraticObjecti
     per-output-coordinate scaling.  This is the general-basis QP with the
     full standard basis Q = I, built without forming Q.
     """
-    _check_deltas(geometry, deltas)
     return _build_qp(geometry, deltas, None, "standard")
 
 
@@ -247,9 +246,8 @@ def build_general_basis_qp(
     standard basis this reproduces the diagonal QP exactly; with no columns
     the QP has no coefficients and its one point is the zero update.
     """
-    _check_deltas(geometry, deltas)
     Q = basis.columns
-    r = deltas[0].delta.shape[0]
+    r = geometry.downstream.shape[-1]
     if Q.shape[0] != r:
         raise ValueError(
             f"basis lives in dim {Q.shape[0]} but layer output dim is {r}"
@@ -275,6 +273,7 @@ def _build_qp(geometry, deltas, Q, basis_id):
     symmetric rank-k update and each tile M^T M is symmetric, so H is
     exactly symmetric and the objective skips the symmetry scan.
     """
+    _check_deltas(geometry, deltas)
     K = len(deltas)
     r = deltas[0].delta.shape[0]
     P = r if Q is None else Q.shape[1]
@@ -388,15 +387,19 @@ def prefix_optima(qp: QuadraticObjective) -> np.ndarray:
     Ordered direction-major (flat index i * K + k), prefix p's QP is the
     leading pK block, so if _certified passes on H it does on every block
     (Cauchy interlacing) and H = L L^T, z = L^{-1}(-g) give its optimum
-    const - 1/2 sum_{i<pK} z_i^2; otherwise each block takes the eigen cut.
+    const - 1/2 sum_{i<pK} z_i^2.  z is the last row of the Cholesky factor of
+    H bordered by -g and 4 const + 1 > z^T z (J >= 0 at d = -H^{-1} g); if
+    either factorisation fails, each block takes the eigen cut.
     """
-    K = qp.n_tasks
-    order = np.arange(qp.dim).reshape(K, -1).T.ravel()
-    H, g = qp.H[np.ix_(order, order)], qp.g[order]
+    K, n = qp.n_tasks, qp.dim
+    order = np.append(np.arange(n).reshape(K, -1).T.ravel(), n)
+    B = np.block([[qp.H, -qp.g[:, None]], [-qp.g, 4.0 * qp.constant + 1.0]])[np.ix_(order, order)]
+    H, g = B[:n, :n], -B[:n, n]
     if _certified(H):
-        z = np.linalg.solve(np.linalg.cholesky(H.T), -g)
-        return qp.constant - 0.5 * np.cumsum(z * z)[K - 1 :: K]
-    cuts = (_eigen_cut(H[:m, :m], g[:m])[0] for m in range(K, qp.dim + 1, K))
+        with contextlib.suppress(np.linalg.LinAlgError):
+            z = np.linalg.cholesky(B.T)[n, :n]
+            return qp.constant - 0.5 * np.cumsum(z * z)[K - 1 :: K]
+    cuts = (_eigen_cut(H[:m, :m], g[:m])[0] for m in range(K, n + 1, K))
     return qp.constant + 0.5 * np.array([g[: d.size] @ d for d in cuts])
 
 
@@ -515,25 +518,16 @@ def merged_delta_from_coefficients(
         raise ValueError(
             f"{values.shape[0]} coefficient rows for {len(deltas)} tasks"
         )
-    shape = mats[0].shape
-    merged = np.zeros(shape)
-    if basis is None:
-        if values.shape[1] != shape[0]:
-            raise ValueError(
-                f"diagonal coefficients need {shape[0]} columns, got {values.shape[1]}"
-            )
-        for k, dm in enumerate(mats):
-            merged += values[k][:, None] * dm
-    else:
-        Q = basis.columns
-        if Q.shape[0] != shape[0]:
-            raise ValueError("basis dimension does not match delta rows")
-        if values.shape[1] != Q.shape[1]:
-            raise ValueError(
-                f"expected {Q.shape[1]} coefficients per task, got {values.shape[1]}"
-            )
-        for k, dm in enumerate(mats):
-            merged += Q @ (values[k][:, None] * (Q.T @ dm))
+    r = mats[0].shape[0]
+    Q = None if basis is None else basis.columns
+    if Q is not None and Q.shape[0] != r:
+        raise ValueError("basis dimension does not match delta rows")
+    P = r if Q is None else Q.shape[1]
+    if values.shape[1] != P:
+        raise ValueError(f"expected {P} coefficients per task, got {values.shape[1]}")
+    merged = np.zeros(mats[0].shape)
+    for k, dm in enumerate(mats):
+        merged += values[k][:, None] * dm if Q is None else Q @ (values[k][:, None] * (Q.T @ dm))
     return merged
 
 

@@ -96,24 +96,20 @@ def standard_basis(dim: int, p: int, order=None) -> OrthonormalBasis:
     return OrthonormalBasis(cols, "standard")
 
 
-def coordinate_energy_order(S, L=None) -> np.ndarray:
+def coordinate_energy_order(S, L) -> np.ndarray:
     """Coordinates ranked by the energy their induced output direction captures.
 
-    Coordinate i maps to the output direction L e_i (column i of L, or e_i
-    itself when L is None); its score is the energy a 1-D projection onto
-    that direction captures.  With L = I this ranks by the diagonal of S, so
-    for diagonal S the top-p coordinates match the top-p eigenvectors.  A run of
-    sorted scores with gaps of at most 1e-12 times the largest ties, ranked
-    by index.
+    Coordinate i maps to the output direction L e_i (column i of L); its
+    score is the energy a 1-D projection onto that direction captures.  With
+    L = I this ranks by the diagonal of S, so for diagonal S the top-p
+    coordinates match the top-p eigenvectors.  A run of sorted scores with
+    gaps of at most 1e-12 times the largest ties, ranked by index.
     """
     Smat = np.asarray(S, dtype=float)
-    if L is None:
-        scores = np.diag(Smat).copy()
-    else:
-        Lmat = np.asarray(L, dtype=float)
-        nrm2 = np.einsum("ci,ci->i", Lmat, Lmat)
-        quad = np.einsum("ci,ci->i", Smat @ Lmat, Lmat)
-        scores = np.divide(quad, nrm2, out=np.zeros_like(quad), where=nrm2 > 0)
+    Lmat = np.asarray(L, dtype=float)
+    nrm2 = np.einsum("ci,ci->i", Lmat, Lmat)
+    quad = np.einsum("ci,ci->i", Smat @ Lmat, Lmat)
+    scores = np.divide(quad, nrm2, out=np.zeros_like(quad), where=nrm2 > 0)
     order = np.argsort(-scores, kind="stable")
     tol = 1e-12 * np.abs(scores).max(initial=0.0)
     run = np.cumsum(np.diff(scores[order], prepend=scores[order[:1]]) < -tol)

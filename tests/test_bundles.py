@@ -153,6 +153,9 @@ def test_gen_linear_multi_layer_updates():
         net = mq.apply_merged_residual(net, layer, bundle.residuals[layer][0].delta)
     calib = bundle.calibration[0]
     assert np.allclose(mq.forward(net, calib.inputs[0]), calib.targets[0], atol=1e-12)
+    for bad in ((1, 3), 0):
+        with pytest.raises(ValueError, match=r"outside \[1, 2\]"):
+            mq.gen_linear_tasks(dims=(5, 4, 3), n_layers=2, merge_layer=bad)
 
 
 def test_gen_linear_delta_scale():
@@ -376,6 +379,7 @@ def _b64(values):
         ("residual", _b64([1.0, 2.0, 3.0, 4.0])[:20] + " \n" + _b64([1.0, 2.0, 3.0, 4.0])[20:],
          "invalid base64"),
         ("residual", "AAAAAAAAAAA", "invalid base64"),  # truncated padding
+        ("residual", "AAA\u00e9" + _b64([1.0, 2.0, 3.0, 4.0])[4:], "invalid base64"),  # not ASCII
         ("residual", base64.b64encode(b"\0" * 12).decode(), "not a whole number"),
         ("residual", _b64([1.0, 2.0, 3.0]), "expected 4 values, got 3"),
         ("residual", 5, "got int"),
@@ -494,15 +498,79 @@ def test_save_network_refuses_non_finite_weights(tmp_path):
     assert not path.exists()
 
 
+def _circular():
+    meta = {"nested": {}}
+    meta["nested"]["back"] = meta
+    return meta
+
+
 @pytest.mark.parametrize(
     "meta,error",
-    [({"weights": np.zeros(2000)}, TypeError), ({"noise": float("nan")}, ValueError)],
+    [({"weights": np.zeros(2000)}, TypeError), ({"noise": float("nan")}, ValueError),
+     (_circular(), ValueError)],
 )
 def test_save_refuses_meta_that_is_not_strict_json(tmp_path, meta, error):
     bundle = _tiny_bundle()
     bundle.meta = meta
     path = tmp_path / "b.json"
     with pytest.raises(error):
+        mq.save_bundle(bundle, path)
+    assert not path.exists()
+
+
+# --- the writer is the stdlib encoder, byte for byte -------------------------
+
+
+def _stdlib_text(obj):
+    return json.JSONEncoder(indent=1, allow_nan=False).encode(obj) + "\n"
+
+
+def _hostile_bundle():
+    ids = ['say "hi"', "back\\slash", "new\nline", "caf\u00e9 \u2603"]
+    rng = np.random.default_rng(0)
+    return mq.ModelBundle(
+        base=mq.LinearNetwork([rng.normal(size=(3, 2)), rng.normal(size=(2, 3))]),
+        residuals={1: [mq.ResidualUpdate(1, rng.normal(size=(3, 2)), t) for t in ids]},
+        calibration=[
+            mq.CalibrationSet.for_task(t, rng.normal(size=(2, 2)), rng.normal(size=(2, 2)))
+            for t in ids
+        ],
+        meta={
+            "nested": {"empty_obj": {}, "empty_list": [], "deep": [[{}], {"x": [None]}]},
+            "none": None, "yes": True, "no": False, "huge": 1e300, "tiny": -5e-324,
+            'quote"key': "tab\tquote\"back\\slash\u0001 ctrl, caf\u00e9, \U0001f600",
+        },
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: mq.gen_linear_tasks(dims=(6, 5, 4), n_layers=3, merge_layer=(1, 3), seed=0),
+        lambda: mq.gen_relu_tasks(seed=0),
+        lambda: mq.gen_shared_direction_instance(seed=0),
+        _hostile_bundle,
+    ],
+)
+def test_written_files_are_the_stdlib_encoding(tmp_path, make):
+    bundle = make()
+    obj = bn.bundle_to_obj(bundle)
+    want = _stdlib_text(obj)
+    assert json.dumps(obj, indent=1) + "\n" == want  # bundle_to_obj is plain JSON
+    path = tmp_path / "b.json"
+    mq.save_bundle(bundle, path)
+    assert path.read_text() == want
+    assert bn.bundle_from_obj(obj).task_ids == bundle.task_ids == mq.load_bundle(path).task_ids
+    mq.save_network(bundle.base, path)
+    assert path.read_text() == _stdlib_text({"version": 2, "network": obj["base"]})
+
+
+@pytest.mark.parametrize("unknown", [object(), {1, 2}, b"AAAA", 1 + 2j])
+def test_save_refuses_unknown_meta_objects(tmp_path, unknown):
+    bundle = _tiny_bundle()
+    bundle.meta = {"x": [unknown]}
+    path = tmp_path / "b.json"
+    with pytest.raises(TypeError, match="is not JSON serializable"):
         mq.save_bundle(bundle, path)
     assert not path.exists()
 

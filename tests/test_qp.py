@@ -642,8 +642,8 @@ def _partly_held_qp(rng, n=12):
 def test_solvers_hand_lapack_column_ordered_qp_matrices(case, rng):
     # H is exactly symmetric, so its transpose view holds the same values and
     # is already in LAPACK's column order: numpy's copy into the LAPACK buffer
-    # reads contiguous columns.  The Cholesky factor prefix_optima solves
-    # with is triangular, not a QP matrix, and is the one C-ordered operand.
+    # reads contiguous columns.  prefix_optima factors H bordered by -g, which
+    # is symmetric too.
     net, deltas, calib = _random_instance(rng, d=5, K=2, n=12 if "cut" not in case else 3)
     qp = mq.build_diagonal_qp(mq.merge_geometry(net, 1, calib), deltas)
     if case == "box-held":
@@ -663,10 +663,7 @@ def test_solvers_hand_lapack_column_ordered_qp_matrices(case, rng):
     if case.startswith("box"):
         free = newton.call_args_list[0].args[2]
         assert free.all() == (case == "box-all-free") and free.any()
-    symmetric = [(name, a) for name, a in seen if np.array_equal(a, a.T)]
-    assert symmetric and all(a.flags.f_contiguous for _, a in symmetric)
-    others = [name for name, a in seen if not np.array_equal(a, a.T)]
-    assert others == (["solve"] if case == "prefix-certified" else [])
+    assert seen and all(np.array_equal(a, a.T) and a.flags.f_contiguous for _, a in seen)
 
 
 def test_prefix_eigen_cuts_read_contiguous_columns(rng):
@@ -679,6 +676,30 @@ def test_prefix_eigen_cuts_read_contiguous_columns(rng):
     eigh = [a for name, a in seen if name == "eigh"]
     assert len(eigh) == qp.n_directions
     assert all(a.strides[0] == a.itemsize and np.array_equal(a, a.T) for a in eigh)
+
+
+@pytest.mark.parametrize("path", ["bordered", "fallback"])
+def test_prefix_optima_match_a_triangular_solve(path, rng):
+    # the reference: z = L^{-1}(-g) by scipy's triangular solve on the
+    # direction-major H; a QP with J < 0 somewhere puts z^T z above the
+    # bordered factor's corner 4 const + 1, so that factor fails
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    net, deltas, calib = _random_instance(rng, d=5, r=6, c=4, K=3, n=12)
+    qp = mq.build_diagonal_qp(mq.merge_geometry(net, 1, calib), deltas)
+    if path == "fallback":
+        qp = mq.QuadraticObjective(
+            H=qp.H, g=qp.g, constant=-1.0, n_tasks=qp.n_tasks, n_directions=qp.n_directions
+        )
+    assert qpmod._certified(qp.H)
+    K = qp.n_tasks
+    order = np.arange(qp.dim).reshape(K, -1).T.ravel()
+    L = np.linalg.cholesky(qp.H[np.ix_(order, order)])
+    z = scipy_linalg.solve_triangular(L, -qp.g[order], lower=True)
+    want = qp.constant - 0.5 * np.cumsum(z * z)[K - 1 :: K]
+    with mock.patch.object(qpmod, "_eigen_cut", wraps=qpmod._eigen_cut) as cut:
+        got = qpmod.prefix_optima(qp)
+    assert cut.call_count == (0 if path == "bordered" else qp.n_directions)
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 def _c_ordered(name):

@@ -91,7 +91,7 @@ def test_standard_basis_columns():
 
 def test_coordinate_energy_order_ranks_by_captured_energy():
     S = np.diag([3.0, 1.0, 2.0])
-    assert list(mq.coordinate_energy_order(S)) == [0, 2, 1]
+    assert list(mq.coordinate_energy_order(S, np.eye(3))) == [0, 2, 1]
 
 
 def test_coordinate_energy_order_with_output_map():
