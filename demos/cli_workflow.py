@@ -1,7 +1,7 @@
 """The full command-line loop: generate, merge, evaluate, diagnose, compare.
 
 Everything the library does is reachable through the `mergeqp` console
-command with JSON bundles on disk.  This script drives the same entry point
+command with bundle files on disk.  This script drives the same entry point
 in-process and leaves the artifacts in a temp directory for inspection.
 """
 

@@ -1,15 +1,16 @@
 """Model bundles: base network, per-task updates, calibration data, on disk.
 
-A bundle is everything one merging experiment needs, stored as a single JSON
-file.  Files are written as format version 2: every float array is one
-base64 string of its row-major little-endian float64 bytes, so save -> load
--> save reproduces values bit-exactly and identical generator configurations
-produce byte-identical files.  Array shapes come from the network: layer
-matrices carry rows/cols, residual updates take their layer's shape, and
-calibration inputs/targets take the network's input/output width.  Version-1
-files, which store the same layout with JSON number lists (calibration as
-lists of rows), are still read; loading one and saving it converts it to
-version 2.  Three seeded generators build desk-scale bundles: plain linear
+A bundle is everything one merging experiment needs, in one file.  Files are
+written as format version 3: MAGIC, the header length as 8 little-endian
+bytes, a JSON header, then the float arrays as row-major little-endian
+float64, back to back in header order.  The header has the JSON layout of
+earlier versions with each array replaced by its [start, end) byte range,
+so save -> load -> save is bit-exact and equal generator configurations give
+byte-identical files.  Array shapes come from the network: layer rows/cols,
+the layer shape for residual updates, and the input/output width for
+calibration rows.  JSON files of version 1 (number lists) and version 2
+(base64 strings) are still read, told apart by the magic, and saving one
+converts it.  Three seeded generators build desk-scale bundles: plain linear
 stacks, the shared-direction construction behind the closed-form merge
 weights, and a small ReLU classifier fine-tuned on disjoint class subsets.
 """
@@ -23,11 +24,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .networks import IDENTITY, RELU, LinearNetwork, ResidualUpdate, apply_merged_residual, forward
+from .networks import RELU, LinearNetwork, ResidualUpdate, apply_merged_residual, forward
 from .qp import CalibrationSet
 
-FORMAT_VERSION = 2
-READ_VERSIONS = (1, 2)
+MAGIC = b"\x93MERGEQP"  # not UTF-8, so no JSON text starts with it
+FORMAT_VERSION = 3
+JSON_VERSIONS = (1, 2)
 
 
 class BundleFormatError(ValueError):
@@ -96,23 +98,37 @@ class ModelBundle:
         ))
 
 
-class _Payload(str):
-    """A base64 array payload, which _write_json writes as it stands."""
+class _Section(list):
+    """The arrays of a version-3 data section, in header order, as a file is encoded."""
+
+    nbytes = 0
+
+    def add(self, arr: np.ndarray, path: str) -> list:
+        """Append arr as row-major little-endian float64; its [start, end) byte range."""
+        arr = np.ascontiguousarray(arr, dtype="<f8")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{path}: non-finite values, refusing to save")
+        self.append(arr)
+        self.nbytes += arr.nbytes
+        return [self.nbytes - arr.nbytes, self.nbytes]
 
 
-@dataclass
-class _Slot:
-    """A _Payload while _write_json encodes: unknown to the encoder, so it reaches default."""
+class _Data:
+    """The data section of a version-3 file, handed out in header order."""
 
-    text: str
+    def __init__(self, buf: memoryview):
+        self.buf, self.end, self.last = buf, 0, "$"
 
-
-def _encode(arr: np.ndarray, path: str) -> str:
-    """Row-major little-endian float64 bytes of arr as one base64 string."""
-    arr = np.ascontiguousarray(arr, dtype="<f8")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{path}: non-finite values, refusing to save")
-    return _Payload(base64.b64encode(arr.tobytes()), "ascii")
+    def take(self, rng, path: str) -> memoryview:
+        if not (isinstance(rng, list) and len(rng) == 2 and all(type(v) is int for v in rng)):
+            raise BundleFormatError(f"{path}: expected a [start, end) byte range of two ints")
+        if not self.end == rng[0] <= rng[1] <= len(self.buf):  # no gap, overlap or reordering
+            raise BundleFormatError(
+                f"{path}: [{rng[0]}, {rng[1]}) is not the range of the {len(self.buf)}-byte "
+                f"data section that starts at byte {self.end}, right after the arrays before it"
+            )
+        self.end, self.last = rng[1], path
+        return self.buf[rng[0]:rng[1]]
 
 
 def _task_id(task, path, error=BundleFormatError):
@@ -124,13 +140,13 @@ def _task_id(task, path, error=BundleFormatError):
     return task
 
 
-def _network_obj(net: LinearNetwork, path: str) -> dict:
+def _network_obj(net: LinearNetwork, path: str, section: _Section) -> dict:
     return {
         "layers": [
             {
                 "rows": int(W.shape[0]),
                 "cols": int(W.shape[1]),
-                "data": _encode(W, f"{path}.layers[{i}].data"),
+                "data": section.add(W, f"{path}.layers[{i}].data"),
             }
             for i, W in enumerate(net.layers)
         ],
@@ -138,17 +154,17 @@ def _network_obj(net: LinearNetwork, path: str) -> dict:
     }
 
 
-def bundle_to_obj(bundle: ModelBundle) -> dict:
-    """The version-2 JSON object of a bundle; ValueError if it cannot load back."""
+def _bundle_header(bundle: ModelBundle, section: _Section) -> dict:
+    """The version-3 header of a bundle, arrays added to section; ValueError if it cannot load."""
     updates = [up for layer in sorted(bundle.residuals) for up in bundle.residuals[layer]]
-    obj = {
+    header = {
         "version": FORMAT_VERSION,
-        "base": _network_obj(bundle.base, "$.base"),
+        "base": _network_obj(bundle.base, "$.base", section),
         "residuals": [
             {
                 "layer": int(up.layer_index),
                 "task": _task_id(up.task_id, f"$.residuals[{i}].task", ValueError),
-                "data": _encode(up.delta, f"$.residuals[{i}].data"),
+                "data": section.add(up.delta, f"$.residuals[{i}].data"),
             }
             for i, up in enumerate(updates)
         ],
@@ -160,55 +176,31 @@ def bundle_to_obj(bundle: ModelBundle) -> dict:
         ids = set(cs.task_ids or [None])
         if len(ids) != 1:
             raise ValueError("each stored calibration set must belong to one task")
-        obj["calibration"].append(
+        header["calibration"].append(
             {
                 "task": _task_id(next(iter(ids)), f"{path}.task", ValueError),
-                "inputs": _encode(cs.inputs, f"{path}.inputs"),
-                "targets": _encode(cs.targets, f"{path}.targets"),
+                "inputs": section.add(cs.inputs, f"{path}.inputs"),
+                "targets": section.add(cs.targets, f"{path}.targets"),
             }
         )
-    return obj
+    return header
 
 
-def _write_json(obj, path) -> None:
-    """Write obj as strict JSON, encoded before the file opens: a failure writes nothing.
-
-    The text is JSONEncoder(indent=1, allow_nan=False)'s.  Base64 holds no
-    character JSON escapes (RFC 4648 section 4, RFC 8259 section 7), so each
-    payload skips the string escaper: its _Slot makes the encoder call default
-    and write "null", and the payload in quotes takes that chunk's place.
-    """
-    slots = []
-
-    def slotted(o):  # meta is the caller's and holds no payload
-        if isinstance(o, dict):
-            return {k: v if k == "meta" else slotted(v) for k, v in o.items()}
-        if isinstance(o, list):
-            return [slotted(v) for v in o]
-        return _Slot(o) if isinstance(o, _Payload) else o
-
-    def default(o):
-        if not isinstance(o, _Slot):
-            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-        slots.append(o)
-
-    chunks = []  # the chunks, not their join, which is slower on large bundles
-    encoder = json.JSONEncoder(indent=1, allow_nan=False, default=default)
-    for chunk in encoder.iterencode(slotted(obj)):
-        if slots and chunk != "null":
-            raise RuntimeError(f"a payload slot encoded as {chunk!r}, not null")
-        chunks += ('"', slots.pop().text, '"') if slots else (chunk,)
-    with open(path, "w") as fh:
-        fh.writelines([*chunks, "\n"])
+def _write(path, make_header) -> None:
+    """Write the v3 file of make_header(section), which fills section; errors write nothing."""
+    section = _Section()
+    text = json.dumps(make_header(section), allow_nan=False, separators=(",", ":")).encode()
+    with open(path, "wb") as fh:
+        fh.writelines([MAGIC, len(text).to_bytes(8, "little"), text, *section])
 
 
 def save_bundle(bundle: ModelBundle, path) -> None:
-    """Write a bundle as version-2 JSON. Deterministic, no timestamps.
+    """Write a bundle as a version-3 file. Deterministic, no timestamps.
 
     Raises ValueError naming the field, before anything is written, when the
     bundle holds non-finite values or a task id that is not an int or str.
     """
-    _write_json(bundle_to_obj(bundle), path)
+    _write(path, lambda section: _bundle_header(bundle, section))
 
 
 def _expect(obj, key, kinds, path):
@@ -225,24 +217,28 @@ def _expect(obj, key, kinds, path):
     return val
 
 
-def _floats(entry, key, cols, path, rows=None) -> np.ndarray:
-    """The (rows, cols) float64 array in entry[key]: a base64 string or a number list.
+def _floats(entry, key, cols, path, rows=None, data=None) -> np.ndarray:
+    """The (rows, cols) float64 array in entry[key]: a byte range, base64 string or number list.
 
-    A string holds row-major little-endian float64 bytes (version 2).  A list
-    is flat when rows is given and a list of rows otherwise (version 1).
-    rows=None takes the row count from the data, which must be non-empty.
+    A range indexes data, a version-3 data section; a string is base64 (version
+    2): row-major little-endian float64 bytes either way.  A list is flat when
+    rows is given and a list of rows otherwise (version 1).  rows=None takes
+    the row count from the data, which must be non-empty.
     """
     value, path = _expect(entry, key, None, path), f"{path}.{key}"
-    if isinstance(value, str):
+    if data is not None:
+        value = data.take(value, path)
+    elif isinstance(value, str):
         try:
-            raw = base64.b64decode(value, validate=True)
+            value = base64.b64decode(value, validate=True)
         except ValueError as exc:  # binascii.Error, or a non-ASCII character
             raise BundleFormatError(f"{path}: invalid base64: {exc}") from exc
-        if len(raw) % 8:
+    if isinstance(value, (bytes, memoryview)):
+        if len(value) % 8:
             raise BundleFormatError(
-                f"{path}: {len(raw)} bytes is not a whole number of float64 values"
+                f"{path}: {len(value)} bytes is not a whole number of float64 values"
             )
-        arr = np.frombuffer(raw, "<f8").astype(np.float64)
+        arr = np.frombuffer(value, "<f8").astype(np.float64)
     elif isinstance(value, list):
         try:
             arr = np.asarray(value, dtype=float)
@@ -272,52 +268,55 @@ def _floats(entry, key, cols, path, rows=None) -> np.ndarray:
     return arr.reshape(-1 if rows is None else rows, cols)
 
 
-def _parse_matrix(obj, path) -> np.ndarray:
-    rows = _expect(obj, "rows", int, path)
-    cols = _expect(obj, "cols", int, path)
-    if rows < 1 or cols < 1:
-        raise BundleFormatError(f"{path}: rows and cols must be positive")
-    return _floats(obj, "data", cols, path, rows)
-
-
-def _parse_network(obj, path) -> LinearNetwork:
-    layers_obj = _expect(obj, "layers", list, path)
-    if not layers_obj:
-        raise BundleFormatError(f"{path}.layers: network needs at least one layer")
-    layers = [
-        _parse_matrix(l, f"{path}.layers[{i}]") for i, l in enumerate(layers_obj)
-    ]
+def _parse_network(obj, path, data) -> LinearNetwork:
+    layers = []
+    for i, entry in enumerate(_expect(obj, "layers", list, path)):
+        rows, cols = (_expect(entry, k, int, f"{path}.layers[{i}]") for k in ("rows", "cols"))
+        if rows < 1 or cols < 1:
+            raise BundleFormatError(f"{path}.layers[{i}]: rows and cols must be positive")
+        layers.append(_floats(entry, "data", cols, f"{path}.layers[{i}]", rows, data))
     activations = _expect(obj, "activations", list, path)
-    for i, a in enumerate(activations):
-        if a not in (IDENTITY, RELU):
-            raise BundleFormatError(
-                f"{path}.activations[{i}]: unknown activation {a!r}"
-            )
-    try:
+    try:  # the network checks the layer count and the activation names
         return LinearNetwork(layers, activations)
     except ValueError as exc:
         raise BundleFormatError(f"{path}: {exc}") from exc
 
 
-def _load_obj(path) -> dict:
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise BundleFormatError(f"not valid JSON: {exc}") from exc
+def _load(path, parse):
+    """parse(header object, data) of a file; data is a version-3 data section, else None."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    header, data = raw, None
+    if raw.startswith(MAGIC):
+        start = len(MAGIC) + 8
+        end = start + int.from_bytes(raw[len(MAGIC):start], "little")
+        if end > len(raw):
+            raise BundleFormatError(f"$: header runs to byte {end}, past the {len(raw)}-byte file")
+        header, data = raw[start:end], _Data(memoryview(raw)[end:])
+    try:
+        obj = json.loads(header)
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+        what = "no version-3 magic, and" if data is None else "header is"
+        raise BundleFormatError(f"$: {what} not valid JSON: {exc}") from exc
+    result = parse(obj, data)
+    if data is not None and data.end != len(data.buf):
+        raise BundleFormatError(f"{data.last}: {len(data.buf) - data.end} bytes follow it")
+    return result
 
 
-def _check_version(obj) -> None:
+def _check_version(obj, data) -> None:
+    versions = JSON_VERSIONS if data is None else (FORMAT_VERSION,)
     version = _expect(obj, "version", int, "$")
-    if version not in READ_VERSIONS:
+    if version not in versions:
         raise BundleFormatError(
-            f"$.version: unsupported version {version}, expected one of {READ_VERSIONS}"
+            f"$.version: unsupported version {version}, expected one of {versions}"
         )
 
 
-def bundle_from_obj(obj) -> ModelBundle:
-    _check_version(obj)
-    base = _parse_network(_expect(obj, "base", dict, "$"), "$.base")
+def bundle_from_obj(obj, data=None) -> ModelBundle:
+    """The bundle in a header object; data is the data section of a version-3 file."""
+    _check_version(obj, data)
+    base = _parse_network(_expect(obj, "base", dict, "$"), "$.base", data)
     residuals = {}
     res_list = _expect(obj, "residuals", list, "$")
     if not res_list:
@@ -329,7 +328,7 @@ def bundle_from_obj(obj) -> ModelBundle:
             raise BundleFormatError(f"{path}.layer: {layer} outside [1, {base.depth}]")
         task = _task_id(_expect(entry, "task", None, path), f"{path}.task")
         rows, cols = base.layer_shape(layer)
-        delta = _floats(entry, "data", cols, path, rows)
+        delta = _floats(entry, "data", cols, path, rows, data)
         residuals.setdefault(layer, []).append(ResidualUpdate(layer, delta, task))
     calibration = []
     cal_list = _expect(obj, "calibration", list, "$")
@@ -338,13 +337,12 @@ def bundle_from_obj(obj) -> ModelBundle:
     for i, entry in enumerate(cal_list):
         path = f"$.calibration[{i}]"
         task = _task_id(_expect(entry, "task", None, path), f"{path}.task")
-        inputs = _floats(entry, "inputs", base.input_dim, path)
-        targets = _floats(entry, "targets", base.output_dim, path)
-        if inputs.shape[0] != targets.shape[0]:
-            raise BundleFormatError(
-                f"{path}: {inputs.shape[0]} inputs but {targets.shape[0]} targets"
-            )
-        calibration.append(CalibrationSet.for_task(task, inputs, targets))
+        inputs = _floats(entry, "inputs", base.input_dim, path, data=data)
+        targets = _floats(entry, "targets", base.output_dim, path, data=data)
+        try:  # the set checks that inputs and targets pair up
+            calibration.append(CalibrationSet.for_task(task, inputs, targets))
+        except ValueError as exc:
+            raise BundleFormatError(f"{path}: {exc}") from exc
     meta = obj.get("meta", {})
     if not isinstance(meta, dict):
         raise BundleFormatError("$.meta: expected an object")
@@ -356,23 +354,26 @@ def bundle_from_obj(obj) -> ModelBundle:
 
 def load_bundle(path) -> ModelBundle:
     """Parse and validate a bundle file, naming the offending field on error."""
-    return bundle_from_obj(_load_obj(path))
+    return _load(path, bundle_from_obj)
 
 
 def save_network(net: LinearNetwork, path) -> None:
-    """Write a bare network (e.g. a merged model) as version-2 JSON.
+    """Write a bare network (e.g. a merged model) as a version-3 file.
 
     Raises ValueError naming the layer, before anything is written, when a
     weight is non-finite.
     """
-    obj = {"version": FORMAT_VERSION, "network": _network_obj(net, "$.network")}
-    _write_json(obj, path)
+    _write(path, lambda section: {
+        "version": FORMAT_VERSION, "network": _network_obj(net, "$.network", section)})
+
+
+def _network_from_obj(obj, data) -> LinearNetwork:
+    _check_version(obj, data)
+    return _parse_network(_expect(obj, "network", dict, "$"), "$.network", data)
 
 
 def load_network(path) -> LinearNetwork:
-    obj = _load_obj(path)
-    _check_version(obj)
-    return _parse_network(_expect(obj, "network", dict, "$"), "$.network")
+    return _load(path, _network_from_obj)
 
 
 def gen_linear_tasks(

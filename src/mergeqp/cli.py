@@ -23,7 +23,6 @@ import numpy as np
 
 from .baselines import baseline_delta, fisher_diagonals
 from .bundles import (
-    BundleFormatError,
     ModelBundle,
     gen_linear_tasks,
     gen_relu_tasks,
@@ -429,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate a synthetic model bundle")
     p_gen.add_argument("--kind", choices=("linear", "shared-direction", "relu"), default="linear")
-    p_gen.add_argument("--out", required=True, help="bundle JSON path")
+    p_gen.add_argument("--out", required=True, help="bundle file path (format version 3)")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--dims", help="comma dims: linear d,r,c / relu d,h1,...,c")
     p_gen.add_argument("--n-layers", type=int, default=2, help="linear: layer count")
@@ -464,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_merge.add_argument("--lo", type=_finite_float, default=0.0)
     p_merge.add_argument("--hi", type=_finite_float, default=1.0)
     p_merge.add_argument("--steps", type=int, default=500, help="box solver iteration cap")
-    p_merge.add_argument("--out", help="merged model JSON path")
+    p_merge.add_argument("--out", help="merged model file path (a version-3 network file)")
     p_merge.add_argument("--report", help="report path")
     p_merge.add_argument("--format", choices=("csv", "json"), default="csv")
     p_merge.set_defaults(func=cmd_merge)
@@ -480,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.set_defaults(func=cmd_diagnose)
 
     p_eval = sub.add_parser("eval", help="evaluate a model on bundle calibration data")
-    p_eval.add_argument("--model", required=True, help="network JSON path")
+    p_eval.add_argument("--model", required=True, help="network file path, e.g. merge --out")
     p_eval.add_argument("--bundle", required=True)
     p_eval.add_argument("--out", help="metrics JSON path (stdout when omitted)")
     p_eval.set_defaults(func=cmd_eval)
@@ -506,7 +505,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (BundleFormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # BundleFormatError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

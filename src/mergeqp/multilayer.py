@@ -110,11 +110,14 @@ def prefix_sweep(geometry, deltas, basis):
     opt_relaxed = total - np.cumsum(np.linalg.eigvalsh(S)[::-1])
     optima = prefix_optima(build_general_basis_qp(geometry, deltas, basis))
     p = np.arange(1, basis.p + 1)
-    fraction = captured / total if total else np.ones(basis.p)
     relaxed = total - captured
     gap = relaxed - opt_relaxed[np.minimum(p, opt_relaxed.shape[0]) - 1]
-    return list(zip(p.tolist(), fraction.tolist(), relaxed.tolist(),
-                    (optima / len(geometry.residuals)).tolist(), gap.tolist()))
+    # clamp rounding past the bounds; Ky Fan bounds only a fixed map's gap
+    fraction = np.clip(captured / total, 0.0, 1.0) if total else np.ones(basis.p)
+    gap = np.maximum(gap, 0.0) if geometry.fixed_downstream else gap
+    qp_mse = np.maximum(optima / len(geometry.residuals), 0.0)
+    return list(zip(p.tolist(), fraction.tolist(), np.maximum(relaxed, 0.0).tolist(),
+                    qp_mse.tolist(), gap.tolist()))
 
 
 def layer_params(method: str, params: dict | None, layer: int) -> dict:

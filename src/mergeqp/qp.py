@@ -78,9 +78,7 @@ class CalibrationSet:
     @classmethod
     def concat(cls, sets) -> "CalibrationSet":
         """Pool several calibration sets, keeping per-sample task labels."""
-        sets = list(sets)
-        if not sets:
-            raise ValueError("nothing to concatenate")
+        sets = list(sets)  # np.vstack refuses an empty list
         inputs = np.vstack([s.inputs for s in sets])
         targets = np.vstack([s.targets for s in sets])
         ids = []

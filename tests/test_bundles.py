@@ -76,7 +76,7 @@ def test_golden_fixture_round_trip(tmp_path):
 
 
 def _mutated(mutate):
-    obj = bn.bundle_to_obj(_tiny_bundle())
+    obj = _v2_obj(_tiny_bundle())
     mutate(obj)
     return obj
 
@@ -232,7 +232,7 @@ def test_pooled_calibration_concatenates_in_task_order():
     assert moved.task_ids == pooled.task_ids + [7, 7]
 
 
-# --- format version 2: base64 float64 arrays -------------------------------
+# --- file formats: v3 raw float64 data section, v2 base64, v1 number lists -----
 
 GOLDEN_V2 = GOLDEN.with_name("golden_bundle_v2.json")
 
@@ -289,6 +289,44 @@ def _v1_obj(bundle):
     }
 
 
+def _array_slots(obj):
+    """(entry, key) of every float array of a bundle object, in file order."""
+    slots = [(entry, "data") for entry in obj["base"]["layers"] + obj["residuals"]]
+    return slots + [(entry, key) for entry in obj["calibration"] for key in ("inputs", "targets")]
+
+
+def _le_bytes(arr):
+    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
+
+
+def _v2_obj(bundle):
+    """The bundle as the version-2 writer stored it: one base64 string per array."""
+    obj = dict(_v1_obj(bundle), version=2)
+    for (entry, key), arr in zip(_array_slots(obj), _arrays(bundle)):
+        entry[key] = base64.b64encode(_le_bytes(arr)).decode("ascii")
+    return obj
+
+
+def _v2_text(bundle):
+    return json.dumps(_v2_obj(bundle), indent=1) + "\n"
+
+
+def _v3_parts(bundle):
+    """The version-3 header object and data section of a bundle, built from the layout."""
+    obj, data = dict(_v1_obj(bundle), version=3), b""
+    for (entry, key), arr in zip(_array_slots(obj), _arrays(bundle)):
+        entry[key] = [len(data), len(data) + arr.size * 8]
+        data += _le_bytes(arr)
+    return obj, data
+
+
+def _v3_file(header, data, magic=bn.MAGIC, extra_size=0):
+    """Magic, header length (off by extra_size), header (stdlib JSON unless bytes), data."""
+    text = header if isinstance(header, bytes) else json.dumps(
+        header, allow_nan=False, separators=(",", ":")).encode()
+    return magic + (len(text) + extra_size).to_bytes(8, "little") + text + data
+
+
 def _bundle_from_values(values, r, c, n):
     vals = np.asarray(values, dtype=np.float64)
     take = lambda k, shape: np.resize(np.roll(vals, k), shape)
@@ -312,6 +350,7 @@ def test_round_trip_preserves_any_float64_bit_pattern(tmp_path_factory, bits, r,
     bundle = _bundle_from_values(values, r, c, n)
     d = tmp_path_factory.mktemp("bits")
     mq.save_bundle(bundle, d / "a.json")
+    assert (d / "a.json").read_bytes() == _v3_file(*_v3_parts(bundle))
     loaded = mq.load_bundle(d / "a.json")
     _assert_same_bits(bundle, loaded)
     mq.save_bundle(loaded, d / "b.json")
@@ -331,9 +370,14 @@ def test_golden_v2_fixture_matches_v1_fixture(tmp_path):
     _assert_same_bits(v1, v2)
     assert v1.meta == v2.meta
     assert json.loads(GOLDEN_V2.read_text())["version"] == 2
-    # pins the little-endian float64 encoding and the file layout
-    mq.save_bundle(v1, tmp_path / "converted.json")
-    assert (tmp_path / "converted.json").read_bytes() == GOLDEN_V2.read_bytes()
+    # pins the little-endian float64 base64 encoding the v2 fixture maker shares
+    assert _v2_text(v1) == GOLDEN_V2.read_text()
+    # saving either fixture converts it to the same version-3 bytes
+    mq.save_bundle(v1, tmp_path / "from_v1.json")
+    mq.save_bundle(v2, tmp_path / "from_v2.json")
+    converted = (tmp_path / "from_v1.json").read_bytes()
+    assert converted == (tmp_path / "from_v2.json").read_bytes() == _v3_file(*_v3_parts(v1))
+    _assert_same_bits(v1, mq.load_bundle(tmp_path / "from_v1.json"))
 
 
 @pytest.mark.parametrize(
@@ -346,25 +390,31 @@ def test_golden_v2_fixture_matches_v1_fixture(tmp_path):
 )
 def test_v1_list_file_loads_bit_identical_to_v2(tmp_path, make):
     bundle = make()
-    v1_path, v2_path, conv_path = (tmp_path / n for n in ("v1.json", "v2.json", "conv.json"))
+    v1_path, v2_path, v3_path = (tmp_path / n for n in ("v1.json", "v2.json", "v3.json"))
     v1_path.write_text(json.dumps(_v1_obj(bundle), indent=1) + "\n")
-    mq.save_bundle(bundle, v2_path)
-    from_v1, from_v2 = mq.load_bundle(v1_path), mq.load_bundle(v2_path)
+    v2_path.write_text(_v2_text(bundle))
+    mq.save_bundle(bundle, v3_path)
+    from_v1, from_v2, from_v3 = (mq.load_bundle(p) for p in (v1_path, v2_path, v3_path))
     _assert_same_bits(bundle, from_v1)
     _assert_same_bits(from_v1, from_v2)
-    assert from_v1.meta == from_v2.meta
-    # load then save converts a v1 file into the same v2 bytes
-    mq.save_bundle(from_v1, conv_path)
-    assert conv_path.read_bytes() == v2_path.read_bytes()
-    assert json.loads(conv_path.read_text())["version"] == 2
+    _assert_same_bits(from_v1, from_v3)
+    assert from_v1.meta == from_v2.meta == from_v3.meta
+    # load then save converts a v1 or v2 file into the same v3 bytes
+    for i, loaded in enumerate((from_v1, from_v2)):
+        mq.save_bundle(loaded, tmp_path / f"conv{i}.json")
+        assert (tmp_path / f"conv{i}.json").read_bytes() == v3_path.read_bytes()
+    assert v3_path.read_bytes().startswith(bn.MAGIC)
 
 
 def test_v2_file_is_smaller_than_v1(tmp_path):
     bundle = mq.gen_linear_tasks(dims=(16, 12, 8), n_samples=50, noise=0.1, seed=0)
-    v1_path, v2_path = tmp_path / "v1.json", tmp_path / "v2.json"
+    v1_path, v2_path, v3_path = tmp_path / "v1.json", tmp_path / "v2.json", tmp_path / "v3.json"
     v1_path.write_text(json.dumps(_v1_obj(bundle), indent=1) + "\n")
-    mq.save_bundle(bundle, v2_path)
+    v2_path.write_text(_v2_text(bundle))
+    mq.save_bundle(bundle, v3_path)
     assert v2_path.stat().st_size < 0.6 * v1_path.stat().st_size
+    # raw float64 bytes, no base64 expansion by 4/3
+    assert v3_path.stat().st_size < 0.8 * v2_path.stat().st_size
 
 
 def _b64(values):
@@ -396,7 +446,7 @@ def _b64(values):
     ],
 )
 def test_malformed_base64_names_the_json_path(field, set_value, needle):
-    obj = bn.bundle_to_obj(_tiny_bundle())
+    obj = _v2_obj(_tiny_bundle())
     target, key, path = {
         "residual": (obj["residuals"][0], "data", "$.residuals[0].data"),
         "layer": (obj["base"]["layers"][0], "data", "$.base.layers[0].data"),
@@ -417,12 +467,118 @@ def test_v1_ragged_calibration_rows_name_the_json_path():
         bn.bundle_from_obj(obj)
 
 
-@pytest.mark.parametrize("source", ["v1", "v2"])
+# The tiny bundle's v3 data section: base layer [0, 32), residual [32, 64),
+# inputs [64, 80), targets [80, 96).
+_NAN = np.array([np.nan]).tobytes()
+
+
+def _set(*keys_and_value):
+    """A spoiler that sets header[k1][k2]... to the last argument."""
+    *keys, value = keys_and_value
+
+    def spoil(parts):
+        entry = parts["header"]
+        for k in keys[:-1]:
+            entry = entry[k]
+        entry[keys[-1]] = value
+    return spoil
+
+
+def _ranges(*ranges, gap_after_layer=0):
+    """A spoiler that gives the four arrays these byte ranges.
+
+    gap_after_layer inserts that many zero bytes after the base layer's.
+    """
+    keys = [("base", "layers", 0, "data"), ("residuals", 0, "data"),
+            ("calibration", 0, "inputs"), ("calibration", 0, "targets")]
+
+    def spoil(parts):
+        for key, rng in zip(keys, ranges):
+            _set(*key, list(rng))(parts)
+        data = parts["data"]
+        parts["data"] = data[:32] + b"\0" * gap_after_layer + data[32:]
+    return spoil
+
+
+@pytest.mark.parametrize(
+    "spoil,path,needle",
+    [
+        (lambda p: p.update(magic=b"\x93MERGEQX"), "$", "no version-3 magic, and not valid JSON"),
+        (lambda p: p.update(magic=b"{\"versio"), "$", "not valid JSON"),
+        (lambda p: p.update(extra_size=200), "$",
+         "header runs to byte 432, past the 328-byte file"),
+        (lambda p: p.update(data=b"", header=b"", extra_size=1), "$", "past the 16-byte file"),
+        (lambda p: p.update(header=b"{not json"), "$", "header is not valid JSON"),
+        (lambda p: p.update(header=b"[1, 2]"), "$", "expected an object"),
+        (_set("version", 2), "$.version", "unsupported version 2"),
+        (_set("residuals", 0, "data", [32.0, 64]), "$.residuals[0].data", "two ints"),
+        (_set("residuals", 0, "data", [True, 64]), "$.residuals[0].data", "two ints"),
+        (_set("residuals", 0, "data", [32, 64, 96]), "$.residuals[0].data", "two ints"),
+        (_set("residuals", 0, "data", "AAAA"), "$.residuals[0].data", "two ints"),
+        (_set("calibration", 0, "targets", [80, 104]), "$.calibration[0].targets",
+         "[80, 104) is not the range of the 96-byte data section that starts at byte 80"),
+        (_set("calibration", 0, "targets", [80, 72]), "$.calibration[0].targets", "[80, 72)"),
+        (lambda p: p.update(data=p["data"][:88]), "$.calibration[0].targets",
+         "[80, 96) is not the range of the 88-byte data section"),
+        # overlapping, out of order, a gap: each array must start where the one before ends
+        (_ranges([0, 32], [24, 56], [56, 72], [72, 96]), "$.residuals[0].data",
+         "[24, 56) is not the range of the 96-byte data section that starts at byte 32"),
+        (_ranges([32, 64], [0, 32], [64, 80], [80, 96]), "$.base.layers[0].data",
+         "[32, 64) is not the range of the 96-byte data section that starts at byte 0"),
+        (_ranges([0, 32], [40, 72], [72, 88], [88, 104], gap_after_layer=8),
+         "$.residuals[0].data",
+         "[40, 72) is not the range of the 104-byte data section that starts at byte 32"),
+        (lambda p: p.update(data=p["data"] + b"\0" * 8), "$.calibration[0].targets",
+         "8 bytes follow it"),
+        (_ranges([0, 32], [32, 60], [60, 76], [76, 96]), "$.residuals[0].data",
+         "28 bytes is not a whole number of float64 values"),
+        (_ranges([0, 32], [32, 56], [56, 72], [72, 96]), "$.residuals[0].data",
+         "expected 4 values, got 3"),
+        (_ranges([0, 32], [32, 64], [64, 72], [72, 96]), "$.calibration[0].inputs",
+         "1 values do not fill rows of width 2"),
+        (lambda p: p.update(data=p["data"][:88] + _NAN), "$.calibration[0].targets",
+         "non-finite values"),
+    ],
+)
+def test_malformed_v3_files_name_the_json_path(tmp_path, spoil, path, needle):
+    header, data = _v3_parts(_tiny_bundle())
+    parts = {"header": header, "data": data}
+    spoil(parts)
+    file = tmp_path / "b.json"
+    file.write_bytes(_v3_file(**parts))
+    with pytest.raises(mq.BundleFormatError) as err:
+        mq.load_bundle(file)
+    assert str(err.value).startswith(path + ":")
+    assert needle in str(err.value)
+
+
+def test_merge_exits_2_on_a_malformed_v3_file(tmp_path, capsys):
+    header, data = _v3_parts(_tiny_bundle())
+    path = tmp_path / "bundle.json"
+    path.write_bytes(_v3_file(header, data + b"\0" * 8))
+    assert cli_main(["merge", "--bundle", str(path), "--method", "qp-diag"]) == 2
+    assert "error: $.calibration[0].targets: 8 bytes follow" in capsys.readouterr().err
+
+
+def test_network_files_check_the_data_section(tmp_path):
+    net = mq.LinearNetwork([np.eye(2), np.array([[1.0, 2.0]])])
+    path = tmp_path / "net.json"
+    mq.save_network(net, path)
+    raw = path.read_bytes()
+    assert raw[-48:] == _le_bytes(np.eye(2)) + _le_bytes([1.0, 2.0])
+    path.write_bytes(raw + b"\0" * 16)
+    with pytest.raises(mq.BundleFormatError, match=r"^\$\.network\.layers\[1\]\.data: 16 bytes"):
+        mq.load_network(path)
+
+
+@pytest.mark.parametrize("source", ["v1", "v2", "v3"])
 def test_loaded_arrays_are_writable_native_float64(tmp_path, source):
     bundle = mq.gen_linear_tasks(seed=1)
     path = tmp_path / "b.json"
     if source == "v1":
         path.write_text(json.dumps(_v1_obj(bundle)))
+    elif source == "v2":
+        path.write_text(_v2_text(bundle))
     else:
         mq.save_bundle(bundle, path)
     loaded = mq.load_bundle(path)
@@ -431,6 +587,9 @@ def test_loaded_arrays_are_writable_native_float64(tmp_path, source):
         assert arr.dtype == np.float64 and arr.dtype.isnative
         assert arr.flags.writeable and arr.flags.c_contiguous
         arr[...] = 0.0  # no read-only view of the decoded bytes
+        while isinstance(arr.base, np.ndarray):
+            arr = arr.base
+        assert arr.base is None  # numpy owns the memory: no view keeps the file buffer
 
 
 # --- task ids ---------------------------------------------------------------
@@ -439,7 +598,7 @@ def test_loaded_arrays_are_writable_native_float64(tmp_path, source):
 @pytest.mark.parametrize("bad", [[0], {"k": 0}, 1.5, None, True])
 @pytest.mark.parametrize("where", ["residuals", "calibration"])
 def test_non_scalar_task_ids_are_rejected_at_load(where, bad):
-    obj = bn.bundle_to_obj(_tiny_bundle())
+    obj = _v2_obj(_tiny_bundle())
     obj[where][0]["task"] = bad
     with pytest.raises(mq.BundleFormatError) as err:
         bn.bundle_from_obj(obj)
@@ -447,7 +606,7 @@ def test_non_scalar_task_ids_are_rejected_at_load(where, bad):
 
 
 def test_string_task_ids_load():
-    obj = bn.bundle_to_obj(_tiny_bundle())
+    obj = _v2_obj(_tiny_bundle())
     obj["residuals"][0]["task"] = obj["calibration"][0]["task"] = "math"
     bundle = bn.bundle_from_obj(obj)
     assert bundle.task_ids == ["math"]
@@ -455,7 +614,7 @@ def test_string_task_ids_load():
 
 
 def test_cli_exits_2_on_list_task_id(tmp_path, capsys):
-    obj = bn.bundle_to_obj(_tiny_bundle())
+    obj = _v2_obj(_tiny_bundle())
     obj["calibration"][0]["task"] = [0]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))
@@ -518,11 +677,7 @@ def test_save_refuses_meta_that_is_not_strict_json(tmp_path, meta, error):
     assert not path.exists()
 
 
-# --- the writer is the stdlib encoder, byte for byte -------------------------
-
-
-def _stdlib_text(obj):
-    return json.JSONEncoder(indent=1, allow_nan=False).encode(obj) + "\n"
+# --- the header is the stdlib encoding, the data section the arrays' bytes ---
 
 
 def _hostile_bundle():
@@ -554,15 +709,21 @@ def _hostile_bundle():
 )
 def test_written_files_are_the_stdlib_encoding(tmp_path, make):
     bundle = make()
-    obj = bn.bundle_to_obj(bundle)
-    want = _stdlib_text(obj)
-    assert json.dumps(obj, indent=1) + "\n" == want  # bundle_to_obj is plain JSON
+    header, data = _v3_parts(bundle)
+    text = json.JSONEncoder(allow_nan=False, separators=(",", ":")).encode(header).encode()
+    assert text.isascii()
     path = tmp_path / "b.json"
     mq.save_bundle(bundle, path)
-    assert path.read_text() == want
-    assert bn.bundle_from_obj(obj).task_ids == bundle.task_ids == mq.load_bundle(path).task_ids
+    raw = path.read_bytes()
+    assert raw == bn.MAGIC + len(text).to_bytes(8, "little") + text + data
+    assert data == b"".join(_le_bytes(arr) for arr in _arrays(bundle))
+    loaded = mq.load_bundle(path)
+    assert loaded.task_ids == bundle.task_ids and loaded.meta == bundle.meta
+    _assert_same_bits(bundle, loaded)
+    # a network file's header is {"version": 3, "network": ...}; the base comes first in a bundle
     mq.save_network(bundle.base, path)
-    assert path.read_text() == _stdlib_text({"version": 2, "network": obj["base"]})
+    n_base = sum(W.size * 8 for W in bundle.base.layers)
+    assert path.read_bytes() == _v3_file({"version": 3, "network": header["base"]}, data[:n_base])
 
 
 @pytest.mark.parametrize("unknown", [object(), {1, 2}, b"AAAA", 1 + 2j])
@@ -582,7 +743,7 @@ def _two_layer_obj(tmp_path):
     path = tmp_path / "b.json"
     assert cli_main(["gen", "--dims", "5,4,3", "--merge-layer", "1,2", "--tasks", "3",
                      "--out", str(path)]) == 0
-    return json.loads(path.read_text())
+    return _v2_obj(mq.load_bundle(path))
 
 
 def _layer_two_reversed(obj):

@@ -352,6 +352,22 @@ def test_diagnose_clipping_note_leaves_the_stdout_csv_intact(tmp_path, capsys):
     assert "note: clipping p to 4 (min of layer dim 8, output dim 4)" in captured.err
 
 
+def test_diagnose_values_stay_within_their_bounds(tmp_path):
+    # the svd chain at p=4 captures all the residual energy; rounding used to print
+    # a fraction of 1.0000000000000004 and losses and a gap of about -5e-15
+    bundle = _gen(tmp_path, "--kind", "shared-direction", "--sigmas", "1,2")
+    out = tmp_path / "diag.csv"
+    assert main(["diagnose", "--bundle", str(bundle), "--out", str(out)]) == 0
+    header, rows = _read_csv(out)
+    assert rows and header == ["basis", "p", "fraction", "relaxed_loss", "qp_mse", "gap"]
+    for row in rows:
+        fraction, relaxed, qp_mse, gap = map(float, row[2:])
+        assert 0.0 <= fraction <= 1.0 and relaxed >= 0.0 and qp_mse >= 0.0, row
+        assert gap >= 0.0, row  # a fixed downstream map: Ky Fan bounds the captured energy
+    svd = [row for row in rows if row[0] == "svd"]
+    assert svd[-1][1:] == ["4", "1.0", "0.0", "0.0", "0.0"]
+
+
 def test_eval_accuracy_for_one_hot_targets(tmp_path, capsys):
     # classifier-style targets switch on the accuracy metric
     net = mq.LinearNetwork([np.eye(2)])
