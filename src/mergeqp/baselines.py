@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .networks import _delta_matrices
-from .qp import merge_geometry, merged_delta_from_coefficients
+from .qp import _sample_geometry, merged_delta_from_coefficients
 
 
 def soup_coefficients(n_tasks: int, n_rows: int) -> np.ndarray:
@@ -109,7 +109,7 @@ def fisher_diagonals(net, calib, task_ids, layers) -> dict:
     squared-error loss with respect to the layer's weights, summed over the
     task's calibration samples.  grad_j = 2 m_j u_j^T with m_j = L_j^T b_j,
     so the sum of squares is 4 (M^2)^T (U^2) over the task's rows of one
-    merge geometry per layer.  Samples go to tasks by their label in
+    per-sample geometry per layer.  Samples go to tasks by their label in
     calib.task_ids, not by position; a task with no samples is a ValueError.
     """
     labels = np.array(calib.task_ids, dtype=object)
@@ -119,7 +119,7 @@ def fisher_diagonals(net, calib, task_ids, layers) -> dict:
             raise ValueError(f"fisher: task {t!r} has no calibration samples")
     fishers = {}
     for layer in layers:
-        geom = merge_geometry(net, layer, calib)
+        geom = _sample_geometry(net, layer, calib)
         M = np.einsum("...cr,...c->...r", geom.downstream, geom.residuals)
         M2, U2 = M * M, geom.hidden_inputs * geom.hidden_inputs
         fishers[layer] = [4.0 * M2[idx].T @ U2[idx] for idx in rows]

@@ -471,8 +471,7 @@ def gen_shared_direction_instance(
         raise ValueError(f"target task {target_task} outside [0, {s.size - 1}]")
     rng = np.random.default_rng(seed)
     W1 = rng.standard_normal((r, input_dim)) / math.sqrt(input_dim)
-    Lraw = rng.standard_normal((c, r))
-    L, _ = np.linalg.qr(Lraw)
+    L, _ = np.linalg.qr(rng.standard_normal((c, r)))
     u = rng.standard_normal(r)
     u /= np.linalg.norm(u)
     v = rng.standard_normal(input_dim)
@@ -549,16 +548,11 @@ def _finetune_layer(net, layer_index, X, T, steps, lr):
     M = len(layers)
     n = X.shape[0]
     for _ in range(steps):
-        acts = [X]
-        pre = []
-        A = X
+        acts, pre = [X], []
         for l in range(M):
-            Z = A @ layers[l].T
-            pre.append(Z)
-            A = Z
-            if l < M - 1 and net.activations[l] == RELU:
-                A = np.maximum(Z, 0.0)
-            acts.append(A)
+            pre.append(acts[-1] @ layers[l].T)
+            relu = l < M - 1 and net.activations[l] == RELU
+            acts.append(np.maximum(pre[-1], 0.0) if relu else pre[-1])
         G = 2.0 * (acts[-1] - T) / n
         for l in range(M - 1, layer_index - 1, -1):
             G = G @ layers[l]

@@ -86,12 +86,12 @@ def layer_basis(kind, p, seed, deltas, geometry):
 
 
 def basis_fraction(basis, geometry):
-    """Fraction of residual energy the basis's output image captures."""
+    """Fraction of residual energy the basis's output image captures, in [0, 1]."""
     total = float(np.trace(energy_matrix(geometry.residuals)))
     if total == 0.0:
         return 1.0
     captured = prefix_captured_energy(geometry.downstream, basis, geometry.residuals)
-    return float(captured[-1]) / total if captured.size else 0.0
+    return min(float(captured[-1]) / total, 1.0) if captured.size else 0.0
 
 
 def prefix_sweep(geometry, deltas, basis):
@@ -115,7 +115,7 @@ def prefix_sweep(geometry, deltas, basis):
     # clamp rounding past the bounds; Ky Fan bounds only a fixed map's gap
     fraction = np.clip(captured / total, 0.0, 1.0) if total else np.ones(basis.p)
     gap = np.maximum(gap, 0.0) if geometry.fixed_downstream else gap
-    qp_mse = np.maximum(optima / len(geometry.residuals), 0.0)
+    qp_mse = np.maximum(optima / geometry.n_samples, 0.0)
     return list(zip(p.tolist(), fraction.tolist(), np.maximum(relaxed, 0.0).tolist(),
                     qp_mse.tolist(), gap.tolist()))
 

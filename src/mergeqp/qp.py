@@ -127,11 +127,7 @@ class QuadraticObjective:
             raise ValueError(f"H must be {dim}x{dim}, got {self.H.shape}")
         if self.g.shape != (dim,):
             raise ValueError(f"g must have length {dim}, got {self.g.shape}")
-        if not (
-            np.all(np.isfinite(self.H))
-            and np.all(np.isfinite(self.g))
-            and np.isfinite(self.constant)
-        ):
+        if not all(np.all(np.isfinite(v)) for v in (self.H, self.g, self.constant)):
             raise NumericalError("objective contains non-finite values")
 
     @property
@@ -166,24 +162,30 @@ class MergeCoefficients:
 
 @dataclass
 class MergeGeometry:
-    """Stacked ingredients of the layer-N merge objective over n samples.
+    """Stacked ingredients of the layer-N merge objective over n_samples samples.
 
     hidden_inputs
-        (n, r_in): row j is the input entering layer N on sample j.
+        (m, r_in): row j is the input entering layer N on sample j.
     downstream
         Maps layer N's output (dim r) to the model output (dim c).  With
         fixed_downstream (no ReLU above N) it is one (c, r) matrix shared by
-        every sample; otherwise an (n, c, r) stack whose downstream[j] is the
+        every sample; otherwise an (m, c, r) stack whose downstream[j] is the
         Jacobian at sample j.  Per-sample loops must branch on
         fixed_downstream: indexing a (c, r) map by sample gives a row.
     residuals
-        (n, c): base model output minus target, one row per sample.
+        (m, c): base model output minus target, one row per sample.
+    n_samples
+        n, the divisor of any mean over samples.  For a fixed map with n >= 2 (r_in + c),
+        merge_geometry's m = r_in + c rows are instead R from a thin QR of [U | B]:
+        R'R = [U | B]'[U | B] prices the QP, J_lin, S and captured energy exactly, but
+        no row is a sample, so fisher_diagonals (per-task sums) reads per-sample rows.
     """
 
     layer_index: int
     hidden_inputs: np.ndarray
     downstream: np.ndarray
     residuals: np.ndarray
+    n_samples: int
 
     @property
     def fixed_downstream(self) -> bool:
@@ -195,17 +197,28 @@ def base_residuals(net: LinearNetwork, calib: CalibrationSet) -> np.ndarray:
     return forward(net, calib.inputs) - calib.targets
 
 
-def merge_geometry(
-    net: LinearNetwork, layer_index: int, calib: CalibrationSet
-) -> MergeGeometry:
-    """Hidden inputs, downstream maps and residuals for all samples at once."""
+def _sample_geometry(net, layer_index, calib) -> MergeGeometry:
+    """The merge geometry with one row per sample, for any downstream map."""
     with np.errstate(over="ignore", invalid="ignore"):  # checked here and in linearize_downstream
         down = linearize_downstream(net, layer_index, calib.inputs)
         U = layer_input(net, layer_index, calib.inputs)
         B = base_residuals(net, calib)
     if not (np.all(np.isfinite(U)) and np.all(np.isfinite(B))):
         raise NumericalError(f"the forward pass overflows at or above layer {layer_index}")
-    return MergeGeometry(layer_index, U, down, B)
+    return MergeGeometry(layer_index, U, down, B, len(calib))
+
+
+def merge_geometry(net: LinearNetwork, layer_index: int, calib: CalibrationSet) -> MergeGeometry:
+    """Hidden inputs, downstream maps and residuals for all samples at once.
+
+    A fixed map gets R (see MergeGeometry) only where the QR at least halves the rows.
+    """
+    geometry = _sample_geometry(net, layer_index, calib)
+    U, B = geometry.hidden_inputs, geometry.residuals
+    if geometry.fixed_downstream and len(B) >= 2 * (U.shape[1] + B.shape[1]):
+        R = np.linalg.qr(np.hstack([U, B]), mode="r")
+        geometry.hidden_inputs, geometry.residuals = np.hsplit(R, [U.shape[1]])
+    return geometry
 
 
 def _check_deltas(geometry, deltas):
@@ -555,11 +568,7 @@ def calibration_mse(net: LinearNetwork, calib: CalibrationSet):
         pooled = float(sq.mean())
     if not np.isfinite(pooled):
         raise NumericalError(f"calibration mse is {pooled!r}: the forward pass overflows")
-    per_task = {}
-    if calib.task_ids is not None:
-        labels = sorted(set(calib.task_ids), key=repr)
-        code = {t: i for i, t in enumerate(labels)}
-        codes = np.array([code[t] for t in calib.task_ids])
-        for i, t in enumerate(labels):
-            per_task[t] = float(sq[codes == i].mean())
-    return pooled, per_task
+    labels = sorted(set(calib.task_ids or ()), key=repr)
+    code = {t: i for i, t in enumerate(labels)}
+    codes = np.array([code[t] for t in calib.task_ids or ()])
+    return pooled, {t: float(sq[codes == i].mean()) for i, t in enumerate(labels)}

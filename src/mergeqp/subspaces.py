@@ -86,9 +86,7 @@ def standard_basis(dim: int, p: int, order=None) -> OrthonormalBasis:
     """Coordinate directions e_i, optionally in a caller-chosen order."""
     if not 1 <= p <= dim:
         raise ValueError(f"p={p} outside [1, {dim}]")
-    if order is None:
-        order = np.arange(dim)
-    order = np.asarray(order, dtype=int)
+    order = np.arange(dim) if order is None else np.asarray(order, dtype=int)
     if order.shape[0] < p:
         raise ValueError("order is shorter than p")
     cols = np.zeros((dim, p))
@@ -144,8 +142,7 @@ def random_basis(dim: int, p: int, seed: int) -> OrthonormalBasis:
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((dim, p))
     Q, R = np.linalg.qr(G)
-    signs = np.sign(np.diag(R))
-    signs[signs == 0] = 1.0
+    signs = np.where(np.diag(R) < 0, -1.0, 1.0)  # a zero diagonal keeps its column
     return OrthonormalBasis(Q * signs[None, :], f"random({seed})")
 
 

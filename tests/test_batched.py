@@ -564,3 +564,124 @@ def test_fmt_writes_numpy_floats_as_plain_reprs(tmp_path):
     path = tmp_path / "t.csv"
     cli._write_csv(path, ["x", "y"], [[np.float64(0.1), 2]])
     assert path.read_text().splitlines() == ["x,y", "0.1,2"]
+
+
+# Fixed-map geometries with n >= 2 (r_in + c) samples hold the R factor of a
+# thin QR of [U | B] instead of one row per sample.  Their references are the
+# per-sample rows from _loop_geometry, stacked into a MergeGeometry by hand.
+FIXED_MAP_NETS = ("linear", "relu-below-fixed-map")
+DEGENERATE = (None, "zero-residuals", "repeated-input-column", "zero-updates")
+
+
+def _fixed_map_instance(seed, net_name, degenerate, n, K=3):
+    """Layer 2 of 6 -> 5 -> 6 -> 3 under a fixed map: r_in + c = 8 columns of [U | B]."""
+    rng = np.random.default_rng(seed)
+    activations, layer = NETS[net_name]
+    dims = (6, 5, 6, 3)
+    # integer weights and inputs make the forward passes exact, so the per-sample
+    # reference rows have zero residuals too
+    draw = (lambda size: rng.integers(-2, 3, size=size).astype(float)
+            if degenerate == "zero-residuals" else rng.normal(size=size))
+    weights = [draw((dims[i + 1], dims[i])) for i in range(3)]
+    if degenerate == "repeated-input-column":
+        weights[0][1] = weights[0][0]  # hidden units 0 and 1 agree: U repeats a column
+    net = mq.LinearNetwork(weights, activations)
+    X = draw((n, dims[0]))
+    Y = mq.forward(net, X) if degenerate == "zero-residuals" else rng.normal(size=(n, dims[3]))
+    scale = 0.0 if degenerate == "zero-updates" else 0.3
+    deltas = [
+        mq.ResidualUpdate(layer, scale * rng.normal(size=net.layer_shape(layer)), k)
+        for k in range(K)
+    ]
+    return net, deltas, mq.CalibrationSet(X, Y, [j % K for j in range(n)])
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    seed=st.integers(0, 10_000),
+    net_name=st.sampled_from(FIXED_MAP_NETS),
+    degenerate=st.sampled_from(DEGENERATE),
+    n=st.integers(16, 60),
+    random_basis=st.booleans(),
+)
+def test_second_moment_geometry_matches_per_sample_rows(seed, net_name, degenerate, n,
+                                                        random_basis):
+    net, deltas, calib = _fixed_map_instance(seed, net_name, degenerate, n)
+    layer = deltas[0].layer_index
+    geometry = mq.merge_geometry(net, layer, calib)
+    hidden, maps, residuals = _loop_geometry(net, layer, calib)
+    rows = mq.MergeGeometry(layer, np.stack(hidden), maps[0], np.stack(residuals), n)
+    assert geometry.fixed_downstream
+    assert geometry.hidden_inputs.shape == (8, 5)
+    assert geometry.residuals.shape == (8, 3)
+    assert geometry.n_samples == n
+
+    r = deltas[0].delta.shape[0]
+    basis = mq.random_basis(r, r, seed) if random_basis else mq.standard_basis(r, r)
+    for Q, built in (
+        (np.eye(r), mq.build_diagonal_qp(geometry, deltas)),
+        (basis.columns, mq.build_general_basis_qp(geometry, deltas, basis)),
+    ):
+        H, g, const = _loop_qp(net, deltas, calib, Q)
+        _close(built.H, H)
+        _close(built.g, g)
+        _close(built.constant, const)
+
+    merged = 0.7 * deltas[0].delta - 0.2 * deltas[1].delta
+    moved = [maps[0] @ (merged @ u) for u in hidden]
+    lin = sum(float(np.sum((m + b) ** 2)) for m, b in zip(moved, residuals))
+    # the sum cancels down from its terms, so it holds to their scale
+    scale = sum(float(m @ m) for m in moved) + const
+    _close(mq.linearized_delta_objective(geometry, merged), lin, scale)
+
+    S = sum(np.outer(b, b) for b in residuals)
+    _close(mq.energy_matrix(geometry.residuals), S)
+    total = float(np.trace(S))
+    expected = _loop_prefix_energy(maps[0], basis.columns, rows.residuals)
+    # see test_prefix_energy_matches_projector_loop for the fixed map's floor
+    floor = np.sqrt(np.abs(expected).max(initial=0.0) * total)
+    energy = mq.prefix_captured_energy(geometry.downstream, basis, geometry.residuals)
+    _close(energy, expected, floor)
+
+    got = np.array(mq.prefix_sweep(geometry, deltas, basis))
+    want = np.array(mq.prefix_sweep(rows, deltas, basis))
+    assert np.array_equal(got[:, 0], want[:, 0])
+    _close(got[:, 1], want[:, 1], floor / total if total else 1.0)
+    _close(got[:, 2], want[:, 2], total)
+    # an optimum moves by rounding times the condition of its prefix's block
+    kappas = _prefix_conditions(mq.build_general_basis_qp(rows, deltas, basis))
+    for p, kappa in enumerate(kappas):
+        _close(got[p, 3], want[p, 3], kappa * const / n)
+    _close(got[:, 4], want[:, 4], total)
+
+
+def _prefix_conditions(objective):
+    """Condition of H on each prefix of directions, over its eigenvalues above the eigen cut."""
+    K = objective.n_tasks
+    order = np.arange(objective.dim).reshape(K, -1).T.ravel()  # direction-major
+    H = objective.H[np.ix_(order, order)]
+    out = []
+    for m in range(K, objective.dim + 1, K):
+        w = np.linalg.eigvalsh(H[:m, :m])
+        kept = w[w > qp._EIGEN_CUT * w[-1]]
+        out.append(kept[-1] / kept[0] if kept.size else 1.0)
+    return out
+
+
+@pytest.mark.parametrize("net_name", sorted(NETS))
+def test_geometry_keeps_sample_rows_on_per_sample_maps_and_below_twice_the_factor(net_name):
+    # the merge layer of 4 -> 5 -> 6 -> 3 has r_in + c = 7 (layer 1) or 8 (layer 2)
+    _, layer = NETS[net_name]
+    width = (4, 5)[layer - 1] + 3
+    for n in (1, 2 * width - 1, 2 * width, 3 * width):
+        net, _, calib, _ = _instance(3, net_name, n)
+        geom = mq.merge_geometry(net, layer, calib)
+        X = calib.inputs
+        assert geom.n_samples == n
+        assert np.array_equal(geom.downstream, mq.linearize_downstream(net, layer, X))
+        if geom.fixed_downstream and n >= 2 * width:
+            assert geom.hidden_inputs.shape == (width, width - 3)
+            assert geom.residuals.shape == (width, 3)
+        else:
+            assert np.array_equal(geom.hidden_inputs, mq.layer_input(net, layer, X))
+            assert np.array_equal(geom.residuals, mq.forward(net, X) - calib.targets)

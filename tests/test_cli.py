@@ -701,3 +701,65 @@ def test_degenerate_bundles_exit_cleanly_with_eigen_cut_objectives(tmp_path, kin
             qp = basis_qp(label.split("(")[0], int(p), seed)
             check(float(qp_mse) * len(calib), qp)
     assert "Traceback" not in capsys.readouterr().err
+
+
+# A deep-tall-shaped linear bundle with 80 samples: at layer 2, r_in + c = 20,
+# so merge_geometry keeps the 20 rows of R from a thin QR of [U | B].
+DEEP_SMALL = ("--dims", "16,12,8", "--n-layers", "4", "--merge-layer", "1,2,3",
+              "--tasks", "4", "--n-calib", "20")
+
+
+def _per_sample_geometry(bundle, layer, calib):
+    """The geometry with one row per sample, straight from the network functions."""
+    X = calib.inputs
+    return mq.MergeGeometry(layer, mq.layer_input(bundle.base, layer, X),
+                            mq.linearize_downstream(bundle.base, layer, X),
+                            mq.forward(bundle.base, X) - calib.targets, len(calib))
+
+
+def test_diagnose_qp_mse_on_the_second_moment_geometry_is_per_sample(tmp_path):
+    path = _gen(tmp_path, *DEEP_SMALL)
+    bundle = mq.load_bundle(path)
+    calib = bundle.pooled_calibration()
+    deltas = bundle.residuals[2]
+    geometry = mq.merge_geometry(bundle.base, 2, calib)
+    assert (len(geometry.residuals), geometry.n_samples) == (20, 80)
+    out = tmp_path / "diag.csv"
+    assert main(["diagnose", "--bundle", str(path), "--layer", "2", "--random-seeds", "1",
+                 "--out", str(out)]) == 0
+    _, rows = _read_csv(out)
+    per_sample = _per_sample_geometry(bundle, 2, calib)
+    want = []
+    for kind, seed in (("eigen", 0), ("standard", 0), ("svd", 0), ("random", 0)):
+        chain = mq.layer_basis(kind, 8, seed, deltas, geometry)
+        want += [row[3] for row in mq.prefix_sweep(per_sample, deltas, chain)]
+    got = [float(row[4]) for row in rows]
+    assert len(got) == len(want) == 32
+    assert np.allclose(got, want, rtol=1e-10, atol=0.0)
+
+
+def test_compare_fisher_row_on_the_second_moment_geometry_is_per_sample(tmp_path):
+    path = _gen(tmp_path, *DEEP_SMALL)
+    out = tmp_path / "compare.csv"
+    assert main(["compare", "--bundle", str(path), "--layer", "2", "--out", str(out)]) == 0
+    _, rows = _read_csv(out)
+    assert "fisher" in [row[0] for row in rows]
+    assert [row[-1] for row in rows] == ["ok"] * len(rows)
+    bundle = mq.load_bundle(path)
+    calib = bundle.pooled_calibration()
+    fishers = mq.fisher_diagonals(bundle.base, calib, bundle.task_ids, [2])[2]
+    for task, fisher in zip(bundle.task_ids, fishers):
+        total = np.zeros(bundle.base.layer_shape(2))
+        for x, y, label in zip(calib.inputs, calib.targets, calib.task_ids):
+            if label == task:
+                b = mq.forward(bundle.base, x) - y
+                L = mq.linearize_downstream(bundle.base, 2, x)
+                grad = 2.0 * np.outer(L.T @ b, mq.layer_input(bundle.base, 2, x))
+                total += grad * grad
+        assert np.abs(fisher - total).max() <= 1e-12 * np.abs(total).max()
+
+
+def test_hybrid_fisher_merge_runs_on_the_second_moment_geometry(tmp_path):
+    path = _gen(tmp_path, *DEEP_SMALL)
+    assert main(["merge", "--bundle", str(path), "--method", "qp-diag", "--mode", "hybrid",
+                 "--init-method", "fisher"]) == 0

@@ -237,3 +237,20 @@ def test_solver_is_a_function_called_once_per_layer():
     assert len(boxed.steps) == 2
     for rec in boxed.steps:
         assert np.all((rec.coefficients >= 0.0) & (rec.coefficients <= 1.0))
+
+
+def test_basis_fraction_stays_in_the_unit_interval_on_a_deep_tall_bundle():
+    # full-rank bases capture all the residual energy, which rounding can put above the total
+    bundle = mq.gen_linear_tasks(dims=(16, 12, 8), n_layers=4, merge_layer=(1, 2, 3),
+                                 n_tasks=4, n_samples=20, seed=0)
+    calib = bundle.pooled_calibration()
+    for layer in bundle.layers_with_updates:
+        deltas = bundle.residuals[layer]
+        geometry = mq.merge_geometry(bundle.base, layer, calib)
+        total = float(np.trace(mq.energy_matrix(geometry.residuals)))
+        for kind in ("eigen", "standard", "svd", "random"):
+            basis = mq.layer_basis(kind, 8, 0, deltas, geometry)
+            captured = mq.prefix_captured_energy(geometry.downstream, basis, geometry.residuals)
+            fraction = mq.basis_fraction(basis, geometry)
+            assert 0.0 <= fraction <= 1.0
+            assert fraction == min(float(captured[-1]) / total, 1.0)
