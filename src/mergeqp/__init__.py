@@ -24,7 +24,6 @@ from .qp import (
     MergeCoefficients,
     MergeGeometry,
     QuadraticObjective,
-    base_residuals,
     build_diagonal_qp,
     build_general_basis_qp,
     calibration_mse,

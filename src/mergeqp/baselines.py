@@ -39,8 +39,7 @@ def dare_coefficients(n_tasks: int, n_rows: int, keep_prob: float, seed: int) ->
     """
     if not 0.0 < keep_prob <= 1.0:
         raise ValueError(f"keep_prob must lie in (0, 1], got {keep_prob}")
-    rng = np.random.default_rng(seed)
-    mask = rng.random((n_tasks, n_rows)) < keep_prob
+    mask = np.random.default_rng(seed).random((n_tasks, n_rows)) < keep_prob
     return mask.astype(float) / keep_prob
 
 
@@ -98,8 +97,7 @@ def fisher_merge(thetas, fishers) -> np.ndarray:
     den = sum(fs)
     mean = sum(ths) / len(ths)
     with np.errstate(invalid="ignore", divide="ignore"):
-        weighted = np.where(den > 0, num / np.where(den > 0, den, 1.0), mean)
-    return weighted
+        return np.where(den > 0, num / np.where(den > 0, den, 1.0), mean)
 
 
 def fisher_diagonals(net, calib, task_ids, layers) -> dict:
@@ -112,8 +110,8 @@ def fisher_diagonals(net, calib, task_ids, layers) -> dict:
     per-sample geometry per layer.  Samples go to tasks by their label in
     calib.task_ids, not by position; a task with no samples is a ValueError.
     """
-    labels = np.array(calib.task_ids, dtype=object)
-    rows = [np.flatnonzero(labels == t) for t in task_ids]
+    code, codes = calib.task_groups
+    rows = [np.flatnonzero(codes == code.get(t, -1)) for t in task_ids]
     for t, idx in zip(task_ids, rows):
         if idx.size == 0:
             raise ValueError(f"fisher: task {t!r} has no calibration samples")

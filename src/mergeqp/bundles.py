@@ -546,14 +546,13 @@ def _finetune_layer(net, layer_index, X, T, steps, lr):
     """Full-batch gradient descent on mean squared loss, one layer trainable."""
     layers = [W.copy() for W in net.layers]
     M = len(layers)
-    n = X.shape[0]
     for _ in range(steps):
         acts, pre = [X], []
         for l in range(M):
             pre.append(acts[-1] @ layers[l].T)
             relu = l < M - 1 and net.activations[l] == RELU
             acts.append(np.maximum(pre[-1], 0.0) if relu else pre[-1])
-        G = 2.0 * (acts[-1] - T) / n
+        G = 2.0 * (acts[-1] - T) / len(X)
         for l in range(M - 1, layer_index - 1, -1):
             G = G @ layers[l]
             if net.activations[l - 1] == RELU:

@@ -102,6 +102,12 @@ def _write_csv(path, header, rows):
         writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
+def _write_json(path, obj):
+    """Write obj as indented JSON with sorted keys to path, or to stdout when path is empty."""
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(json.dumps(obj, indent=1, sort_keys=True) + "\n")
+
+
 def _emit_csv(path, header, rows):
     """_write_csv, saying how many rows went to a file."""
     _write_csv(path, header, rows)
@@ -172,11 +178,11 @@ def _report_json(report: MergeReport, task_ids):
     }
 
 
-def _baseline_params(args, bundle: ModelBundle, method, layers):
+def _baseline_params(args, bundle: ModelBundle, calib, method, layers):
     """Merge-wide parameters of baseline `method` from the command's flags.
 
-    Fisher diagonals are computed at the given layers only; layer_params
-    picks each layer's values.
+    Fisher diagonals are computed on calib at the given layers only;
+    layer_params picks each layer's values.
     """
     if method == "ta":
         lam = _parse_floats(args.lam)
@@ -186,7 +192,6 @@ def _baseline_params(args, bundle: ModelBundle, method, layers):
     if method == "ties":
         return {"density": args.density}
     if method == "fisher":
-        calib = bundle.pooled_calibration()
         return {"fishers": fisher_diagonals(bundle.base, calib, bundle.task_ids, layers)}
     return {}
 
@@ -225,11 +230,10 @@ def cmd_gen(args) -> int:
     else:
         raise ValueError(f"unknown bundle kind {args.kind!r}")
     save_bundle(bundle, args.out)
-    n_total = sum(len(cs) for cs in bundle.calibration)
     print(
         f"wrote {args.out}: {bundle.base.depth} layers, "
         f"{len(bundle.task_ids)} tasks, updates at {bundle.layers_with_updates}, "
-        f"{n_total} calibration samples, seed {args.seed}"
+        f"{sum(len(cs) for cs in bundle.calibration)} calibration samples, seed {args.seed}"
     )
     return EXIT_OK
 
@@ -253,11 +257,12 @@ def cmd_merge(args) -> int:
     solver = solve_unconstrained if args.solver == "exact" else box
     chosen = {l: bundle.residuals[l] for l in layers}
     if method in BASELINES:
-        params = _baseline_params(args, bundle, method, layers)
+        params = _baseline_params(args, bundle, calib, method, layers)
         merged, report = baseline_merge(bundle.base, chosen, calib, method, params)
     elif args.mode == "hybrid":
         # the baseline goes on every layer with updates; --layers picks the refined ones
-        init_params = _baseline_params(args, bundle, args.init_method, bundle.layers_with_updates)
+        init_params = _baseline_params(args, bundle, calib, args.init_method,
+                                       bundle.layers_with_updates)
         merged, report = hybrid_refine(
             bundle.base, bundle.residuals, calib, init_method=args.init_method,
             refine_layers=layers, init_params=init_params, solver=solver,
@@ -280,9 +285,7 @@ def cmd_merge(args) -> int:
             rows = _report_rows(report, task_ids)
             _write_csv(args.report, _table_header(task_ids, "fraction"), rows)
         else:
-            with open(args.report, "w") as fh:
-                json.dump(_report_json(report, task_ids), fh, indent=1, sort_keys=True)
-                fh.write("\n")
+            _write_json(args.report, _report_json(report, task_ids))
     print(f"{report.method}: final calibration mse {report.final_mse!r}")
     return EXIT_OK
 
@@ -343,12 +346,7 @@ def cmd_eval(args) -> int:
     if one_hot:
         hits = np.argmax(forward(net, calib.inputs), axis=1) == np.argmax(targets, axis=1)
         metrics["accuracy"] = int(np.count_nonzero(hits)) / len(calib)
-    text = json.dumps(metrics, indent=1, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write_json(args.out, metrics)
     return EXIT_OK
 
 
@@ -358,12 +356,10 @@ def cmd_compare(args) -> int:
     p = args.p if args.p is not None else min(deltas[0].delta.shape[0], bundle.base.output_dim)
 
     specs = [("base", "base", {}), ("soup", "soup", {})]
-    for lam in _parse_floats(args.lambda_grid):
-        specs.append((f"ta({_fmt(lam)})", "ta", {"lambdas": lam}))
+    specs += [(f"ta({_fmt(v)})", "ta", {"lambdas": v}) for v in _parse_floats(args.lambda_grid)]
     # None: parameters from the flags, computed in the row's try so a failure marks that row only
     specs += [(kind, kind, None) for kind in ("dare", "ties", "fisher")]
-    specs.append(("qp-diag", "qp-diag", {}))
-    specs.append((f"qp-basis(eigen,{p})", "qp-basis", {}))
+    specs += [("qp-diag", "qp-diag", {}), (f"qp-basis(eigen,{p})", "qp-basis", {})]
 
     rows = []
     objectives = {}
@@ -383,7 +379,7 @@ def cmd_compare(args) -> int:
                 delta = solve_layer(geometry, deltas, basis)[2]
             else:
                 if params is None:
-                    params = _baseline_params(args, bundle, kind, [layer])
+                    params = _baseline_params(args, bundle, calib, kind, [layer])
                 delta = baseline_delta(kind, deltas, layer_params(kind, params, layer))
             if not np.all(np.isfinite(delta)):
                 raise NumericalError(f"{name} produced non-finite weights")

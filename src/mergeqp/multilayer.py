@@ -74,8 +74,7 @@ def layer_basis(kind, p, seed, deltas, geometry):
     if kind == "random":
         return random_basis(r, min(p, r), seed)
     S = energy_matrix(geometry.residuals)
-    L = geometry.downstream
-    Lbar = L if geometry.fixed_downstream else L.mean(axis=0)
+    Lbar = geometry.downstream if geometry.fixed_downstream else geometry.downstream.mean(axis=0)
     if kind == "standard":
         order = coordinate_energy_order(S, Lbar)
         return standard_basis(r, min(p, r), order)
@@ -199,14 +198,14 @@ def solve_layer(geometry, deltas, basis=None, solver=None):
 
 
 def _solve_layers(
-    current, deltas_by_layer, layers, calib, solver,
-    basis_kind=None, basis_p=None, basis_seed=0, applied=None,
+    current, deltas_by_layer, layers, calib, solver, name,
+    basis_kind=None, basis_p=None, basis_seed=0, applied=None, baseline_mse=None,
 ):
     """Re-solve the QP at each of `layers` in turn, bottom-up, on the current model.
 
     With `applied` ({layer: update in the model}), a layer's update is removed
     first and objective_before prices it on the stripped model; otherwise
-    objective_before is the QP's constant.  Returns (merged network, records).
+    objective_before is the QP's constant.  Returns (merged network, MergeReport).
     """
     records = []
     for layer in layers:
@@ -237,7 +236,7 @@ def _solve_layers(
             )
         )
         current = apply_merged_residual(current, layer, merged)
-    return current, records
+    return current, MergeReport(name, records, *calibration_mse(current, calib), baseline_mse)
 
 
 def sequential_merge(
@@ -260,13 +259,11 @@ def sequential_merge(
     """
     if not deltas_by_layer:
         raise ValueError("no layers to merge")
-    current, records = _solve_layers(
-        net, deltas_by_layer, sorted(deltas_by_layer), calib, solver,
+    name = "qp-diag" if basis_kind is None else f"qp-basis({basis_kind})"
+    return _solve_layers(
+        net, deltas_by_layer, sorted(deltas_by_layer), calib, solver, name,
         basis_kind, basis_p, basis_seed,
     )
-    pooled, per_task = calibration_mse(current, calib)
-    name = "qp-diag" if basis_kind is None else f"qp-basis({basis_kind})"
-    return current, MergeReport(name, records, pooled, per_task)
 
 
 def hybrid_refine(
@@ -296,16 +293,11 @@ def hybrid_refine(
     current = net
     for layer, delta0 in applied.items():
         current = apply_merged_residual(current, layer, delta0)
-    baseline_pooled, _ = calibration_mse(current, calib)
-
-    current, records = _solve_layers(
-        current, deltas_by_layer, refine_layers, calib, solver, applied=applied
+    baseline_mse = calibration_mse(current, calib)[0]
+    return _solve_layers(
+        current, deltas_by_layer, refine_layers, calib, solver, f"hybrid({init_method})",
+        applied=applied, baseline_mse=baseline_mse,
     )
-    pooled, per_task = calibration_mse(current, calib)
-    report = MergeReport(
-        f"hybrid({init_method})", records, pooled, per_task, baseline_mse=baseline_pooled
-    )
-    return current, report
 
 
 def interaction_error(

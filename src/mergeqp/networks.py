@@ -144,25 +144,18 @@ def _delta_matrices(deltas):
     return mats
 
 
-def _propagate(net: LinearNetwork, cols, n_layers: int):
-    """Feed input columns through layers 1..n_layers, activations included.
-
-    Returns the activation after layer n_layers (the input for 0 layers) and
-    the pre-activations W_l a_{l-1}, all as columns.
-    """
-    a = cols
-    pre = []
+def _propagate(net: LinearNetwork, cols, n_layers: int) -> list:
+    """The activations after layers 0..n_layers of input columns, the input first."""
+    acts = [cols]
     for i in range(n_layers):
-        a = net.layers[i] @ a
-        pre.append(a)
-        if i < net.depth - 1 and net.activations[i] == RELU:
-            a = np.maximum(a, 0.0)
-    return a, pre
+        a = net.layers[i] @ acts[-1]
+        acts.append(np.maximum(a, 0.0) if i < net.depth - 1 and net.activations[i] == RELU else a)
+    return acts
 
 
 def forward(net: LinearNetwork, x) -> np.ndarray:
     """Evaluate the network on one input vector or on an (n, d) sample matrix."""
-    return _propagate(net, _input_columns(net, x), net.depth)[0].T
+    return _propagate(net, _input_columns(net, x), net.depth)[-1].T
 
 
 def layer_input(net: LinearNetwork, layer_index: int, x) -> np.ndarray:
@@ -172,7 +165,7 @@ def layer_input(net: LinearNetwork, layer_index: int, x) -> np.ndarray:
     For N = 1 this is x itself.
     """
     net._check_layer_index(layer_index)
-    return _propagate(net, _input_columns(net, x), layer_index - 1)[0].T
+    return _propagate(net, _input_columns(net, x), layer_index - 1)[-1].T
 
 
 def linearize_downstream(net: LinearNetwork, layer_index: int, x) -> np.ndarray:
@@ -185,17 +178,16 @@ def linearize_downstream(net: LinearNetwork, layer_index: int, x) -> np.ndarray:
     With a ReLU above layer N it is (c, r) for one vector and an (n, c, r)
     stack, one Jacobian per sample, for an (n, d) sample matrix.
     """
+    return _downstream(net, layer_index, _propagate(net, _input_columns(net, x), net.depth - 1))
+
+
+def _downstream(net, layer_index, acts):
+    """linearize_downstream's Jacobian; ReLU masks read _propagate's activations (a > 0)."""
     net._check_layer_index(layer_index)
-    cols = _input_columns(net, x)
-    gaps = range(layer_index - 1, net.depth - 1)
-    has_relu = any(net.activations[i] == RELU for i in gaps)
-    pre = _propagate(net, cols, net.depth - 1)[1] if has_relu else None
-    out_n = net.layers[layer_index - 1].shape[0]
-    A = np.eye(out_n)
-    for i in gaps:
+    A = np.eye(net.layers[layer_index - 1].shape[0])
+    for i in range(layer_index - 1, net.depth - 1):
         if net.activations[i] == RELU:
-            mask = (pre[i] > 0.0).astype(float).T
-            A = net.layers[i + 1] @ (mask[..., None] * A)
+            A = net.layers[i + 1] @ ((acts[i + 1] > 0.0).astype(float).T[..., None] * A)
         else:
             A = net.layers[i + 1] @ A
     if not np.all(np.isfinite(A)):

@@ -19,16 +19,19 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .networks import (
+    RELU,
     LinearNetwork,
     NumericalError,
     _delta_matrices,
+    _downstream,
+    _input_columns,
+    _propagate,
     forward,
-    layer_input,
-    linearize_downstream,
 )
 from .subspaces import OrthonormalBasis
 
@@ -40,6 +43,9 @@ class CalibrationSet:
     inputs is (n, d) with one sample per row, targets is (n, c).  task_ids
     optionally labels each sample with the task it came from, which is only
     used for per-task reporting, never by the objective itself.
+
+    task_groups and task_factors are computed on first use and cached:
+    reassigning a field drops them, and arrays must not change in place after.
     """
 
     inputs: np.ndarray
@@ -57,34 +63,55 @@ class CalibrationSet:
             )
         if self.inputs.shape[0] == 0:
             raise ValueError("calibration set is empty")
-        if not np.all(np.isfinite(self.inputs)) or not np.all(
-            np.isfinite(self.targets)
-        ):
+        if not (np.isfinite(self.inputs).all() and np.isfinite(self.targets).all()):
             raise ValueError("calibration data contains non-finite entries")
         if self.task_ids is not None:
             self.task_ids = list(self.task_ids)
             if len(self.task_ids) != self.inputs.shape[0]:
                 raise ValueError("task_ids length does not match sample count")
 
+    def __setattr__(self, name, value):
+        super().__setattr__(name, value)
+        for view in ("task_groups", "task_factors"):  # computed from the old fields
+            vars(self).pop(view, None)
+
     def __len__(self) -> int:
         return self.inputs.shape[0]
+
+    @cached_property
+    def task_groups(self):
+        """({label: code}, codes): labels in repr order, each row's code (all 0 if unlabelled)."""
+        if self.task_ids is None:
+            return {}, np.zeros(len(self), dtype=np.intp)
+        code = {t: i for i, t in enumerate(sorted(set(self.task_ids), key=repr))}
+        return code, np.fromiter(map(code.__getitem__, self.task_ids), np.intp, len(self))
+
+    @cached_property
+    def task_factors(self):
+        """(inputs, targets, counts): R of a thin QR of each group's [X_t | Y_t], stacked.
+
+        R_t'R_t = [X_t | Y_t]'[X_t | Y_t] in d + c rows.  None unless every group has
+        n_t >= 2 (d + c) rows: below that the QR saves little.
+        """
+        codes, d = self.task_groups[1], self.inputs.shape[1]
+        counts = np.bincount(codes)
+        if counts.min() < 2 * (d + self.targets.shape[1]):
+            return None
+        XY = np.hstack([self.inputs, self.targets])
+        R = np.vstack([np.linalg.qr(XY[codes == i], mode="r") for i in range(len(counts))])
+        return R[:, :d], R[:, d:], counts
 
     @classmethod
     def for_task(cls, task_id, inputs, targets) -> "CalibrationSet":
         """Calibration set where every sample belongs to one task."""
-        inputs = np.asarray(inputs, dtype=float)
-        return cls(inputs, targets, [task_id] * inputs.shape[0])
+        return cls(inputs, targets, [task_id] * len(inputs))
 
     @classmethod
     def concat(cls, sets) -> "CalibrationSet":
         """Pool several calibration sets, keeping per-sample task labels."""
-        sets = list(sets)  # np.vstack refuses an empty list
-        inputs = np.vstack([s.inputs for s in sets])
-        targets = np.vstack([s.targets for s in sets])
-        ids = []
-        for s in sets:
-            ids.extend(s.task_ids if s.task_ids is not None else [None] * len(s))
-        return cls(inputs, targets, ids)
+        sets = list(sets)  # iterated three times
+        ids = [t for s in sets for t in (s.task_ids or [None] * len(s))]
+        return cls(np.vstack([s.inputs for s in sets]), np.vstack([s.targets for s in sets]), ids)
 
 
 @dataclass
@@ -122,7 +149,7 @@ class QuadraticObjective:
         self.H = np.asarray(self.H, dtype=float)
         self.g = np.asarray(self.g, dtype=float)
         self.constant = float(self.constant)
-        dim = self.n_tasks * self.n_directions
+        dim = self.dim
         if self.H.shape != (dim, dim):
             raise ValueError(f"H must be {dim}x{dim}, got {self.H.shape}")
         if self.g.shape != (dim,):
@@ -192,17 +219,12 @@ class MergeGeometry:
         return self.downstream.ndim == 2
 
 
-def base_residuals(net: LinearNetwork, calib: CalibrationSet) -> np.ndarray:
-    """b_j = h(x_j) - y_j for the unmerged base model, stacked as rows."""
-    return forward(net, calib.inputs) - calib.targets
-
-
 def _sample_geometry(net, layer_index, calib) -> MergeGeometry:
-    """The merge geometry with one row per sample, for any downstream map."""
-    with np.errstate(over="ignore", invalid="ignore"):  # checked here and in linearize_downstream
-        down = linearize_downstream(net, layer_index, calib.inputs)
-        U = layer_input(net, layer_index, calib.inputs)
-        B = base_residuals(net, calib)
+    """The merge geometry with one row per sample, for any downstream map, from one pass."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked here and in _downstream
+        acts = _propagate(net, _input_columns(net, calib.inputs), net.depth)
+        down = _downstream(net, layer_index, acts)
+        U, B = acts[layer_index - 1].T, acts[-1].T - calib.targets
     if not (np.all(np.isfinite(U)) and np.all(np.isfinite(B))):
         raise NumericalError(f"the forward pass overflows at or above layer {layer_index}")
     return MergeGeometry(layer_index, U, down, B, len(calib))
@@ -321,8 +343,7 @@ def _build_qp(geometry, deltas, Q, basis_id):
 
 
 def _flat_coefficients(qp, d):
-    values = d.values if isinstance(d, MergeCoefficients) else np.asarray(d, dtype=float)
-    flat = values.ravel()
+    flat = np.asarray(getattr(d, "values", d), dtype=float).ravel()  # MergeCoefficients or array
     if flat.shape[0] != qp.dim:
         raise ValueError(f"expected {qp.dim} coefficients, got {flat.shape[0]}")
     return flat
@@ -520,9 +541,7 @@ def merged_delta_from_coefficients(
     sum_k Q diag(d_k) Q^T delta_k.
     """
     mats = _delta_matrices(deltas)
-    values = coeffs.values if isinstance(coeffs, MergeCoefficients) else np.asarray(
-        coeffs, dtype=float
-    )
+    values = np.asarray(getattr(coeffs, "values", coeffs), dtype=float)
     if values.ndim == 1:
         values = values.reshape(len(deltas), -1)
     if values.shape[0] != len(deltas):
@@ -549,8 +568,7 @@ def linearized_delta_objective(geometry: MergeGeometry, merged_delta) -> float:
     is expressible in the QP's parameterisation, and the exact calibration
     loss on all-identity networks.
     """
-    delta = np.asarray(merged_delta, dtype=float)
-    moved = geometry.hidden_inputs @ delta.T  # (n, r)
+    moved = geometry.hidden_inputs @ np.asarray(merged_delta, dtype=float).T  # (n, r)
     E = np.einsum("...cr,...r->...c", geometry.downstream, moved) + geometry.residuals
     return float(np.einsum("jc,jc->", E, E))
 
@@ -560,15 +578,23 @@ def calibration_mse(net: LinearNetwork, calib: CalibrationSet):
 
     Returns (pooled, per_task) where pooled = sum_j ||h(x_j) - y_j||^2 / n
     and per_task maps each task label to the same average over its samples.
-    A pooled error that overflows is a NumericalError.
+    With no ReLU gap h(x) = W x, so a task's sum is ||[X_t | Y_t] T||_F^2 =
+    ||R_t T||_F^2 with T = [W'; -I]: where calib.task_factors holds R_t, the
+    model runs on those d + c rows per task instead of on every sample, and
+    outputs equal to their targets read rounding (about eps^2 ||[X | Y]||^2 / n),
+    not 0.  A pooled error that overflows is a NumericalError.
     """
+    labels, codes = calib.task_groups
+    factors = None if RELU in net.activations else calib.task_factors
+    X, Y = (calib.inputs, calib.targets) if factors is None else factors[:2]
     with np.errstate(over="ignore", invalid="ignore"):
-        E = forward(net, calib.inputs) - calib.targets
+        E = forward(net, X) - Y
         sq = np.einsum("jc,jc->j", E, E)
-        pooled = float(sq.mean())
+        if factors is None:
+            pooled, means = float(sq.mean()), [sq[codes == i].mean() for i in labels.values()]
+        else:
+            sums = sq.reshape(len(factors[2]), -1).sum(axis=1)
+            pooled, means = float(sums.sum() / len(calib)), sums / factors[2]
     if not np.isfinite(pooled):
         raise NumericalError(f"calibration mse is {pooled!r}: the forward pass overflows")
-    labels = sorted(set(calib.task_ids or ()), key=repr)
-    code = {t: i for i, t in enumerate(labels)}
-    codes = np.array([code[t] for t in calib.task_ids or ()])
-    return pooled, {t: float(sq[codes == i].mean()) for i, t in enumerate(labels)}
+    return pooled, {t: float(m) for t, m in zip(labels, means)}

@@ -139,9 +139,7 @@ def random_basis(dim: int, p: int, seed: int) -> OrthonormalBasis:
     """Haar-ish random orthonormal p-frame from a seeded Gaussian QR."""
     if not 1 <= p <= dim:
         raise ValueError(f"p={p} outside [1, {dim}]")
-    rng = np.random.default_rng(seed)
-    G = rng.standard_normal((dim, p))
-    Q, R = np.linalg.qr(G)
+    Q, R = np.linalg.qr(np.random.default_rng(seed).standard_normal((dim, p)))
     signs = np.where(np.diag(R) < 0, -1.0, 1.0)  # a zero diagonal keeps its column
     return OrthonormalBasis(Q * signs[None, :], f"random({seed})")
 

@@ -10,6 +10,7 @@ The stacked code sums in another order, so results are compared within
 """
 
 import csv
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -234,6 +235,26 @@ def test_batched_input_validation():
         mq.layer_input(net, 1, np.array([[np.nan, 0.0]]))
 
 
+def _sample_path_mse(net, calib):
+    """calibration_mse's per-sample path: the model on every row, per-task means by label."""
+    E = mq.forward(net, calib.inputs) - calib.targets
+    sq = np.einsum("jc,jc->j", E, E)
+    labels = sorted(set(calib.task_ids or ()), key=repr)
+    ids = np.array(calib.task_ids or (), dtype=object)
+    return float(sq.mean()), {t: float(sq[ids == t].mean()) for t in labels}
+
+
+# Task layouts of a 4-in, 3-out calibration set, one label per row (None: an
+# unlabelled set).  The factor rule is n_t >= 2 (d + c) = 14 for every task.
+LAYOUTS = {
+    "unequal": [0] * 14 + [1] * 20 + [2] * 31,
+    "interleaved": [k % 3 for k in range(45)],
+    "a-task-one-row-short": [0] * 13 + [1] * 20,
+    "unlabelled": None,
+    "none-label": [None] * 15 + ["b"] * 16,
+}
+
+
 @pytest.mark.parametrize("net_name", sorted(NETS))
 def test_stacked_evaluators_match_per_sample_loops(net_name):
     net, deltas, calib, rng = _instance(11, net_name, 8)
@@ -256,6 +277,74 @@ def test_stacked_evaluators_match_per_sample_loops(net_name):
             grad = 2.0 * np.outer(maps[j].T @ residuals[j], hidden[j])
             total += grad * grad
         _close(fisher, total)
+
+    eps = np.finfo(float).eps
+    linear = "relu" not in net.activations
+    for name, ids in LAYOUTS.items():
+        n = 30 if ids is None else len(ids)
+        sets = mq.CalibrationSet(rng.normal(size=(n, 4)), rng.normal(size=(n, 3)), ids)
+        factored = name in ("unequal", "interleaved", "unlabelled", "none-label")
+        assert (sets.task_factors is not None) == factored
+        pooled, per_task = mq.calibration_mse(net, sets)
+        if not (linear and factored):
+            # ReLU nets and sets below the rule keep the per-sample path, bit for bit
+            assert (pooled, per_task) == _sample_path_mse(net, sets)
+            continue
+        # the factor's error bound: eps (||h(X_t)||^2 + ||Y_t||^2), not a share of the mse
+        out = np.stack([mq.forward(net, x) for x in sets.inputs])
+        sq = np.array([float(np.sum((h - y) ** 2)) for h, y in zip(out, sets.targets)])
+        labels = np.array(ids or [None] * n, dtype=object)  # unlabelled: one group, the pool
+        for t in set(labels):
+            rows = labels == t
+            scale = (np.sum(out[rows] ** 2) + np.sum(sets.targets[rows] ** 2)) / rows.sum()
+            got = pooled if ids is None else per_task[t]
+            assert abs(got - sq[rows].mean()) <= 8 * 7 * eps * scale
+        scale = (np.sum(out ** 2) + np.sum(sets.targets ** 2)) / n
+        assert abs(pooled - sq.mean()) <= 8 * 7 * eps * scale
+        assert list(per_task) == sorted(set(ids or ()), key=repr)
+
+    # fisher reads the set's grouping: the rows an object-array label match picks, bit for bit
+    sets = mq.CalibrationSet(rng.normal(size=(45, 4)), rng.normal(size=(45, 3)), LAYOUTS["interleaved"])
+    geom = qp._sample_geometry(net, layer, sets)
+    M = np.einsum("...cr,...c->...r", geom.downstream, geom.residuals)
+    labels = np.array(sets.task_ids, dtype=object)
+    want = [4.0 * (M * M)[labels == t].T @ (geom.hidden_inputs ** 2)[labels == t] for t in (2, 0)]
+    got = mq.fisher_diagonals(net, sets, [2, 0], [layer])[layer]
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    for labelled, missing in ((sets, 3), (mq.CalibrationSet(sets.inputs, sets.targets), 0)):
+        with pytest.raises(ValueError, match=f"task {missing!r} has no calibration samples"):
+            mq.fisher_diagonals(net, labelled, [0, missing], [layer])
+
+
+def test_calibration_views_follow_reassigned_fields():
+    # reassigning a field drops the cached task views; an augmented assignment reassigns
+    net, _, _, rng = _instance(5, "linear", 8)
+    ids = LAYOUTS["unequal"]
+    X, Y = rng.normal(size=(len(ids), 4)), rng.normal(size=(len(ids), 3))
+    calib = mq.CalibrationSet(X.copy(), Y.copy(), ids)
+    assert mq.calibration_mse(net, calib) == mq.calibration_mse(net, mq.CalibrationSet(X, Y, ids))
+    calib.inputs = 2.0 * calib.inputs
+    calib.targets *= 0.5
+    assert mq.calibration_mse(net, calib) == mq.calibration_mse(
+        net, mq.CalibrationSet(2.0 * X, 0.5 * Y, ids))
+    calib.task_ids = ids[::-1]
+    assert mq.calibration_mse(net, calib) == mq.calibration_mse(
+        net, mq.CalibrationSet(2.0 * X, 0.5 * Y, ids[::-1]))
+    calib.task_ids = [0] * 13 + [1] * (len(ids) - 13)  # a task below the factor rule
+    assert calib.task_factors is None
+    assert mq.calibration_mse(net, calib) == _sample_path_mse(net, calib)
+
+
+def test_factor_path_overflow_is_a_numerical_error():
+    net, _, _, rng = _instance(5, "linear", 8)
+    ids = LAYOUTS["unequal"]
+    calib = mq.CalibrationSet(rng.normal(size=(len(ids), 4)), rng.normal(size=(len(ids), 3)), ids)
+    huge = mq.LinearNetwork([1e150 * W for W in net.layers], net.activations)
+    assert calib.task_factors is not None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(mq.NumericalError, match="calibration mse is"):
+            mq.calibration_mse(huge, calib)
 
 
 def test_interaction_error_matches_per_sample_loop(rng):
@@ -685,3 +774,7 @@ def test_geometry_keeps_sample_rows_on_per_sample_maps_and_below_twice_the_facto
         else:
             assert np.array_equal(geom.hidden_inputs, mq.layer_input(net, layer, X))
             assert np.array_equal(geom.residuals, mq.forward(net, X) - calib.targets)
+    # residual rows are prediction minus target: (2, 3) - (3, 4) by hand
+    net = make_linear_net([[2.0, 0.0], [0.0, 3.0]])
+    calib = mq.CalibrationSet(np.array([[1.0, 1.0]]), np.array([[3.0, 4.0]]))
+    assert np.array_equal(mq.merge_geometry(net, 1, calib).residuals, [[-1.0, -1.0]])

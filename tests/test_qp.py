@@ -135,13 +135,6 @@ def test_builders_reject_updates_the_geometry_does_not_fit(build, activation):
         qp([])
 
 
-def test_base_residuals_are_prediction_minus_target():
-    net = make_linear_net([[2.0, 0.0], [0.0, 3.0]])
-    calib = mq.CalibrationSet(np.array([[1.0, 1.0]]), np.array([[3.0, 4.0]]))
-    b = mq.base_residuals(net, calib)
-    assert np.array_equal(b, [[-1.0, -1.0]])
-
-
 def test_solve_unconstrained_matches_dense_solve(rng):
     A = rng.normal(size=(8, 5))
     H = A.T @ A + 0.5 * np.eye(5)
