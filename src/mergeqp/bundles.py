@@ -442,31 +442,26 @@ def gen_linear_tasks(
 
 def gen_shared_direction_instance(
     sigmas=(1.0, 2.0),
-    r: int = 4,
-    c: int = 6,
-    input_dim: int = 5,
     n_samples: int = 12,
     target_task: int = 0,
-    orth_scale: float = 0.1,
     seed: int = 0,
 ) -> ModelBundle:
     """Instance meeting the closed-form assumptions: shared u, isometric L.
 
-    Two-layer network h = L W1 x with L having orthonormal columns (needs
-    c >= r).  Task k's update is sigma_k u v^T plus an orthogonal remainder
-    (I - u u^T) G_k scaled by orth_scale, so u^T delta_k = sigma_k v^T
+    Two-layer network h = L W1 x on 5 inputs: W1 is 4 x 5 and the 6 x 4
+    map L has orthonormal columns.  Task k's update is sigma_k u v^T plus an
+    orthogonal remainder 0.1 (I - u u^T) G_k, so u^T delta_k = sigma_k v^T
     exactly.  Calibration targets come from the fine-tuned model of
     target_task.  The assumption checks (u orthogonal to remainders, L^T L
     close to identity) run before returning; meta records u, v and sigmas so
     they can be re-checked after a round trip.
     """
+    r, c, input_dim, orth_scale = 4, 6, 5, 0.1  # the fixed recipe; meta records it
     s = np.asarray(sigmas, dtype=float).ravel()
     if s.size < 1:
         raise ValueError("need at least one task strength")
     if np.any(s < 0):
         raise ValueError("sigmas must be non-negative")
-    if c < r:
-        raise ValueError(f"isometric downstream map needs c >= r, got c={c} < r={r}")
     if not 0 <= target_task < s.size:
         raise ValueError(f"target task {target_task} outside [0, {s.size - 1}]")
     rng = np.random.default_rng(seed)
@@ -567,22 +562,21 @@ def gen_relu_tasks(
     merge_layer: int = 2,
     n_tasks: int = 2,
     n_samples: int = 100,
-    n_train: int = 60,
-    train_steps: int = 25,
-    learning_rate: float = 0.05,
-    input_noise: float = 0.3,
     seed: int = 0,
 ) -> ModelBundle:
     """Small ReLU classifier fine-tuned per task on disjoint class subsets.
 
     The base network maps dims[0] -> ... -> dims[-1] with ReLU gaps; output
-    coordinates act as class logits with one Gaussian prototype per class.
-    The dims[-1] classes are split into n_tasks contiguous groups, and each
-    task fine-tunes only layer merge_layer by full-batch gradient descent on
-    one-hot targets for its own classes.  Residual updates are the resulting
-    weight differences; calibration pairs are fresh class-conditional inputs
-    with the fine-tuned model's outputs as targets.
+    coordinates act as class logits with one Gaussian prototype per class,
+    and inputs are a prototype plus noise of standard deviation 0.3.  The
+    dims[-1] classes are split into n_tasks contiguous groups, and each task
+    fine-tunes only layer merge_layer by 25 steps of full-batch gradient
+    descent (learning rate 0.05) on one-hot targets for 60 inputs of its own
+    classes.  Residual updates are the resulting weight differences;
+    calibration pairs are fresh class-conditional inputs with the fine-tuned
+    model's outputs as targets.
     """
+    n_train, train_steps, learning_rate, input_noise = 60, 25, 0.05, 0.3  # meta records them
     dims = [int(d) for d in dims]
     if len(dims) < 2:
         raise ValueError("need at least one layer")

@@ -6,8 +6,9 @@ into each layer's, for `merge`, hybrid refinement and `compare` alike.
 
 Exit codes: 0 success, 1 a merging method failed, 2 usage or configuration
 error (argparse errors included), 3 numerical failure (non-finite values in
-an objective or solve).  All reports are deterministic for a fixed config
-and seed: no timestamps, floats written with shortest round-trip repr.
+an objective or solve).  Reports are byte-identical for a fixed config,
+seed, numpy/BLAS build and BLAS thread count: no timestamps, floats written
+with shortest round-trip repr.
 """
 
 from __future__ import annotations
@@ -202,11 +203,10 @@ def cmd_gen(args) -> int:
         dims = _parse_ints(args.dims or "8,6,5")
         if len(dims) != 3:
             raise ValueError("linear bundles take --dims input,hidden,output")
-        merge_layers = _parse_ints(args.merge_layer or "1")
         bundle = gen_linear_tasks(
             dims=tuple(dims),
             n_layers=args.n_layers,
-            merge_layer=merge_layers if len(merge_layers) > 1 else merge_layers[0],
+            merge_layer=_parse_ints(args.merge_layer or "1"),
             n_tasks=args.tasks,
             delta_scale=args.delta_scale,
             noise=args.noise,

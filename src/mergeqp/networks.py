@@ -187,9 +187,8 @@ def _downstream(net, layer_index, acts):
     A = np.eye(net.layers[layer_index - 1].shape[0])
     for i in range(layer_index - 1, net.depth - 1):
         if net.activations[i] == RELU:
-            A = net.layers[i + 1] @ ((acts[i + 1] > 0.0).astype(float).T[..., None] * A)
-        else:
-            A = net.layers[i + 1] @ A
+            A = (acts[i + 1] > 0.0).astype(float).T[..., None] * A
+        A = net.layers[i + 1] @ A
     if not np.all(np.isfinite(A)):
         raise NumericalError("downstream matrix contains non-finite entries")
     return A

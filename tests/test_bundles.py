@@ -164,9 +164,17 @@ def test_gen_linear_delta_scale():
     assert np.allclose(large * 0.01, small, atol=1e-15)
 
 
-def test_shared_direction_instance_structure():
+def test_shared_direction_instance_structure(tmp_path):
     bundle = mq.gen_shared_direction_instance(sigmas=(1.0, 2.0), seed=5)
     mq.validate_shared_direction_bundle(bundle)
+    recipe = {"r": 4, "c": 6, "input_dim": 5, "n_samples": 12, "target_task": 0,
+              "orth_scale": 0.1, "seed": 5}
+    assert {k: bundle.meta[k] for k in recipe} == recipe
+    assert [W.shape for W in bundle.base.layers] == [(4, 5), (6, 4)]
+    mq.save_bundle(bundle, tmp_path / "sd.json")
+    loaded = mq.load_bundle(tmp_path / "sd.json")
+    assert loaded.meta == bundle.meta
+    mq.validate_shared_direction_bundle(loaded)
     u = np.asarray(bundle.meta["u"])
     v = np.asarray(bundle.meta["v"])
     sig = bundle.meta["sigmas"]
@@ -187,6 +195,8 @@ def test_gen_relu_tasks_shapes_and_determinism():
     assert b1.layers_with_updates == [2]
     assert len(b1.residuals[2]) == 2
     assert np.array_equal(b1.residuals[2][0].delta, b2.residuals[2][0].delta)
+    recipe = {"n_train": 60, "train_steps": 25, "learning_rate": 0.05, "input_noise": 0.3}
+    assert {k: b1.meta[k] for k in recipe} == recipe
     calib = b1.pooled_calibration()
     assert calib.inputs.shape[1] == b1.base.input_dim
     assert calib.targets.shape[1] == b1.base.output_dim

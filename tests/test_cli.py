@@ -477,6 +477,9 @@ def test_usage_errors_exit_two(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["merge", "--bundle", "x", "--method", "nope"])
     assert exc.value.code == 2
+    path = tmp_path / "none.json"
+    assert main(["gen", "--merge-layer", ",", "--out", str(path)]) == 2  # no merge layer
+    assert not path.exists()
 
 
 def _exit_code(argv):
