@@ -197,38 +197,39 @@ def _baseline_params(args, bundle: ModelBundle, calib, method, layers):
     return {}
 
 
+# The gen flags each kind does not read.  Gen flags default to None, so a flag given at
+# its default value counts as given; an omitted one keeps its generator's default.
+_GEN_UNREAD = {
+    "linear": ("sigmas",),
+    "relu": ("n_layers", "delta_scale", "noise", "sigmas"),
+    "shared-direction": ("dims", "n_layers", "merge_layer", "tasks", "delta_scale", "noise"),
+}
+
+
 def cmd_gen(args) -> int:
-    n_samples = {} if args.n_calib is None else {"n_samples": args.n_calib}
+    unread = [f for f in _GEN_UNREAD[args.kind] if vars(args)[f] is not None]
+    if unread:
+        names = ", ".join("--" + f.replace("_", "-") for f in unread)
+        raise ValueError(f"gen --kind {args.kind} does not read {names}")
+    flags = {"n_layers": args.n_layers, "n_tasks": args.tasks, "delta_scale": args.delta_scale,
+             "noise": args.noise, "n_samples": args.n_calib}
+    given = {name: value for name, value in flags.items() if value is not None}
     if args.kind == "linear":
         dims = _parse_ints(args.dims or "8,6,5")
         if len(dims) != 3:
             raise ValueError("linear bundles take --dims input,hidden,output")
-        bundle = gen_linear_tasks(
-            dims=tuple(dims),
-            n_layers=args.n_layers,
-            merge_layer=_parse_ints(args.merge_layer or "1"),
-            n_tasks=args.tasks,
-            delta_scale=args.delta_scale,
-            noise=args.noise,
-            seed=args.seed,
-            **n_samples,
-        )
+        layers = _parse_ints(args.merge_layer or "1")
+        bundle = gen_linear_tasks(dims=tuple(dims), merge_layer=layers, seed=args.seed, **given)
     elif args.kind == "shared-direction":
         bundle = gen_shared_direction_instance(
-            sigmas=_parse_floats(args.sigmas or "1,2"), seed=args.seed, **n_samples
+            sigmas=_parse_floats(args.sigmas or "1,2"), seed=args.seed, **given
         )
         print("assumption validators passed (shared direction, isometry)")
-    elif args.kind == "relu":
-        dims = _parse_ints(args.dims or "16,12,8,4")
-        bundle = gen_relu_tasks(
-            dims=tuple(dims),
-            merge_layer=int(args.merge_layer or "2"),
-            n_tasks=args.tasks,
-            seed=args.seed,
-            **n_samples,
-        )
     else:
-        raise ValueError(f"unknown bundle kind {args.kind!r}")
+        given.setdefault("n_tasks", 3)  # as for linear bundles; gen_relu_tasks' own default is 2
+        dims = _parse_ints(args.dims or "16,12,8,4")
+        bundle = gen_relu_tasks(dims=tuple(dims), merge_layer=int(args.merge_layer or "2"),
+                                seed=args.seed, **given)
     save_bundle(bundle, args.out)
     print(
         f"wrote {args.out}: {bundle.base.depth} layers, "
@@ -427,13 +428,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out", required=True, help="bundle file path (format version 3)")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--dims", help="comma dims: linear d,r,c / relu d,h1,...,c")
-    p_gen.add_argument("--n-layers", type=int, default=2, help="linear: layer count")
+    p_gen.add_argument("--n-layers", type=int, help="linear: layer count (default 2)")
     p_gen.add_argument("--merge-layer", help="layer index (linear allows a comma list)")
-    p_gen.add_argument("--tasks", type=int, default=3)
-    p_gen.add_argument("--n-calib", type=int, default=None,
+    p_gen.add_argument("--tasks", type=int, help="linear and relu (default 3)")
+    p_gen.add_argument("--n-calib", type=int,
                        help="calibration samples per task (generator default when omitted)")
-    p_gen.add_argument("--delta-scale", type=_finite_float, default=0.5)
-    p_gen.add_argument("--noise", type=_finite_float, default=0.0)
+    p_gen.add_argument("--delta-scale", type=_finite_float, help="linear (default 0.5)")
+    p_gen.add_argument("--noise", type=_finite_float, help="linear (default 0.0)")
     p_gen.add_argument("--sigmas", help="shared-direction strengths, e.g. 1,2")
     p_gen.set_defaults(func=cmd_gen)
 

@@ -118,7 +118,8 @@ class CalibrationSet:
 class QuadraticObjective:
     """J(d) = 1/2 d^T H d + g^T d + constant over flattened coefficients.
 
-    H must be symmetric to 1e-10; solvers pass LAPACK H^T, so it is kept as (H + H^T) / 2.
+    H must be symmetric to 1e-10 and is stored as the objective's own (H + H^T) / 2:
+    solvers pass LAPACK H^T, and _certified shifts its diagonal in place.
     """
 
     H: np.ndarray
@@ -133,12 +134,11 @@ class QuadraticObjective:
         skew = self.H - self.H.T
         if np.abs(skew).max(initial=0.0) > 1e-10 * np.abs(self.H).max(initial=0.0):
             raise ValueError("H is not symmetric")
-        if skew.any():
-            self.H = 0.5 * (self.H + self.H.T)
+        self.H = 0.5 * (self.H + self.H.T) if skew.any() else self.H.copy()
 
     @classmethod
     def _symmetric(cls, H, g, constant, n_tasks, n_directions, basis_id):
-        """Construct from an H symmetric by construction: no symmetry scan."""
+        """Construct from a fresh H symmetric by construction: no symmetry scan, no copy."""
         qp = cls.__new__(cls)
         qp.H, qp.g, qp.constant = H, g, constant
         qp.n_tasks, qp.n_directions, qp.basis_id = n_tasks, n_directions, basis_id
@@ -383,15 +383,18 @@ def _certified(H):
 
     It factors H - 2 _EIGEN_CUT ||H||_inf I; the factor 2 covers the
     factorisation's backward error (Higham 2002, section 10.1).  H = 0 fails.
+    The shift is made in place; H's diagonal is restored bit for bit however it ends.
     """
-    shifted = H.copy()
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing bound fails below
-        tau = 2.0 * _EIGEN_CUT * np.abs(H).sum(axis=1).max(initial=0.0)
-        shifted.flat[:: H.shape[0] + 1] -= tau
+    diag = H.diagonal().copy()
     try:
-        np.linalg.cholesky(shifted.T)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing bound fails below
+            tau = 2.0 * _EIGEN_CUT * np.abs(H).sum(axis=1).max(initial=0.0)
+            H.flat[:: H.shape[0] + 1] -= tau
+        np.linalg.cholesky(H.T)
     except np.linalg.LinAlgError:
         return False
+    finally:
+        H.flat[:: H.shape[0] + 1] = diag
     return tau > 0
 
 
@@ -419,15 +422,15 @@ def prefix_optima(qp: QuadraticObjective) -> np.ndarray:
     Ordered direction-major (flat index i * K + k), prefix p's QP is the
     leading pK block, so if _certified passes on H it does on every block
     (Cauchy interlacing) and H = L L^T, z = L^{-1}(-g) give its optimum
-    const - 1/2 sum_{i<pK} z_i^2.  z is the last row of the Cholesky factor of
-    H bordered by -g and 4 const + 1 > z^T z (J >= 0 at d = -H^{-1} g); if
-    either factorisation fails, each block takes the eigen cut.
+    const - 1/2 sum_{i<pK} z_i^2; _certified runs on qp.H, which has H's eigenvalues.
+    z is the last row of the Cholesky factor of H bordered by -g and 4 const + 1 > z^T z
+    (J >= 0 at d = -H^{-1} g); if either factorisation fails, each block takes the eigen cut.
     """
     K, n = qp.n_tasks, qp.dim
     order = np.append(np.arange(n).reshape(K, -1).T.ravel(), n)
     B = np.block([[qp.H, -qp.g[:, None]], [-qp.g, 4.0 * qp.constant + 1.0]])[np.ix_(order, order)]
     H, g = B[:n, :n], -B[:n, n]
-    if _certified(H):
+    if _certified(qp.H):
         with contextlib.suppress(np.linalg.LinAlgError):
             z = np.linalg.cholesky(B.T)[n, :n]
             return qp.constant - 0.5 * np.cumsum(z * z)[K - 1 :: K]

@@ -72,6 +72,7 @@ def test_gen_rejects_a_zero_dimension_and_writes_nothing(tmp_path, capsys, flags
 
 
 @pytest.mark.parametrize("kind, generator", [
+    ("linear", partial(mq.gen_linear_tasks, dims=(8, 6, 5), merge_layer=[1])),
     ("relu", partial(mq.gen_relu_tasks, dims=(16, 12, 8, 4), merge_layer=2, n_tasks=3,
                      n_samples=100)),
     ("shared-direction", partial(mq.gen_shared_direction_instance, sigmas=[1.0, 2.0],
@@ -82,6 +83,25 @@ def test_gen_writes_its_generators_bundle(tmp_path, kind, generator):
     path = _gen(tmp_path, "--kind", kind, "--seed", "0")
     mq.save_bundle(generator(seed=0), tmp_path / "direct.json")
     assert path.read_bytes() == (tmp_path / "direct.json").read_bytes()
+
+
+@pytest.mark.parametrize("kind, flags, unread", [
+    ("linear", ("--sigmas", "1,2"), "--sigmas"),
+    ("relu", ("--n-layers", "5", "--delta-scale", "9", "--sigmas", "1,2"),
+     "--n-layers, --delta-scale, --sigmas"),
+    ("relu", ("--noise", "0.0", "--tasks", "2"), "--noise"),
+    ("shared-direction",
+     ("--tasks", "5", "--dims", "3,3,3", "--merge-layer", "2", "--noise", "0.3"),
+     "--dims, --merge-layer, --tasks, --noise"),
+    ("shared-direction", ("--tasks", "3"), "--tasks"),
+    ("shared-direction", ("--n-layers", "2", "--delta-scale", "0.5"), "--n-layers, --delta-scale"),
+])
+def test_gen_rejects_flags_its_kind_does_not_read(tmp_path, capsys, kind, flags, unread):
+    # a flag given at its default value counts as given
+    path = tmp_path / "bundle.json"
+    assert main(["gen", "--kind", kind, *flags, "--out", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: gen --kind {kind} does not read {unread}\n"
+    assert not path.exists()
 
 
 def test_merge_report_schema(tmp_path):

@@ -7,6 +7,7 @@ a mismatch rather than being reproduced on both sides.
 
 import contextlib
 import itertools
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -564,6 +565,54 @@ def test_exact_solvers_leave_the_qp_unchanged(path, rng):
     assert qpmod._certified(qp.H) == (path == "certified")
     assert _unchanged_after(qp, mq.solve_unconstrained)
     assert _unchanged_after(qp, qpmod.prefix_optima)
+
+
+def _certificate_case(kind, rng, n=8):
+    if kind == "overflowing-bound":
+        # every row sums past the largest double, so tau is inf and H - tau I fails
+        return np.full((n, n), 0.9e308) + np.diag(rng.uniform(0.0, 1e307, size=n))
+    M = rng.normal(size=(n, n))
+    H = M + M.T if kind == "indefinite" else M @ M.T + np.eye(n)
+    H = 0.5 * (H + H.T)
+    H[np.diag_indices(n)] += rng.uniform(-1e-3, 1e-3, size=n)  # bits the shift rounds off
+    return H
+
+
+@pytest.mark.parametrize("kind", ["positive-definite", "indefinite", "overflowing-bound"])
+def test_certificate_restores_every_bit_of_h(kind, rng):
+    # the shift of H's diagonal is made in place and undone by writing the saved diagonal
+    H = _certificate_case(kind, rng)
+    before = H.view(np.uint64).copy()
+    assert qpmod._certified(H) == (kind == "positive-definite")
+    assert np.array_equal(H.view(np.uint64), before)
+
+
+def test_solvers_leave_a_read_only_caller_h_untouched(rng):
+    # the objective stores its own H, so the in-place certificate never writes the caller's
+    H = _certificate_case("positive-definite", rng, n=6)
+    before = H.view(np.uint64).copy()
+    H.flags.writeable = False
+    qp = mq.QuadraticObjective(H=H, g=rng.normal(size=6), constant=1.0, n_tasks=2, n_directions=3)
+    mq.solve_unconstrained(qp)
+    qpmod.prefix_optima(qp)
+    assert np.array_equal(H.view(np.uint64), before)
+    assert qpmod._certified(qp.H)  # both solvers took the in-place certificate
+
+
+def test_certified_solve_holds_no_copy_of_h(rng):
+    # tracemalloc sees numpy's arrays but not LAPACK's work buffer, so the certified solve
+    # traces the discarded Cholesky factor (1 x H.nbytes) and vectors; a shifted copy made it 2 x
+    net, deltas, calib = _random_instance(rng, d=64, r=128, c=32, K=4, n=120)
+    qp = mq.build_diagonal_qp(mq.merge_geometry(net, 1, calib), deltas)
+    assert qp.dim == 512 and qpmod._certified(qp.H)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        mq.solve_unconstrained(qp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 1.25 * qp.H.nbytes
 
 
 def test_box_solver_leaves_the_qp_unchanged(rng):
