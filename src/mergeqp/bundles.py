@@ -376,6 +376,11 @@ def load_network(path) -> LinearNetwork:
     return _load(path, _network_from_obj)
 
 
+def _random_layers(rng, sizes) -> list:
+    """Gaussian weights sizes[l] -> sizes[l + 1], scaled by 1/sqrt(fan-in), drawn in order."""
+    return [rng.standard_normal((m, n)) / math.sqrt(n) for n, m in zip(sizes, sizes[1:])]
+
+
 def gen_linear_tasks(
     dims=(8, 6, 5),
     n_layers: int = 2,
@@ -388,13 +393,15 @@ def gen_linear_tasks(
 ) -> ModelBundle:
     """Random all-identity stack with Gaussian task updates at chosen layers.
 
-    dims = (input, hidden, output); every interior layer has the hidden
-    width.  merge_layer may be a single index or a sequence of indices, each
-    getting an independent update per task.  Task k's calibration targets are
-    the outputs of the base network with task k's updates applied (noise
-    standard deviation added on top when noise > 0), so with one task and no
-    noise the generating model itself reaches zero loss.
+    dims = (input, hidden, output), any other length a ValueError; interior
+    layers have the hidden width.  merge_layer may be one index or a
+    sequence, each getting an independent update per task.  Task k's
+    calibration targets are the outputs of the base network with task k's
+    updates applied (noise standard deviation added on top when noise > 0),
+    so with one task and no noise the generating model reaches zero loss.
     """
+    if len(dims) != 3:
+        raise ValueError(f"linear bundles take dims (input, hidden, output), got {tuple(dims)}")
     if n_layers < 1:
         raise ValueError("n_layers must be >= 1")
     if n_tasks < 1 or n_samples < 1:
@@ -404,11 +411,7 @@ def gen_linear_tasks(
     )
     sizes = [dims[0]] + [dims[1]] * (n_layers - 1) + [dims[2]]
     rng = np.random.default_rng(seed)
-    weights = [
-        rng.standard_normal((sizes[l + 1], sizes[l])) / math.sqrt(sizes[l])
-        for l in range(n_layers)
-    ]
-    base = LinearNetwork(weights)
+    base = LinearNetwork(_random_layers(rng, sizes))
     residuals = {N: [] for N in layers_to_merge}
     finetuned = []
     for k in range(n_tasks):
@@ -587,11 +590,7 @@ def gen_relu_tasks(
     if n_tasks < 1 or n_tasks > n_classes:
         raise ValueError("n_tasks must be between 1 and the number of classes")
     rng = np.random.default_rng(seed)
-    weights = [
-        rng.standard_normal((dims[l + 1], dims[l])) / math.sqrt(dims[l])
-        for l in range(n_layers)
-    ]
-    base = LinearNetwork(weights, [RELU] * (n_layers - 1))
+    base = LinearNetwork(_random_layers(rng, dims), [RELU] * (n_layers - 1))
     means = 1.5 * rng.standard_normal((n_classes, dims[0]))
     groups = [list(g) for g in np.array_split(np.arange(n_classes), n_tasks)]
 

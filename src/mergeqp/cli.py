@@ -186,8 +186,7 @@ def _baseline_params(args, bundle: ModelBundle, calib, method, layers):
     layer_params picks each layer's values.
     """
     if method == "ta":
-        lam = _parse_floats(args.lam)
-        return {"lambdas": lam[0] if len(lam) == 1 else lam}
+        return {"lambdas": _parse_floats(args.lam)}
     if method == "dare":
         return {"keep_prob": args.keep_prob, "seed": args.seed}
     if method == "ties":
@@ -216,8 +215,6 @@ def cmd_gen(args) -> int:
     given = {name: value for name, value in flags.items() if value is not None}
     if args.kind == "linear":
         dims = _parse_ints(args.dims or "8,6,5")
-        if len(dims) != 3:
-            raise ValueError("linear bundles take --dims input,hidden,output")
         layers = _parse_ints(args.merge_layer or "1")
         bundle = gen_linear_tasks(dims=tuple(dims), merge_layer=layers, seed=args.seed, **given)
     elif args.kind == "shared-direction":
@@ -355,12 +352,15 @@ def cmd_compare(args) -> int:
     bundle, layer, calib, deltas, geometry = _single_layer(args)
     task_ids = bundle.task_ids
     p = args.p if args.p is not None else min(deltas[0].delta.shape[0], bundle.base.output_dim)
+    basis = layer_basis("eigen", p, args.seed, deltas, geometry)
+    if basis.p < p:
+        print(f"note: the eigen basis spans {basis.p} of {p} directions", file=sys.stderr)
 
     specs = [("base", "base", {}), ("soup", "soup", {})]
     specs += [(f"ta({_fmt(v)})", "ta", {"lambdas": v}) for v in _parse_floats(args.lambda_grid)]
     # None: parameters from the flags, computed in the row's try so a failure marks that row only
     specs += [(kind, kind, None) for kind in ("dare", "ties", "fisher")]
-    specs += [("qp-diag", "qp-diag", {}), (f"qp-basis(eigen,{p})", "qp-basis", {})]
+    specs += [("qp-diag", "qp-diag", {}), (f"qp-basis(eigen,{basis.p})", "qp-basis", {})]
 
     rows = []
     objectives = {}
@@ -369,15 +369,8 @@ def cmd_compare(args) -> int:
         try:
             if kind == "base":
                 delta = np.zeros(deltas[0].delta.shape)
-            elif kind == "qp-diag":
-                delta = solve_layer(geometry, deltas)[2]
-            elif kind == "qp-basis":
-                basis = layer_basis("eigen", p, args.seed, deltas, geometry)
-                name = f"qp-basis(eigen,{basis.p})"
-                if basis.p < p:
-                    print(f"note: the eigen basis spans {basis.p} of {p} directions",
-                          file=sys.stderr)
-                delta = solve_layer(geometry, deltas, basis)[2]
+            elif kind in QP_METHODS:
+                delta = solve_layer(geometry, deltas, basis if kind == "qp-basis" else None)[2]
             else:
                 if params is None:
                     params = _baseline_params(args, bundle, calib, kind, [layer])

@@ -537,20 +537,18 @@ def solve_1d(m, beta: float) -> np.ndarray:
 def merged_delta_from_coefficients(
     deltas: list, coeffs, basis: OrthonormalBasis | None = None
 ) -> np.ndarray:
-    """Assemble the merged weight update a coefficient vector encodes.
+    """The merged weight update that coefficients d encode, one row d_k per task.
 
     Diagonal parameterisation (basis None): sum_k diag(d_k) delta_k, so
     coefficient row k scales task k's rows.  With a basis Q the update is
-    sum_k Q diag(d_k) Q^T delta_k.
+    sum_k Q diag(d_k) Q^T delta_k.  Coefficients that are not a 2-D array
+    with one row per task are a ValueError.
     """
     mats = _delta_matrices(deltas)
     values = np.asarray(getattr(coeffs, "values", coeffs), dtype=float)
-    if values.ndim == 1:
-        values = values.reshape(len(deltas), -1)
-    if values.shape[0] != len(deltas):
-        raise ValueError(
-            f"{values.shape[0]} coefficient rows for {len(deltas)} tasks"
-        )
+    if values.ndim != 2 or values.shape[0] != len(deltas):
+        raise ValueError(f"expected one coefficient row per task ({len(deltas)} tasks), "
+                         f"got shape {values.shape}")
     r = mats[0].shape[0]
     Q = None if basis is None else basis.columns
     if Q is not None and Q.shape[0] != r:

@@ -52,15 +52,15 @@ class OrthonormalBasis:
 
 
 def energy_matrix(residuals) -> np.ndarray:
-    """S = sum_j b_j b_j^T from stacked residual rows, symmetrised.
+    """S = sum_j b_j b_j^T from stacked residual rows, exactly symmetric.
 
-    Its trace is the total residual energy sum_j ||b_j||^2.
+    Its trace is the total residual energy sum_j ||b_j||^2.  numpy forms
+    B^T B as a symmetric rank-k update, so S equals S^T bit for bit.
     """
     B = np.asarray(residuals, dtype=float)
     if B.ndim != 2 or B.shape[0] == 0:
         raise ValueError("residuals must be a non-empty 2-D array of rows")
-    S = B.T @ B
-    return 0.5 * (S + S.T)
+    return B.T @ B
 
 
 def optimal_basis(S, p: int) -> OrthonormalBasis:

@@ -40,6 +40,13 @@ def test_merged_delta_from_coefficients_loops(rng):
     assert np.allclose(got, want, atol=1e-12)
 
 
+@pytest.mark.parametrize("coeffs", [np.ones(6), np.float64(1.0), np.ones((3, 2))])
+def test_merged_delta_from_coefficients_takes_one_row_per_task(rng, coeffs):
+    ups = _updates(rng.normal(size=(3, 2)), rng.normal(size=(3, 2)))
+    with pytest.raises(ValueError, match="one coefficient row per task"):
+        mq.merged_delta_from_coefficients(ups, coeffs)
+
+
 def test_dare_coefficients_row_level_mask():
     c = mq.dare_coefficients(2, 6, keep_prob=0.5, seed=3)
     assert c.shape == (2, 6)

@@ -158,6 +158,12 @@ def test_gen_linear_multi_layer_updates():
             mq.gen_linear_tasks(dims=(5, 4, 3), n_layers=2, merge_layer=bad)
 
 
+@pytest.mark.parametrize("dims", [(8, 6), (8, 6, 5, 4)])
+def test_gen_linear_tasks_takes_three_dims(dims):
+    with pytest.raises(ValueError, match=re.escape(f"dims (input, hidden, output), got {dims}")):
+        mq.gen_linear_tasks(dims=dims)
+
+
 def test_gen_linear_delta_scale():
     small = mq.gen_linear_tasks(seed=1, delta_scale=0.01).residuals[1][0].delta
     large = mq.gen_linear_tasks(seed=1, delta_scale=1.0).residuals[1][0].delta

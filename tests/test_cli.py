@@ -502,6 +502,29 @@ def test_usage_errors_exit_two(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--dims", "4,3"], "linear bundles take dims (input, hidden, output), got (4, 3)"),
+    (["gen", "--dims", "8,6,5,4"],
+     "linear bundles take dims (input, hidden, output), got (8, 6, 5, 4)"),
+    (["merge", "--bundle", "{one}", "--method", "soup", "--layers", "9"],
+     "no residual updates at layer(s) [9]; bundle has [1]"),
+    (["diagnose", "--bundle", "{two}"], "bundle has updates at [1, 2]; pick one with --layer"),
+    (["compare", "--bundle", "{two}"], "bundle has updates at [1, 2]; pick one with --layer"),
+    (["compare", "--bundle", "{one}", "--layer", "9"],
+     "no residual updates at layer 9; bundle has [1]"),
+    (["diagnose", "--bundle", "{one}", "--p-max", "0"], "p range is empty"),
+    (["compare", "--bundle", "{one}", "--p", "0"], "p=0 outside [1, 5]"),
+])
+def test_usage_errors_name_their_cause_and_write_nothing(tmp_path, capsys, argv, message):
+    bundles = {"one": _gen(tmp_path, name="one.json"),
+               "two": _gen(tmp_path, "--dims", "5,4,3", "--merge-layer", "1,2", name="two.json")}
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([a.format(**bundles) for a in argv] + ["--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 def _exit_code(argv):
     try:
         return main(argv)

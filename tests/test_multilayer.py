@@ -254,3 +254,17 @@ def test_basis_fraction_stays_in_the_unit_interval_on_a_deep_tall_bundle():
             fraction = mq.basis_fraction(basis, geometry)
             assert 0.0 <= fraction <= 1.0
             assert fraction == min(float(captured[-1]) / total, 1.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda b, c, g: mq.layer_basis("nope", 2, 0, b.residuals[1], g), "unknown basis kind 'nope'"),
+    (lambda b, c, g: mq.hybrid_refine(b.base, b.residuals, c, refine_layers=[9]),
+     r"refine layers \[9\] have no residual updates"),
+    (lambda b, c, g: mq.sequential_merge(b.base, {}, c), "no layers to merge"),
+    (lambda b, c, g: baseline_merge(b.base, {}, c, "soup"), "no layers to merge"),
+])
+def test_merge_entry_points_reject_what_they_cannot_merge(call, message):
+    bundle = _two_layer_bundle()
+    calib = bundle.pooled_calibration()
+    with pytest.raises(ValueError, match=message):
+        call(bundle, calib, mq.merge_geometry(bundle.base, 1, calib))

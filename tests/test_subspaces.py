@@ -23,7 +23,12 @@ def test_energy_matrix_is_sum_of_outer_products(rng):
         S += np.outer(row, row)
     assert np.allclose(em, S, atol=1e-12)
     assert np.isclose(np.trace(em), np.sum(B * B))
-    assert np.allclose(em, em.T)
+    # exactly symmetric for every memory layout, including the strided half of a thin-QR
+    # R factor that merge_geometry hands over
+    R = np.linalg.qr(rng.normal(size=(30, 12)), mode="r")
+    for rows in (B, np.asfortranarray(B), np.hsplit(R, 2)[1], rng.normal(size=(4, 7)).T):
+        S = mq.energy_matrix(rows)
+        assert np.array_equal(S, S.T)
 
 
 def test_optimal_basis_spans_top_eigenspace(rng):
