@@ -182,11 +182,11 @@ def linearize_downstream(net: LinearNetwork, layer_index: int, x) -> np.ndarray:
 
 
 def _downstream(net, layer_index, acts):
-    """linearize_downstream's Jacobian; ReLU masks read _propagate's activations (a > 0)."""
+    """linearize_downstream's Jacobian; ReLU masks read acts (a > 0), none if acts is None."""
     net._check_layer_index(layer_index)
     A = np.eye(net.layers[layer_index - 1].shape[0])
     for i in range(layer_index - 1, net.depth - 1):
-        if net.activations[i] == RELU:
+        if acts is not None and net.activations[i] == RELU:
             A = (acts[i + 1] > 0.0).astype(float).T[..., None] * A
         A = net.layers[i + 1] @ A
     if not np.all(np.isfinite(A)):

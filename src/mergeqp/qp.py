@@ -206,6 +206,9 @@ class MergeGeometry:
         merge_geometry's m = r_in + c rows are instead R from a thin QR of [U | B]:
         R'R = [U | B]'[U | B] prices the QP, J_lin, S and captured energy exactly, but
         no row is a sample, so fisher_diagonals (per-task sums) reads per-sample rows.
+    one_gap
+        (W_top, m) if layer N's own output gap is the only ReLU above it, else None: then
+        downstream[j] = W_top diag(m[j]), W_top (c, r) the weights above, m (n, r) 0/1.
     """
 
     layer_index: int
@@ -213,6 +216,7 @@ class MergeGeometry:
     downstream: np.ndarray
     residuals: np.ndarray
     n_samples: int
+    one_gap: tuple | None = None
 
     @property
     def fixed_downstream(self) -> bool:
@@ -221,13 +225,18 @@ class MergeGeometry:
 
 def _sample_geometry(net, layer_index, calib) -> MergeGeometry:
     """The merge geometry with one row per sample, for any downstream map, from one pass."""
+    gaps, one_gap = net.activations[layer_index - 1 :], None
     with np.errstate(over="ignore", invalid="ignore"):  # checked here and in _downstream
         acts = _propagate(net, _input_columns(net, calib.inputs), net.depth)
-        down = _downstream(net, layer_index, acts)
+        if gaps[:1] == [RELU] and RELU not in gaps[1:]:  # _downstream's stack, bit for bit
+            one_gap = _downstream(net, layer_index, None), (acts[layer_index] > 0).T.copy()
+            down = np.where(one_gap[1][:, None, :], one_gap[0], 0.0)  # C-ordered, as m is
+        else:
+            down = _downstream(net, layer_index, acts)
         U, B = acts[layer_index - 1].T, acts[-1].T - calib.targets
     if not (np.all(np.isfinite(U)) and np.all(np.isfinite(B))):
         raise NumericalError(f"the forward pass overflows at or above layer {layer_index}")
-    return MergeGeometry(layer_index, U, down, B, len(calib))
+    return MergeGeometry(layer_index, U, down, B, len(calib), one_gap)
 
 
 def merge_geometry(net: LinearNetwork, layer_index: int, calib: CalibrationSet) -> MergeGeometry:
@@ -301,7 +310,9 @@ def _build_qp(geometry, deltas, Q, basis_id):
     H = 2 sum_j outer(alpha_j, alpha_j) * tile(M_j^T M_j) and
     g = 2 sum_j alpha_j * (M_j^T b_j).  A fixed map takes the tile out of the
     sum: H = 2 (A^T A) * tile(M^T M) with A = alpha reshaped to (n, K P), one
-    GEMM.  Per-sample Jacobians stack the rows of A_j over a chunk of samples
+    GEMM.  So does a one-gap map (MergeGeometry.one_gap) if Q is None or selects coordinates
+    (each column's one nonzero is 1): L_j Q = W_top Q diag(m_j Q); H, g move by rounding.
+    Other per-sample Jacobians stack the rows of A_j over a chunk of samples
     and add their Gram matrix, one GEMM per chunk.  Each Gram matrix is a
     symmetric rank-k update and each tile M^T M is symmetric, so H is
     exactly symmetric and the objective skips the symmetry scan.
@@ -317,10 +328,13 @@ def _build_qp(geometry, deltas, Q, basis_id):
     with np.errstate(over="ignore", invalid="ignore"):
         U = geometry.hidden_inputs
         alpha = (U @ np.concatenate([d.delta for d in deltas]).T).reshape(n, K, r)
+        L = geometry.downstream
+        if geometry.one_gap and (Q is None or (((Q != 0).sum(0) == 1) & (Q.sum(0) == 1)).all()):
+            L, alpha = geometry.one_gap[0], alpha * geometry.one_gap[1][:, None, :]  # M = W_top Q
         if Q is not None:
             alpha = alpha @ Q  # (n, K, P)
-        if geometry.fixed_downstream:
-            M = geometry.downstream if Q is None else geometry.downstream @ Q  # (c, P)
+        if L.ndim == 2:
+            M = L if Q is None else L @ Q  # (c, P)
             A = alpha.reshape(n, dim)
             H = A.T @ A
             # tile(M^T M) multiplied into the K x K blocks in place
@@ -331,8 +345,7 @@ def _build_qp(geometry, deltas, Q, basis_id):
             g = np.zeros(dim)
             step = max(1, _CHUNK_BYTES // (8 * c * max(dim, 1)))
             for s in range(0, n, step):
-                L = geometry.downstream[s : s + step]
-                M = L if Q is None else L @ Q  # (m, c, P)
+                M = L[s : s + step] if Q is None else L[s : s + step] @ Q  # (m, c, P)
                 rows = (M[:, :, None, :] * alpha[s : s + step, None]).reshape(len(M) * c, dim)
                 H += rows.T @ rows
                 g += rows.T @ B[s : s + step].ravel()

@@ -80,49 +80,91 @@ NETS = {
     "relu-jacobian": (["relu", "relu"], 1),
     "relu-mid-jacobian": (["identity", "relu"], 2),
     "relu-below-fixed-map": (["relu", "identity"], 2),
+    # one ReLU gap, at layer 1's output, under the product of layers 2 and 3
+    "relu-one-gap-product": (["relu", "identity"], 1),
 }
+# the nets whose Jacobians are W_top diag(m_j): MergeGeometry.one_gap holds the factors
+ONE_GAP_NETS = ("relu-mid-jacobian", "relu-one-gap-product")
 
 
-def _instance(seed, net_name, n, K=2):
+def _instance(seed, net_name, n, K=2, weights=None):
+    """A net from NETS, K updates at its merge layer and n labelled calibration samples.
+
+    weights "zero-column" zeroes column 0 of every weight product above the merge
+    layer; "masks-on" and "masks-off" put every pre-activation of the merge layer
+    above, or at or below, zero (all its ReLU masks 1 or 0 on a one-gap net).
+    """
     rng = np.random.default_rng(seed)
     activations, layer = NETS[net_name]
     dims = (4, 5, 6, 3)
-    net = mq.LinearNetwork(
-        [rng.normal(size=(dims[i + 1], dims[i])) for i in range(3)], activations
-    )
-    shape = net.layer_shape(layer)
+    layers = [rng.normal(size=(dims[i + 1], dims[i])) for i in range(3)]
+    shape = layers[layer - 1].shape
     deltas = [mq.ResidualUpdate(layer, 0.3 * rng.normal(size=shape), k) for k in range(K)]
-    calib = mq.CalibrationSet(
-        rng.normal(size=(n, 4)), rng.normal(size=(n, 3)), [k % K for k in range(n)]
-    )
+    X, Y = rng.normal(size=(n, 4)), rng.normal(size=(n, 3))
+    if weights == "zero-column":
+        layers[layer][:, 0] = 0.0
+    elif weights in ("masks-on", "masks-off"):
+        # nonnegative inputs and layers below: the merge layer's signs fix its outputs'
+        X, layers[:layer] = np.abs(X), [np.abs(W) for W in layers[:layer]]
+        layers[layer - 1] *= 1.0 if weights == "masks-on" else -1.0
+    net = mq.LinearNetwork(layers, activations)
+    calib = mq.CalibrationSet(X, Y, [k % K for k in range(n)])
     return net, deltas, calib, rng
 
 
-@settings(deadline=None, max_examples=40)
+class _ChunkSpy(np.ndarray):
+    """A Jacobian stack that records whether a build read it in chunks of samples."""
+
+    chunked = False
+
+    def __getitem__(self, key):
+        self.chunked = True
+        return self.view(np.ndarray)[key]
+
+
+def _oracle_basis(kind, r, seed):
+    """None (the diagonal QP), a random basis, or P < r permuted coordinate directions."""
+    if kind == "diagonal":
+        return None
+    if kind == "random":
+        return mq.random_basis(r, 1 + seed % r, seed)
+    p = 1 + seed % (r - 1)
+    basis = mq.standard_basis(r, p, np.random.default_rng(seed).permutation(r))
+    if kind == "negated":  # a -e_s column: orthonormal, but not a coordinate selection
+        basis = mq.OrthonormalBasis(basis.columns * np.where(np.arange(p) == 0, -1.0, 1.0),
+                                    "standard")
+    return basis
+
+
+@settings(deadline=None, max_examples=80)
 @given(
     seed=st.integers(0, 10_000),
     net_name=st.sampled_from(sorted(NETS)),
-    random_basis=st.booleans(),
+    weights=st.sampled_from([None, "zero-column", "masks-on", "masks-off"]),
+    basis_kind=st.sampled_from(["diagonal", "random", "standard", "negated"]),
     n=st.integers(1, 20).filter(lambda n: n % 3),
 )
-def test_builder_matches_per_sample_oracle(seed, net_name, random_basis, n):
-    net, deltas, calib, rng = _instance(seed, net_name, n)
+def test_builder_matches_per_sample_oracle(seed, net_name, weights, basis_kind, n):
+    net, deltas, calib, rng = _instance(seed, net_name, n, weights=weights)
     r = deltas[0].delta.shape[0]
-    if random_basis:
-        basis = mq.random_basis(r, 1 + seed % r, seed)
-        Q = basis.columns
-    else:
-        basis = None
-        Q = np.eye(r)
+    basis = _oracle_basis(basis_kind, r, seed)
+    Q = np.eye(r) if basis is None else basis.columns
     c = net.output_dim
     dim = len(deltas) * Q.shape[1]
     geometry = mq.merge_geometry(net, deltas[0].layer_index, calib)
+    assert (geometry.one_gap is not None) == (net_name in ONE_GAP_NETS)
+    if geometry.one_gap and weights in ("masks-on", "masks-off"):
+        assert np.all(geometry.one_gap[1] == (weights == "masks-on"))
+    geometry.downstream = spy = geometry.downstream.view(_ChunkSpy)
     # three samples per chunk, so n (never a multiple of 3) ends on a short chunk
     with mock.patch.object(qp, "_CHUNK_BYTES", 3 * 8 * c * dim):
         if basis is None:
             built = mq.build_diagonal_qp(geometry, deltas)
         else:
             built = mq.build_general_basis_qp(geometry, deltas, basis)
+    # a one-gap map under I or a coordinate selection takes the masked GEMM instead
+    masked = net_name in ONE_GAP_NETS and basis_kind in ("diagonal", "standard")
+    assert spy.chunked == (spy.ndim == 3 and not masked)
     H, g, const = _loop_qp(net, deltas, calib, Q)
     _close(built.H, H)
     _close(built.g, g)
@@ -214,15 +256,20 @@ def test_batched_network_functions_match_rows_at_exact_zero():
 def test_batched_network_functions_match_rows(rng):
     net = make_relu_net(rng.normal(size=(5, 4)), rng.normal(size=(6, 5)), rng.normal(size=(3, 6)))
     lin = make_linear_net(rng.normal(size=(5, 4)), rng.normal(size=(3, 5)))
+    # one ReLU gap, under identity gaps: layer 1's W_top is a product of three layers
+    one_gap = mq.LinearNetwork([rng.normal(size=s) for s in ((5, 4), (6, 5), (4, 6), (3, 4))],
+                               ["relu", "identity", "identity"])
     X = rng.normal(size=(7, 4))
-    for model in (net, lin):
+    for model in (net, lin, one_gap):
         _close(mq.forward(model, X), np.stack([mq.forward(model, x) for x in X]))
         for layer in range(1, model.depth + 1):
             rows = [mq.layer_input(model, layer, x) for x in X]
             _close(mq.layer_input(model, layer, X), np.stack(rows))
             batched = _per_sample(mq.linearize_downstream(model, layer, X), len(X))
+            # bits, not values: array_equal counts -0.0 equal to 0.0
             for j, x in enumerate(X):
-                _close(batched[j], mq.linearize_downstream(model, layer, x))
+                row = mq.linearize_downstream(model, layer, x)
+                assert np.array_equal(batched[j].view(np.uint64), row.view(np.uint64))
 
 
 def test_batched_input_validation():
@@ -767,7 +814,10 @@ def test_geometry_keeps_sample_rows_on_per_sample_maps_and_below_twice_the_facto
         geom = mq.merge_geometry(net, layer, calib)
         X = calib.inputs
         assert geom.n_samples == n
-        assert np.array_equal(geom.downstream, mq.linearize_downstream(net, layer, X))
+        # the same bits, signed zeros included, in C order
+        want = mq.linearize_downstream(net, layer, X)
+        assert np.array_equal(geom.downstream.view(np.uint64), want.view(np.uint64))
+        assert geom.downstream.flags.c_contiguous
         if geom.fixed_downstream and n >= 2 * width:
             assert geom.hidden_inputs.shape == (width, width - 3)
             assert geom.residuals.shape == (width, 3)

@@ -1,7 +1,7 @@
 """Pinned report contents for every merge method, compare, diagnose and eval.
 
 The fixtures in tests/data/cli_reports/ hold each command's exit code and
-report on two small generated bundles.  Text fields must match exactly and
+report on three small generated bundles.  Text fields must match exactly and
 numbers within 1e-9 relative with a 1e-12 absolute floor, so the pins hold
 on another BLAS.  After a change that is meant to alter results, regenerate
 them with ``PYTHONPATH=src python tests/test_cli_reports.py``.
@@ -25,9 +25,12 @@ ABS_FLOOR = 1e-12
 BUNDLES = {
     "linear": ("--dims", "5,4,3", "--merge-layer", "1,2", "--tasks", "2", "--seed", "0"),
     "relu": ("--kind", "relu", "--tasks", "2", "--n-calib", "10", "--seed", "0"),
+    # merged below two ReLU gaps: every QP takes the per-sample Jacobian build
+    "relu-two-gap": ("--kind", "relu", "--merge-layer", "1", "--tasks", "2", "--n-calib", "10",
+                     "--seed", "0"),
 }
 # --layer values for compare and diagnose; None leaves the flag out
-SINGLE_LAYERS = {"linear": (1, 2), "relu": (None,)}
+SINGLE_LAYERS = {"linear": (1, 2), "relu": (None,), "relu-two-gap": (None,)}
 
 MERGES = (
     *(("--method", m) for m in BASELINES),

@@ -53,6 +53,12 @@ def test_non_finite_downstream_map_is_a_numerical_error():
     calib = mq.CalibrationSet([[1.0]], [[0.0]])
     with pytest.raises(mq.NumericalError, match="downstream matrix"):
         mq.merge_geometry(big, 1, calib)
+    # under one ReLU gap the geometry checks the weight product W_top itself, so it raises
+    # even when every sample masks the unit whose column overflows (x = -1)
+    one_gap = mq.LinearNetwork(big.layers, ["relu", "identity"])
+    for x in (1.0, -1.0):
+        with pytest.raises(mq.NumericalError, match="downstream matrix"):
+            mq.merge_geometry(one_gap, 1, mq.CalibrationSet([[x]], [[0.0]]))
 
 
 def _sample_with_margin(rng, net, margin=1e-3, tries=200):

@@ -615,6 +615,33 @@ def test_certified_solve_holds_no_copy_of_h(rng):
     assert peak - before <= 1.25 * qp.H.nbytes
 
 
+def test_one_gap_geometry_and_build_hold_no_per_sample_blocks(rng):
+    # a ReLU at layer 1's output and nothing above: the geometry forms its (n, c, r) stack
+    # without the (n, r, r) masked identity of the batched product, and the diagonal build
+    # is one GEMM with no (m c, K r) chunk of stacked rows
+    d, r, c, K, n = 8, 48, 8, 2, 100
+    net = mq.LinearNetwork([rng.normal(size=(r, d)), rng.normal(size=(c, r))], ["relu"])
+    deltas = [mq.ResidualUpdate(1, 0.3 * rng.normal(size=(r, d)), task_id=k) for k in range(K)]
+    calib = mq.CalibrationSet(rng.normal(size=(n, d)), rng.normal(size=(n, c)))
+    peaks = []
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        geometry = mq.merge_geometry(net, 1, calib)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        mq.build_diagonal_qp(geometry, deltas)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    assert geometry.one_gap is not None and geometry.downstream.shape == (n, c, r)
+    step = qpmod._CHUNK_BYTES // (8 * c * K * r)  # samples in one chunk of stacked rows
+    assert step < n
+    assert peaks[0] < 8 * n * r * r
+    assert peaks[1] < 8 * step * c * K * r
+
+
 def test_box_solver_leaves_the_qp_unchanged(rng):
     net, deltas, calib = _random_instance(rng, K=2, n=3)
     qp = mq.build_diagonal_qp(mq.merge_geometry(net, 1, calib), deltas)
