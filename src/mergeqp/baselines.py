@@ -141,11 +141,9 @@ def baseline_delta(method: str, deltas, params: dict | None = None) -> np.ndarra
         coeffs = soup_coefficients(K, r)
     elif method == "ta":
         lam = np.asarray(params.get("lambdas", 1.0), dtype=float).ravel()
-        if lam.size == 1:
-            lam = np.full(K, float(lam[0]))
-        if lam.size != K:
+        if lam.size not in (1, K):
             raise ValueError(f"{lam.size} weights for {K} tasks")
-        coeffs = ta_coefficients(lam, r)
+        coeffs = ta_coefficients(np.broadcast_to(lam, K), r)
     elif method == "dare":
         coeffs = dare_coefficients(K, r, params.get("keep_prob", 0.5), params.get("seed", 0))
     elif method == "ties":

@@ -290,11 +290,10 @@ def cmd_merge(args) -> int:
 
 def cmd_diagnose(args) -> int:
     bundle, layer, calib, deltas, geometry = _single_layer(args)
-    c = bundle.base.output_dim
-    r = deltas[0].delta.shape[0]
-    p_cap = min(r, c)
+    p_cap = geometry.default_p
     p_max = args.p_max if args.p_max is not None else p_cap
     if p_max > p_cap:
+        r, c = deltas[0].delta.shape[0], bundle.base.output_dim
         print(f"note: clipping p to {p_cap} (min of layer dim {r}, output dim {c})",
               file=sys.stderr)
         p_max = p_cap
@@ -314,12 +313,11 @@ def cmd_diagnose(args) -> int:
         # zero updates empty the svd chain, zero ReLU Jacobians the eigen one
         if not chain.p:
             print(f"note: the {label} basis is empty; no {label} rows", file=sys.stderr)
-        elif chain.p < p_max:
+            continue
+        if chain.p < p_max:
             print(f"note: the {label} basis spans {chain.p} of {p_max} directions; "
                   f"no {label} rows past p={chain.p}", file=sys.stderr)
-        if chain.p:
-            sweep = prefix_sweep(geometry, deltas, chain)
-            rows += [[label, *row] for row in sweep]
+        rows += [[label, *row] for row in prefix_sweep(geometry, deltas, chain)]
 
     header = ["basis", "p", "fraction", "relaxed_loss", "qp_mse", "gap"]
     _emit_csv(args.out, header, rows)
@@ -351,7 +349,7 @@ def cmd_eval(args) -> int:
 def cmd_compare(args) -> int:
     bundle, layer, calib, deltas, geometry = _single_layer(args)
     task_ids = bundle.task_ids
-    p = args.p if args.p is not None else min(deltas[0].delta.shape[0], bundle.base.output_dim)
+    p = geometry.default_p if args.p is None else args.p
     basis = layer_basis("eigen", p, args.seed, deltas, geometry)
     if basis.p < p:
         print(f"note: the eigen basis spans {basis.p} of {p} directions", file=sys.stderr)
@@ -363,8 +361,6 @@ def cmd_compare(args) -> int:
     specs += [("qp-diag", "qp-diag", {}), (f"qp-basis(eigen,{basis.p})", "qp-basis", {})]
 
     rows = []
-    objectives = {}
-    any_failed = False
     for name, kind, params in specs:
         try:
             if kind == "base":
@@ -380,19 +376,18 @@ def cmd_compare(args) -> int:
             merged = apply_merged_residual(bundle.base, layer, delta)
             mse, per_task = calibration_mse(merged, calib)  # a model that overflows exits 3
             objective = linearized_delta_objective(geometry, delta)
-            objectives[name] = objective
             rows.append(
                 [name, layer, objective, mse] + [per_task.get(t) for t in task_ids] + ["ok"]
             )
         except NumericalError:
             raise
         except Exception as exc:  # a single method failing should not kill the table
-            any_failed = True
             rows.append([name, layer, None, None] + [None] * len(task_ids) + ["failed"])
             print(f"method {name} failed: {exc}", file=sys.stderr)
 
     _emit_csv(args.out, _table_header(task_ids, "status"), rows)
 
+    objectives = {row[0]: row[2] for row in rows if row[-1] == "ok"}
     if "qp-diag" in objectives:
         # fixed-coefficient rows are feasible points of the diagonal QP; slack relative to base
         tol = 1e-8 * objectives.get("base", 0.0)
@@ -405,7 +400,7 @@ def cmd_compare(args) -> int:
                     file=sys.stderr,
                 )
                 return EXIT_METHOD
-    return EXIT_METHOD if any_failed else EXIT_OK
+    return EXIT_METHOD if any(row[-1] == "failed" for row in rows) else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -67,8 +67,9 @@ class MergeReport:
 
 
 def layer_basis(kind, p, seed, deltas, geometry):
-    """Construct the requested direction set from the current layer state."""
+    """Construct the requested direction set from the current layer state (p None: default_p)."""
     r = deltas[0].delta.shape[0]
+    p = geometry.default_p if p is None else p
     if kind == "svd":
         return svd_basis(deltas, p)
     if kind == "random":
@@ -215,9 +216,7 @@ def _solve_layers(
         geometry = merge_geometry(current, layer, calib)
         basis = fraction = None
         if basis_kind is not None:
-            r = deltas[0].delta.shape[0]
-            p = basis_p if basis_p is not None else min(r, current.output_dim)
-            basis = layer_basis(basis_kind, p, basis_seed, deltas, geometry)
+            basis = layer_basis(basis_kind, basis_p, basis_seed, deltas, geometry)
             fraction = basis_fraction(basis, geometry)
         qp, coeffs, merged = solve_layer(geometry, deltas, basis, solver)
         if not np.all(np.isfinite(merged)):
@@ -254,7 +253,7 @@ def sequential_merge(
     earlier merges feed into later hidden inputs and downstream maps.
     solver is as in solve_layer.  basis_kind selects the general-basis QP
     ("eigen", "standard", "svd", "random") instead of the diagonal mask;
-    basis_p defaults to min(layer output dim, model output dim).  Returns
+    basis_p defaults to each geometry's default_p.  Returns
     (merged_network, MergeReport).
     """
     if not deltas_by_layer:

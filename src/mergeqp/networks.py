@@ -104,14 +104,10 @@ class LinearNetwork:
         return self.layers[-1].shape[0]
 
     def layer_shape(self, layer_index: int) -> tuple:
-        self._check_layer_index(layer_index)
-        return self.layers[layer_index - 1].shape
-
-    def _check_layer_index(self, layer_index: int):
+        """The (out, in) shape of layer N's weights; a ValueError outside 1..depth."""
         if not 1 <= layer_index <= self.depth:
-            raise ValueError(
-                f"layer index {layer_index} outside [1, {self.depth}]"
-            )
+            raise ValueError(f"layer index {layer_index} outside [1, {self.depth}]")
+        return self.layers[layer_index - 1].shape
 
 
 @dataclass
@@ -164,7 +160,7 @@ def layer_input(net: LinearNetwork, layer_index: int, x) -> np.ndarray:
     x is one vector or an (n, d) sample matrix (one row out per row in).
     For N = 1 this is x itself.
     """
-    net._check_layer_index(layer_index)
+    net.layer_shape(layer_index)  # checks the index
     return _propagate(net, _input_columns(net, x), layer_index - 1)[-1].T
 
 
@@ -183,8 +179,7 @@ def linearize_downstream(net: LinearNetwork, layer_index: int, x) -> np.ndarray:
 
 def _downstream(net, layer_index, acts):
     """linearize_downstream's Jacobian; ReLU masks read acts (a > 0), none if acts is None."""
-    net._check_layer_index(layer_index)
-    A = np.eye(net.layers[layer_index - 1].shape[0])
+    A = np.eye(net.layer_shape(layer_index)[0])
     for i in range(layer_index - 1, net.depth - 1):
         if acts is not None and net.activations[i] == RELU:
             A = (acts[i + 1] > 0.0).astype(float).T[..., None] * A
@@ -201,13 +196,12 @@ def apply_merged_residual(
 
     The input network is left untouched; all arrays are copied.
     """
-    net._check_layer_index(layer_index)
+    shape = net.layer_shape(layer_index)
     delta = _as_float_matrix(merged_delta, "merged delta")
-    target = net.layers[layer_index - 1]
-    if delta.shape != target.shape:
+    if delta.shape != shape:
         raise ValueError(
             f"merged delta shape {delta.shape} does not match layer "
-            f"{layer_index} shape {target.shape}"
+            f"{layer_index} shape {shape}"
         )
     layers = [W.copy() for W in net.layers]
     layers[layer_index - 1] = layers[layer_index - 1] + delta

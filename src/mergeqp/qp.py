@@ -27,6 +27,7 @@ from .networks import (
     RELU,
     LinearNetwork,
     NumericalError,
+    _as_float_matrix,
     _delta_matrices,
     _downstream,
     _input_columns,
@@ -53,18 +54,14 @@ class CalibrationSet:
     task_ids: list | None = None
 
     def __post_init__(self):
-        self.inputs = np.asarray(self.inputs, dtype=float)
-        self.targets = np.asarray(self.targets, dtype=float)
-        if self.inputs.ndim != 2 or self.targets.ndim != 2:
-            raise ValueError("inputs and targets must be 2-D (one row per sample)")
+        self.inputs = _as_float_matrix(self.inputs, "calibration inputs")
+        self.targets = _as_float_matrix(self.targets, "calibration targets")
         if self.inputs.shape[0] != self.targets.shape[0]:
             raise ValueError(
                 f"{self.inputs.shape[0]} inputs but {self.targets.shape[0]} targets"
             )
         if self.inputs.shape[0] == 0:
             raise ValueError("calibration set is empty")
-        if not (np.isfinite(self.inputs).all() and np.isfinite(self.targets).all()):
-            raise ValueError("calibration data contains non-finite entries")
         if self.task_ids is not None:
             self.task_ids = list(self.task_ids)
             if len(self.task_ids) != self.inputs.shape[0]:
@@ -221,6 +218,11 @@ class MergeGeometry:
     @property
     def fixed_downstream(self) -> bool:
         return self.downstream.ndim == 2
+
+    @property
+    def default_p(self) -> int:
+        """min(r, c), the directions a basis of this layer gets unless told otherwise."""
+        return min(self.downstream.shape[-2:])
 
 
 def _sample_geometry(net, layer_index, calib) -> MergeGeometry:
@@ -411,43 +413,59 @@ def _certified(H):
     return tau > 0
 
 
+def _live_block(qp, g_too=False):
+    """(live, H[live, live], g[live]) off the exactly zero rows of H; no copies if all live.
+
+    A zero diagonal entry flags a row (zero if H is PSD; read anyway); g_too also needs g = 0.
+    """
+    dead = (qp.H.diagonal() == 0) & ((qp.g == 0) | (not g_too))
+    dead[dead] = ~qp.H[dead].any(axis=1)
+    return ~dead, *((qp.H, qp.g) if not dead.any() else (qp.H[np.ix_(~dead, ~dead)], qp.g[~dead]))
+
+
 def solve_unconstrained(qp: QuadraticObjective) -> MergeCoefficients:
     """Minimum-norm global minimiser d* = -H^+ g.
 
-    Eigenvalues at or below _EIGEN_CUT (1e-10) times the largest count as
+    Dead coordinates (an exactly zero row of H) get 0.  On the live block,
+    eigenvalues at or below _EIGEN_CUT (1e-10) times the largest count as
     zero; if _certified shows there are none, d* = -H^{-1} g by one linear
     solve.
     If g has a component outside the numerical range of H the objective is
     unbounded along it; the solve minimises over the range and reports the
-    leftover norm in g_range_defect (0 on the certified path).
+    leftover norm, g on dead coordinates included, in g_range_defect.
     """
-    if _certified(qp.H):
-        d, defect = np.linalg.solve(qp.H.T, -qp.g), 0.0
+    live, H, g = _live_block(qp)
+    d, left = np.zeros(qp.dim), np.where(live, 0.0, qp.g)  # the part of g left over
+    if _certified(H):
+        d[live] = np.linalg.solve(H.T, -g)
     else:
-        d, in_range, _ = _eigen_cut(qp.H, qp.g)
-        defect = float(np.linalg.norm(qp.g - in_range))
-    return MergeCoefficients(d.reshape(qp.n_tasks, qp.n_directions), g_range_defect=defect)
+        d[live], in_range, _ = _eigen_cut(H, g)
+        left[live] = g - in_range
+    return MergeCoefficients(d.reshape(qp.n_tasks, -1), g_range_defect=float(np.linalg.norm(left)))
 
 
 def prefix_optima(qp: QuadraticObjective) -> np.ndarray:
     """Exact optimum of J over directions 0..p-1, for every p = 1..n_directions.
 
-    Ordered direction-major (flat index i * K + k), prefix p's QP is the
-    leading pK block, so if _certified passes on H it does on every block
+    Dead coordinates (an exactly zero row of H) drop out.  Ordered direction-major
+    (flat index i * K + k), prefix p's QP is the leading block of its e_p live
+    coordinates, so if _certified passes on the live H it does on every block
     (Cauchy interlacing) and H = L L^T, z = L^{-1}(-g) give its optimum
-    const - 1/2 sum_{i<pK} z_i^2; _certified runs on qp.H, which has H's eigenvalues.
-    z is the last row of the Cholesky factor of H bordered by -g and 4 const + 1 > z^T z
-    (J >= 0 at d = -H^{-1} g); if either factorisation fails, each block takes the eigen cut.
+    const - 1/2 sum_{i<e_p} z_i^2.  z is the last row of the Cholesky factor of H bordered
+    by -g and 4 const + 1 > z^T z (J >= 0 at d = -H^{-1} g); if either factorisation
+    fails, each block takes the eigen cut.
     """
     K, n = qp.n_tasks, qp.dim
-    order = np.append(np.arange(n).reshape(K, -1).T.ravel(), n)
+    live, certify, _ = _live_block(qp)
+    ends = np.cumsum(live.reshape(K, -1).sum(axis=0))  # e_p
+    order, m = np.append(np.arange(n).reshape(K, -1).T[live.reshape(K, -1).T], n), live.sum()
     B = np.block([[qp.H, -qp.g[:, None]], [-qp.g, 4.0 * qp.constant + 1.0]])[np.ix_(order, order)]
-    H, g = B[:n, :n], -B[:n, n]
-    if _certified(qp.H):
+    H, g = B[:m, :m], -B[:m, m]
+    if _certified(certify):
         with contextlib.suppress(np.linalg.LinAlgError):
-            z = np.linalg.cholesky(B.T)[n, :n]
-            return qp.constant - 0.5 * np.cumsum(z * z)[K - 1 :: K]
-    cuts = (_eigen_cut(H[:m, :m], g[:m])[0] for m in range(K, n + 1, K))
+            z = np.linalg.cholesky(B.T)[m, :m]
+            return qp.constant - 0.5 * np.append(0.0, np.cumsum(z * z))[ends]
+    cuts = (_eigen_cut(H[:e, :e], g[:e])[0] for e in ends)
     return qp.constant + 0.5 * np.array([g[: d.size] @ d for d in cuts])
 
 
@@ -497,39 +515,41 @@ def solve_box_constrained(
     kkt_residual, the largest gradient entry off the held set over
     ||H||_inf max(|lo|, |hi|) + ||g||_inf, is unchanged by scaling H and g
     together.  The solve stops once it is at most 1e-12 (converged) or
-    after steps iterations.
+    after steps iterations.  A coordinate whose row of H and g are both exactly
+    zero leaves J unchanged: it is held at its start and never enters a block.
     """
     lo, hi = float(lo), float(hi)
     if not lo < hi:
         raise ValueError(f"invalid bounds: lo={lo} must be < hi={hi}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    norm = np.abs(qp.H).sum(axis=1).max(initial=0.0)
-    scale = float(norm * max(abs(lo), abs(hi)) + np.abs(qp.g).max(initial=0.0))
-    d = np.clip(np.full(qp.dim, 1.0 / qp.n_tasks), lo, hi)
+    live, H, g = _live_block(qp, g_too=True)
+    d = (start := np.clip(np.full(qp.dim, 1.0 / qp.n_tasks), lo, hi))[live]
+    norm = np.abs(H).sum(axis=1).max(initial=0.0)
+    scale = float(norm * max(abs(lo), abs(hi)) + np.abs(g).max(initial=0.0))
     for it in range(steps + 1):
-        grad = qp.H @ d + qp.g
+        grad = H @ d + g
         active = ((d <= lo) & (grad > 0)) | ((d >= hi) & (grad < 0))
         kkt = float(np.abs(grad[~active]).max(initial=0.0) / scale) if scale > 0 else 0.0
         if kkt <= _KKT_TOL or it == steps:
             break
-        p = _newton_direction(qp.H, grad, ~active, d, lo, hi, _KKT_TOL * scale)
+        p = _newton_direction(H, grad, ~active, d, lo, hi, _KKT_TOL * scale)
         gap = np.where(p < 0, lo - d, hi - d)
         hits = np.divide(gap, p, out=np.full_like(d, np.inf), where=p != 0)  # steps to a bound
         first = hits[hits > 0].min(initial=1.0)
         for alpha in [*(a for a in 0.5 ** np.arange(30) if a > first), first]:
             trial = np.clip(d + alpha * p, lo, hi)
             s = trial - d
-            if grad @ s < 0 and grad @ s + 0.5 * (s @ qp.H @ s) <= 1e-4 * (grad @ s):
+            if grad @ s < 0 and grad @ s + 0.5 * (s @ H @ s) <= 1e-4 * (grad @ s):
                 break
         else:
             trial = np.clip(d - grad / norm, lo, hi) if norm > 0 else d
             if not grad @ (trial - d) < 0:
                 break  # no descent left at this precision
         d = trial
-    return MergeCoefficients(
-        d.reshape(qp.n_tasks, qp.n_directions), kkt_residual=kkt, converged=kkt <= _KKT_TOL
-    )
+    start[live] = d
+    return MergeCoefficients(start.reshape(qp.n_tasks, -1), kkt_residual=kkt,
+                             converged=kkt <= _KKT_TOL)
 
 
 def solve_1d(m, beta: float) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .networks import _delta_matrices
+from .networks import _as_float_matrix, _delta_matrices
 
 
 @dataclass
@@ -30,11 +30,7 @@ class OrthonormalBasis:
     rank_deficient: bool = False
 
     def __post_init__(self):
-        self.columns = np.asarray(self.columns, dtype=float)
-        if self.columns.ndim != 2:
-            raise ValueError("basis columns must form a 2-D array")
-        if not np.all(np.isfinite(self.columns)):
-            raise ValueError("basis contains non-finite entries")
+        self.columns = _as_float_matrix(self.columns, "basis columns")
         p = self.columns.shape[1]
         gram = self.columns.T @ self.columns
         if p and np.abs(gram - np.eye(p)).max() > 1e-10:
@@ -152,9 +148,7 @@ def pullback_basis(L, directions, origin: str = "pullback(custom)") -> Orthonorm
     whose preimages are linearly dependent are dropped (rank_deficient set).
     """
     Lmat = np.asarray(L, dtype=float)
-    W = np.asarray(directions, dtype=float)
-    if W.ndim != 2:
-        raise ValueError("directions must be a 2-D array of columns")
+    W = _as_float_matrix(directions, "directions")
     if W.shape[0] != Lmat.shape[0]:
         raise ValueError(
             f"directions live in dim {W.shape[0]} but L maps into {Lmat.shape[0]}"

@@ -596,8 +596,9 @@ def test_prefix_objective_equals_fresh_prefix_build(net_name):
 
 
 def test_prefix_sweep_takes_every_prefix_from_one_factor(tmp_path):
-    # the relu-sweep benchmark bundle: ReLU Jacobians make the standard chain's
-    # H exactly singular, while the other chains are positive definite
+    # the relu-sweep benchmark bundle: update rows that are exactly zero give the standard
+    # chain's H exactly zero rows, so only its live block is positive definite, as every
+    # other chain's whole H is
     path = tmp_path / "relu.json"
     assert cli.main(["gen", "--kind", "relu", "--dims", "64,48,32,16", "--merge-layer", "2",
                      "--tasks", "4", "--n-calib", "40", "--seed", "0", "--out", str(path)]) == 0
@@ -606,24 +607,26 @@ def test_prefix_sweep_takes_every_prefix_from_one_factor(tmp_path):
     deltas = bundle.residuals[2]
     geometry = mq.merge_geometry(bundle.base, 2, calib)
     chains = [(kind, 0) for kind in ("eigen", "standard", "svd")] + [("random", s) for s in range(3)]
-    certified = {}
+    certified, dead = {}, {}
     for kind, seed in chains:
         chain = mq.layer_basis(kind, 16, seed, deltas, geometry)
         full = mq.build_general_basis_qp(geometry, deltas, chain)
         with mock.patch.object(qp, "_eigen_cut", wraps=qp._eigen_cut) as spy:
             rows = mq.prefix_sweep(geometry, deltas, chain)
-        certified[kind, seed] = qp._certified(full.H)
-        # a certified chain makes no eigen cut; any other cuts each prefix's block
+        live, H, _ = qp._live_block(full)
+        certified[kind, seed], dead[kind, seed] = qp._certified(H), int((~live).sum())
+        # a certified live block makes no eigen cut; any other cuts each prefix's block
         assert spy.call_count == (0 if certified[kind, seed] else chain.p)
         qp_mse = [row[3] for row in rows]
         for p, got in enumerate(qp_mse, start=1):
+            # the oracle: the eigen cut on the whole prefix block, dead rows included
             sub = _prefix_objective(full, p)
-            want = mq.objective_value(sub, mq.solve_unconstrained(sub)) / len(calib)
+            want = mq.objective_value(sub, qp._eigen_cut(sub.H, sub.g)[0]) / len(calib)
             assert abs(got - want) <= REL * abs(want)
         # each prefix's QP is a restriction of the next one's
         assert all(b <= a for a, b in zip(qp_mse, qp_mse[1:]))
-    assert not certified["standard", 0]
-    assert sum(certified.values()) == len(chains) - 1
+    assert all(certified.values())
+    assert dead.pop(("standard", 0)) > 0 and not any(dead.values())
 
 
 def _reference_diagnose_rows(bundle, args):

@@ -4,7 +4,9 @@ The fixtures in tests/data/cli_reports/ hold each command's exit code and
 report on three small generated bundles.  Text fields must match exactly and
 numbers within 1e-9 relative with a 1e-12 absolute floor, so the pins hold
 on another BLAS.  After a change that is meant to alter results, regenerate
-them with ``PYTHONPATH=src python tests/test_cli_reports.py``.
+the fixtures of the bundles it moves with
+``PYTHONPATH=src python tests/test_cli_reports.py BUNDLE...`` (names from
+BUNDLES; none rewrites every fixture).
 """
 
 import csv
@@ -132,9 +134,12 @@ def test_fixtures_pin_every_command():
 
 
 if __name__ == "__main__":
+    kinds = sys.argv[1:] or list(BUNDLES)
+    if not set(kinds) <= set(BUNDLES):
+        sys.exit(f"unknown bundle {sorted(set(kinds) - set(BUNDLES))}; choose from {list(BUNDLES)}")
     FIXTURES.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for kind in BUNDLES:
+        for kind in kinds:
             results = _run_all(kind, tmp)
             with open(FIXTURES / f"{kind}.json", "w") as fh:
                 json.dump(results, fh, indent=1, sort_keys=True)

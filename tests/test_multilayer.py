@@ -71,6 +71,12 @@ def test_layer_basis_shapes_and_kinds():
         basis = mq.layer_basis(kind, 2, 0, deltas, geom)
         assert basis.columns.shape == (4, 2)
         assert np.allclose(basis.columns.T @ basis.columns, np.eye(2), atol=1e-10)
+        # p None asks for min(r, c): the layer's output dim and the model's
+        r, c = deltas[0].delta.shape[0], bundle.base.output_dim
+        assert geom.default_p == min(r, c)
+        default = mq.layer_basis(kind, None, 0, deltas, geom)
+        want = mq.layer_basis(kind, min(r, c), 0, deltas, geom)
+        assert np.array_equal(default.columns.view(np.uint64), want.columns.view(np.uint64))
 
 
 def test_basis_fraction_full_dimension_captures_everything():

@@ -333,6 +333,126 @@ def test_box_solver_matches_face_enumeration(
     assert abs(mq.objective_value(qp, d) - _box_oracle(H, g, lo, hi)) <= 1e-9 * magnitude
 
 
+
+def _all_live(qp, g_too=False):
+    """qp._live_block as if no row were dead: the solvers then run on the whole H."""
+    return np.ones(qp.dim, dtype=bool), qp.H, qp.g
+
+
+def _planted_dead_qp(seed, n_tasks, n_directions, n_dead, rank_drop, outside, dead_g):
+    """A PSD QP with n_dead exact-zero rows and columns; (qp, dead mask).
+
+    The live block is V diag(w) V^T with w in [1, 10] and up to rank_drop of them 0 (one
+    stays nonzero, so no live row is zero); outside
+    adds a part of g off its range, and dead_g puts nonzero g on the dead coordinates.
+    The constant puts min J at 1 over the range of H.
+    """
+    rng = np.random.default_rng(seed)
+    n = n_tasks * n_directions
+    n_dead = min(n_dead, n)
+    dead = np.zeros(n, dtype=bool)
+    dead[rng.choice(n, size=n_dead, replace=False)] = True
+    m = n - n_dead
+    w = rng.uniform(1.0, 10.0, size=m)
+    w[: min(rank_drop, m - 1)] = 0.0
+    V = np.linalg.qr(rng.normal(size=(m, m)))[0]
+    H = np.zeros((n, n))
+    H[np.ix_(~dead, ~dead)] = (V * w) @ V.T
+    H = 0.5 * (H + H.T)
+    g = np.zeros(n)
+    g[~dead] = H[np.ix_(~dead, ~dead)] @ rng.normal(size=m)
+    if outside:
+        g[~dead] += rng.normal(size=m)
+    if dead_g:
+        g[dead] = rng.normal(size=n_dead)
+    cut = qpmod._eigen_cut(H, g)[0]
+    qp = mq.QuadraticObjective(H=H, g=g, constant=1.0 - 0.5 * (g @ cut), n_tasks=n_tasks,
+                               n_directions=n_directions)
+    return qp, dead
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    seed=st.integers(0, 10_000),
+    n_tasks=st.integers(1, 3),
+    n_directions=st.integers(1, 2),
+    n_dead=st.integers(0, 6),
+    rank_drop=st.integers(0, 2),
+    outside=st.booleans(),
+    dead_g=st.booleans(),
+)
+def test_solvers_leave_dead_coordinates_out(
+    seed, n_tasks, n_directions, n_dead, rank_drop, outside, dead_g
+):
+    # n_dead >= n makes every row dead (H = 0); the references are the solvers on the whole
+    # H with no row found dead: the eigen cut, a per-prefix eigen cut and the Newton steps
+    qp, dead = _planted_dead_qp(seed, n_tasks, n_directions, n_dead, rank_drop, outside, dead_g)
+    H, g, K, P = qp.H, qp.g, n_tasks, n_directions
+    live, block, _ = qpmod._live_block(qp)
+    assert np.array_equal(live, ~dead)
+    assert (block is H) == (not dead.any())
+
+    # exact: dead coordinates are +0.0, and the defect is the norm of all g left over
+    sol = mq.solve_unconstrained(qp)
+    ref, in_range, _ = qpmod._eigen_cut(H, g)
+    assert not sol.flat[dead].view(np.uint64).any()
+    assert np.abs(sol.flat - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1e-300)
+    leftover = np.linalg.norm(g - in_range)
+    assert abs(sol.g_range_defect - leftover) <= 1e-12 * max(np.linalg.norm(g), 1e-300)
+    if not dead.any():
+        certified = qpmod._certified(H)
+        want = np.linalg.solve(H.T, -g) if certified else ref
+        assert np.array_equal(sol.flat.view(np.uint64), want.view(np.uint64))
+        assert sol.g_range_defect == (0.0 if certified else float(leftover))
+
+    # prefix optima: each prefix's whole block, dead rows included, by the eigen cut
+    want = []
+    for p in range(1, P + 1):
+        idx = (np.arange(K)[:, None] * P + np.arange(p)).ravel()
+        d = qpmod._eigen_cut(H[np.ix_(idx, idx)], g[idx])[0]
+        want.append(qp.constant + 0.5 * (g[idx] @ d))
+    got = qpmod.prefix_optima(qp)
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    with mock.patch.object(qpmod, "_live_block", _all_live):
+        parent = qpmod.prefix_optima(qp)
+    if not dead.any():
+        assert np.array_equal(got.view(np.uint64), parent.view(np.uint64))
+
+    # box: a dead coordinate with g = 0 keeps its start bit for bit; one with g != 0 is
+    # live, and J is linear along it
+    for lo, hi in ((0.0, 1.0), (-1.0, 2.0)):
+        box = mq.solve_box_constrained(qp, lo=lo, hi=hi)
+        with mock.patch.object(qpmod, "_live_block", _all_live):
+            parent = mq.solve_box_constrained(qp, lo=lo, hi=hi)
+        held = dead & (g == 0)
+        start = np.full(held.sum(), np.clip(1.0 / K, lo, hi))
+        assert np.array_equal(box.flat[held].view(np.uint64), start.view(np.uint64))
+        assert box.converged == parent.converged
+        # the residual the block reports is the whole QP's at the returned point
+        grad = H @ box.flat + g
+        active = ((box.flat <= lo) & (grad > 0)) | ((box.flat >= hi) & (grad < 0))
+        scale = np.abs(H).sum(axis=1).max() * max(abs(lo), abs(hi)) + np.abs(g).max()
+        kkt = np.abs(grad[~active]).max(initial=0.0) / scale if scale > 0 else 0.0
+        assert abs(box.kkt_residual - kkt) <= 1e-15
+        w = max(abs(lo), abs(hi))
+        magnitude = (np.abs(H).sum() * w + np.abs(g).sum()) * w
+        best = _box_oracle(H, g, lo, hi) + qp.constant
+        assert abs(mq.objective_value(qp, box) - best) <= 1e-9 * magnitude
+        if not dead.any():
+            assert np.array_equal(box.flat.view(np.uint64), parent.flat.view(np.uint64))
+            assert box.kkt_residual == parent.kkt_residual
+
+
+def test_an_indefinite_h_keeps_a_row_with_a_zero_diagonal_live():
+    # a zero diagonal entry zeroes the row only when H is PSD: this row is not zero
+    H = np.array([[0.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 0.0]])
+    qp = mq.QuadraticObjective(H=H, g=np.array([1.0, -1.0, 0.0]), constant=0.0, n_tasks=1,
+                               n_directions=3)
+    live, block, g = qpmod._live_block(qp)
+    assert live.tolist() == [True, True, False]
+    assert np.array_equal(block, H[:2, :2]) and np.array_equal(g, [1.0, -1.0])
+
+
 # gen flags of the three benchmark workloads (perfbench/harness.py), and of a
 # bundle whose updates are scaled up until H is about 1e22; all at seed 0
 ORACLE_BUNDLES = {
