@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .networks import RELU, LinearNetwork, ResidualUpdate, apply_merged_residual, forward
+from .networks import RELU, LinearNetwork, ResidualUpdate, forward
 from .qp import CalibrationSet
 
 MAGIC = b"\x93MERGEQP"  # not UTF-8, so no JSON text starts with it
@@ -415,13 +415,13 @@ def gen_linear_tasks(
     residuals = {N: [] for N in layers_to_merge}
     finetuned = []
     for k in range(n_tasks):
-        net_k = base
+        layers = list(base.layers)
         for N in layers_to_merge:
             shape = base.layer_shape(N)
             delta = delta_scale * rng.standard_normal(shape) / math.sqrt(shape[1])
             residuals[N].append(ResidualUpdate(N, delta, k))
-            net_k = apply_merged_residual(net_k, N, delta)
-        finetuned.append(net_k)
+            layers[N - 1] = layers[N - 1] + delta
+        finetuned.append(LinearNetwork(layers))
     calibration = []
     for k in range(n_tasks):
         X = rng.standard_normal((n_samples, sizes[0]))
@@ -541,12 +541,13 @@ def _class_batch(rng, means, classes, n, input_noise):
 
 
 def _finetune_layer(net, layer_index, X, T, steps, lr):
-    """Full-batch gradient descent on mean squared loss, one layer trainable."""
+    """Full-batch gradient descent on one layer's mean squared loss; layers below run once."""
     layers = [W.copy() for W in net.layers]
     M = len(layers)
+    acts, pre = [X], []
     for _ in range(steps):
-        acts, pre = [X], []
-        for l in range(M):
+        del acts[layer_index:], pre[layer_index - 1 :]  # back to the frozen prefix
+        for l in range(len(pre), M):
             pre.append(acts[-1] @ layers[l].T)
             relu = l < M - 1 and net.activations[l] == RELU
             acts.append(np.maximum(pre[-1], 0.0) if relu else pre[-1])
@@ -555,8 +556,7 @@ def _finetune_layer(net, layer_index, X, T, steps, lr):
             G = G @ layers[l]
             if net.activations[l - 1] == RELU:
                 G = G * (pre[l - 1] > 0.0)
-        grad = G.T @ acts[layer_index - 1]
-        layers[layer_index - 1] -= lr * grad
+        layers[layer_index - 1] -= lr * (G.T @ acts[layer_index - 1])
     return LinearNetwork(layers, list(net.activations))
 
 

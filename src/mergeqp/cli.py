@@ -335,11 +335,7 @@ def cmd_eval(args) -> int:
         "n_samples": len(calib),
     }
     targets = calib.targets
-    one_hot = bool(
-        np.all((targets == 0.0) | (targets == 1.0))
-        and np.all(targets.sum(axis=1) == 1.0)
-    )
-    if one_hot:
+    if np.array_equal(targets, np.eye(targets.shape[1])[targets.argmax(axis=1)]):  # one-hot
         hits = np.argmax(forward(net, calib.inputs), axis=1) == np.argmax(targets, axis=1)
         metrics["accuracy"] = int(np.count_nonzero(hits)) / len(calib)
     _write_json(args.out, metrics)

@@ -163,13 +163,12 @@ def baseline_merge(
     MergeReport).
     """
     n = len(calib)
-    current = net
-    pooled, per_task = calibration_mse(current, calib)
+    pooled, per_task = calibration_mse(net, calib)
     records = []
     for layer, delta in _baseline_deltas(method, deltas_by_layer, params):
         before = pooled
-        current = apply_merged_residual(current, layer, delta)
-        pooled, per_task = calibration_mse(current, calib)
+        net = apply_merged_residual(net, layer, delta)
+        pooled, per_task = calibration_mse(net, calib)
         records.append(
             LayerMergeRecord(
                 layer_index=layer,
@@ -179,7 +178,7 @@ def baseline_merge(
                 coefficients=np.zeros((0, 0)),
             )
         )
-    return current, MergeReport(method, records, pooled, per_task)
+    return net, MergeReport(method, records, pooled, per_task)
 
 
 def solve_layer(geometry, deltas, basis=None, solver=None):
@@ -289,12 +288,11 @@ def hybrid_refine(
     if missing:
         raise ValueError(f"refine layers {missing} have no residual updates")
     applied = dict(_baseline_deltas(init_method, deltas_by_layer, init_params))
-    current = net
     for layer, delta0 in applied.items():
-        current = apply_merged_residual(current, layer, delta0)
-    baseline_mse = calibration_mse(current, calib)[0]
+        net = apply_merged_residual(net, layer, delta0)
+    baseline_mse = calibration_mse(net, calib)[0]
     return _solve_layers(
-        current, deltas_by_layer, refine_layers, calib, solver, f"hybrid({init_method})",
+        net, deltas_by_layer, refine_layers, calib, solver, f"hybrid({init_method})",
         applied=applied, baseline_mse=baseline_mse,
     )
 

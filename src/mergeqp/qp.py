@@ -417,8 +417,12 @@ def _live_block(qp, g_too=False):
     """(live, H[live, live], g[live]) off the exactly zero rows of H; no copies if all live.
 
     A zero diagonal entry flags a row (zero if H is PSD; read anyway); g_too also needs g = 0.
+    With no zero on the diagonal, live is slice(None).
     """
-    dead = (qp.H.diagonal() == 0) & ((qp.g == 0) | (not g_too))
+    dead = qp.H.diagonal() == 0
+    if not dead.any():
+        return slice(None), qp.H, qp.g
+    dead &= (qp.g == 0) | (not g_too)
     dead[dead] = ~qp.H[dead].any(axis=1)
     return ~dead, *((qp.H, qp.g) if not dead.any() else (qp.H[np.ix_(~dead, ~dead)], qp.g[~dead]))
 
@@ -435,10 +439,10 @@ def solve_unconstrained(qp: QuadraticObjective) -> MergeCoefficients:
     leftover norm, g on dead coordinates included, in g_range_defect.
     """
     live, H, g = _live_block(qp)
-    d, left = np.zeros(qp.dim), np.where(live, 0.0, qp.g)  # the part of g left over
-    if _certified(H):
-        d[live] = np.linalg.solve(H.T, -g)
-    else:
+    d, left = np.zeros(qp.dim), qp.g.copy()  # the part of g left over
+    if g.size and _certified(H):  # no live coordinate (H = 0): nothing to factor
+        d[live], left[live] = np.linalg.solve(H.T, -g), 0.0
+    elif g.size:
         d[live], in_range, _ = _eigen_cut(H, g)
         left[live] = g - in_range
     return MergeCoefficients(d.reshape(qp.n_tasks, -1), g_range_defect=float(np.linalg.norm(left)))
@@ -453,19 +457,21 @@ def prefix_optima(qp: QuadraticObjective) -> np.ndarray:
     (Cauchy interlacing) and H = L L^T, z = L^{-1}(-g) give its optimum
     const - 1/2 sum_{i<e_p} z_i^2.  z is the last row of the Cholesky factor of H bordered
     by -g and 4 const + 1 > z^T z (J >= 0 at d = -H^{-1} g); if either factorisation
-    fails, each block takes the eigen cut.
+    fails, each non-empty block takes the eigen cut.
     """
     K, n = qp.n_tasks, qp.dim
     live, certify, _ = _live_block(qp)
-    ends = np.cumsum(live.reshape(K, -1).sum(axis=0))  # e_p
-    order, m = np.append(np.arange(n).reshape(K, -1).T[live.reshape(K, -1).T], n), live.sum()
+    order, ends = np.arange(n).reshape(K, -1).T, np.arange(K, n + 1, K)  # ends: e_p
+    if not isinstance(live, slice):
+        order, ends = order[live.reshape(K, -1).T], np.cumsum(live.reshape(K, -1).sum(axis=0))
+    order = np.append(order.ravel(), n)
     B = np.block([[qp.H, -qp.g[:, None]], [-qp.g, 4.0 * qp.constant + 1.0]])[np.ix_(order, order)]
-    H, g = B[:m, :m], -B[:m, m]
-    if _certified(certify):
+    H, g = B[:-1, :-1], -B[:-1, -1]
+    if g.size and _certified(certify):
         with contextlib.suppress(np.linalg.LinAlgError):
-            z = np.linalg.cholesky(B.T)[m, :m]
+            z = np.linalg.cholesky(B.T)[-1, :-1]
             return qp.constant - 0.5 * np.append(0.0, np.cumsum(z * z))[ends]
-    cuts = (_eigen_cut(H[:e, :e], g[:e])[0] for e in ends)
+    cuts = (_eigen_cut(H[:e, :e], g[:e])[0] if e else g[:0] for e in ends)  # e = 0: no block
     return qp.constant + 0.5 * np.array([g[: d.size] @ d for d in cuts])
 
 

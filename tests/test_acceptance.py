@@ -14,6 +14,8 @@ import scipy.optimize
 
 import mergeqp as mq
 
+from conftest import same_bits
+
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_bundle.json"
 
 
@@ -443,14 +445,13 @@ def test_15_round_trip_serialization(report, tmp_path):
         if p1.read_bytes() != p2.read_bytes():
             ok = False
         for W0, W1 in zip(bundle.base.layers, loaded.base.layers):
-            if not np.array_equal(W0, W1):
+            if not same_bits(W0, W1):
                 ok = False
         for layer in bundle.residuals:
             for u0, u1 in zip(bundle.residuals[layer], loaded.residuals[layer]):
-                if not np.array_equal(u0.delta, u1.delta):
+                if not same_bits(u0.delta, u1.delta):
                     ok = False
         for c0, c1 in zip(bundle.calibration, loaded.calibration):
-            if not (np.array_equal(c0.inputs, c1.inputs)
-                    and np.array_equal(c0.targets, c1.targets)):
+            if not (same_bits(c0.inputs, c1.inputs) and same_bits(c0.targets, c1.targets)):
                 ok = False
     report(15, "serialization round trips are bit identical", ok)

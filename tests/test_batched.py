@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import mergeqp as mq
 from mergeqp import cli, qp, subspaces
 
-from conftest import make_linear_net, make_relu_net
+from conftest import make_linear_net, make_relu_net, same_bits
 
 REL = 1e-12
 
@@ -266,10 +266,8 @@ def test_batched_network_functions_match_rows(rng):
             rows = [mq.layer_input(model, layer, x) for x in X]
             _close(mq.layer_input(model, layer, X), np.stack(rows))
             batched = _per_sample(mq.linearize_downstream(model, layer, X), len(X))
-            # bits, not values: array_equal counts -0.0 equal to 0.0
-            for j, x in enumerate(X):
-                row = mq.linearize_downstream(model, layer, x)
-                assert np.array_equal(batched[j].view(np.uint64), row.view(np.uint64))
+            for j, x in enumerate(X):  # bits, signed zeros included
+                assert same_bits(batched[j], mq.linearize_downstream(model, layer, x))
 
 
 def test_batched_input_validation():
@@ -335,7 +333,9 @@ def test_stacked_evaluators_match_per_sample_loops(net_name):
         pooled, per_task = mq.calibration_mse(net, sets)
         if not (linear and factored):
             # ReLU nets and sets below the rule keep the per-sample path, bit for bit
-            assert (pooled, per_task) == _sample_path_mse(net, sets)
+            want_pooled, want_tasks = _sample_path_mse(net, sets)
+            assert list(per_task) == list(want_tasks)
+            assert same_bits([pooled, *per_task.values()], [want_pooled, *want_tasks.values()])
             continue
         # the factor's error bound: eps (||h(X_t)||^2 + ||Y_t||^2), not a share of the mse
         out = np.stack([mq.forward(net, x) for x in sets.inputs])
@@ -357,7 +357,7 @@ def test_stacked_evaluators_match_per_sample_loops(net_name):
     labels = np.array(sets.task_ids, dtype=object)
     want = [4.0 * (M * M)[labels == t].T @ (geom.hidden_inputs ** 2)[labels == t] for t in (2, 0)]
     got = mq.fisher_diagonals(net, sets, [2, 0], [layer])[layer]
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert len(got) == len(want) and all(same_bits(g, w) for g, w in zip(got, want))
     for labelled, missing in ((sets, 3), (mq.CalibrationSet(sets.inputs, sets.targets), 0)):
         with pytest.raises(ValueError, match=f"task {missing!r} has no calibration samples"):
             mq.fisher_diagonals(net, labelled, [0, missing], [layer])
@@ -613,8 +613,8 @@ def test_prefix_sweep_takes_every_prefix_from_one_factor(tmp_path):
         full = mq.build_general_basis_qp(geometry, deltas, chain)
         with mock.patch.object(qp, "_eigen_cut", wraps=qp._eigen_cut) as spy:
             rows = mq.prefix_sweep(geometry, deltas, chain)
-        live, H, _ = qp._live_block(full)
-        certified[kind, seed], dead[kind, seed] = qp._certified(H), int((~live).sum())
+        _, H, _ = qp._live_block(full)
+        certified[kind, seed], dead[kind, seed] = qp._certified(H), full.dim - len(H)
         # a certified live block makes no eigen cut; any other cuts each prefix's block
         assert spy.call_count == (0 if certified[kind, seed] else chain.p)
         qp_mse = [row[3] for row in rows]
@@ -818,8 +818,7 @@ def test_geometry_keeps_sample_rows_on_per_sample_maps_and_below_twice_the_facto
         X = calib.inputs
         assert geom.n_samples == n
         # the same bits, signed zeros included, in C order
-        want = mq.linearize_downstream(net, layer, X)
-        assert np.array_equal(geom.downstream.view(np.uint64), want.view(np.uint64))
+        assert same_bits(geom.downstream, mq.linearize_downstream(net, layer, X))
         assert geom.downstream.flags.c_contiguous
         if geom.fixed_downstream and n >= 2 * width:
             assert geom.hidden_inputs.shape == (width, width - 3)

@@ -4,6 +4,7 @@ import base64
 import json
 import pathlib
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 import mergeqp as mq
 from mergeqp import bundles as bn
 from mergeqp.cli import main as cli_main
+
+from conftest import same_bits
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_bundle.json"
 
@@ -35,14 +38,14 @@ def test_round_trip_preserves_every_bit(tmp_path):
         mq.save_bundle(bundle, path)
         loaded = mq.load_bundle(path)
         for W0, W1 in zip(bundle.base.layers, loaded.base.layers):
-            assert np.array_equal(W0, W1)
+            assert same_bits(W0, W1)
         for layer in bundle.residuals:
             for u0, u1 in zip(bundle.residuals[layer], loaded.residuals[layer]):
-                assert np.array_equal(u0.delta, u1.delta)
+                assert same_bits(u0.delta, u1.delta)
                 assert u0.task_id == u1.task_id
         for c0, c1 in zip(bundle.calibration, loaded.calibration):
-            assert np.array_equal(c0.inputs, c1.inputs)
-            assert np.array_equal(c0.targets, c1.targets)
+            assert same_bits(c0.inputs, c1.inputs)
+            assert same_bits(c0.targets, c1.targets)
         assert loaded.meta == bundle.meta
 
 
@@ -200,12 +203,51 @@ def test_gen_relu_tasks_shapes_and_determinism():
     assert b1.base.activations == ["relu", "relu"]
     assert b1.layers_with_updates == [2]
     assert len(b1.residuals[2]) == 2
-    assert np.array_equal(b1.residuals[2][0].delta, b2.residuals[2][0].delta)
+    assert same_bits(b1.residuals[2][0].delta, b2.residuals[2][0].delta)
     recipe = {"n_train": 60, "train_steps": 25, "learning_rate": 0.05, "input_noise": 0.3}
     assert {k: b1.meta[k] for k in recipe} == recipe
     calib = b1.pooled_calibration()
     assert calib.inputs.shape[1] == b1.base.input_dim
     assert calib.targets.shape[1] == b1.base.output_dim
+
+
+def _finetune_layer_full_forward(net, layer_index, X, T, steps, lr):
+    """The ReLU trainer as it was first written: every step runs the whole forward pass."""
+    layers = [W.copy() for W in net.layers]
+    M = len(layers)
+    for _ in range(steps):
+        acts, pre = [X], []
+        for l in range(M):
+            pre.append(acts[-1] @ layers[l].T)
+            relu = l < M - 1 and net.activations[l] == "relu"
+            acts.append(np.maximum(pre[-1], 0.0) if relu else pre[-1])
+        G = 2.0 * (acts[-1] - T) / len(X)
+        for l in range(M - 1, layer_index - 1, -1):
+            G = G @ layers[l]
+            if net.activations[l - 1] == "relu":
+                G = G * (pre[l - 1] > 0.0)
+        grad = G.T @ acts[layer_index - 1]
+        layers[layer_index - 1] -= lr * grad
+    return mq.LinearNetwork(layers, list(net.activations))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    dims=st.lists(st.integers(1, 9), min_size=3, max_size=6),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_relu_trainer_matches_the_full_forward_loop_bit_for_bit(dims, data, seed):
+    # 2-5 layers, any one trainable: the frozen layers below it are evaluated once, so
+    # every update, weight and target must keep the per-step loop's bits
+    merge_layer = data.draw(st.integers(1, len(dims) - 1), label="merge_layer")
+    n_tasks = data.draw(st.integers(1, min(4, dims[-1])), label="n_tasks")
+    args = dict(dims=dims, merge_layer=merge_layer, n_tasks=n_tasks, n_samples=3, seed=seed)
+    got = mq.gen_relu_tasks(**args)
+    with mock.patch.object(bn, "_finetune_layer", _finetune_layer_full_forward):
+        want = mq.gen_relu_tasks(**args)
+    _assert_same_bits(got, want)
+    assert got.meta == want.meta
 
 
 def test_gen_relu_finetuning_reduces_task_loss():
@@ -257,10 +299,6 @@ _EDGE_FLOATS = [5e-324, -5e-324, 2.2250738585072009e-308, -0.0, 0.0,
                 1.7976931348623157e308, -1.7976931348623157e308]
 
 
-def _bits(arr):
-    return np.ascontiguousarray(arr, dtype=np.float64).view(np.uint64)
-
-
 def _arrays(bundle):
     """Every float array of a bundle, in file order."""
     out = list(bundle.base.layers)
@@ -275,8 +313,7 @@ def _assert_same_bits(a, b):
     arrs_a, arrs_b = _arrays(a), _arrays(b)
     assert len(arrs_a) == len(arrs_b)
     for x, y in zip(arrs_a, arrs_b):
-        assert x.shape == y.shape
-        assert np.array_equal(_bits(x), _bits(y))
+        assert same_bits(x, y)
 
 
 def _v1_obj(bundle):
@@ -377,7 +414,7 @@ def test_edge_floats_survive_network_round_trip(tmp_path):
     W = np.array(_EDGE_FLOATS[:6]).reshape(2, 3)
     mq.save_network(mq.LinearNetwork([W]), tmp_path / "net.json")
     again = mq.load_network(tmp_path / "net.json").layers[0]
-    assert np.array_equal(_bits(W), _bits(again))
+    assert same_bits(W, again)
     assert np.signbit(again[1, 0])  # -0.0 keeps its sign
 
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import mergeqp as mq
 from mergeqp import cli, qp as qpmod
 
-from conftest import make_linear_net
+from conftest import make_linear_net, same_bits
 from test_cli_reports import BUNDLES
 
 
@@ -169,14 +169,14 @@ def test_solve_unconstrained_reports_range_defect(rng):
 def _certified_case(kind, n, rng):
     """(H, g, path) for one case of the certified-solve test.
 
-    path is "cholesky" or "cut" when the case fixes which one runs, None
-    when either may.
+    path is "cholesky" or "cut" when the case fixes which one runs, "none"
+    when neither may (H = 0 has no live block) and None when either may.
     """
     if kind == "pd":
         M = rng.normal(size=(n, n))
         return M @ M.T + n * np.eye(n), rng.normal(size=n), "cholesky"
     if kind == "zero":
-        return np.zeros((n, n)), rng.normal(size=n), "cut"
+        return np.zeros((n, n)), rng.normal(size=n), "none"
     if kind == "duplicated":
         # repeated indices duplicate rows and columns exactly; g = H x is in range
         idx = rng.integers(0, max(n - 1, 1), size=n)
@@ -219,18 +219,22 @@ def test_solve_unconstrained_matches_the_eigen_cut(seed, n, kind, scale):
     H, g = scale * (H + H.T) / 2, scale * g
     ref = qpmod._eigen_cut(H, g)[0]
     qp = mq.QuadraticObjective(H=H, g=g, constant=0.0, n_tasks=1, n_directions=n)
-    with mock.patch.object(qpmod, "_eigen_cut", wraps=qpmod._eigen_cut) as spy:
+    with mock.patch.object(qpmod, "_eigen_cut", wraps=qpmod._eigen_cut) as spy, \
+            mock.patch.object(qpmod, "_certified", wraps=qpmod._certified) as certify:
         sol = mq.solve_unconstrained(qp)
     took_cut = spy.call_count == 1
-    if path is not None:
+    if path == "none":
+        # every coordinate is dead: no factorisation, d = +0.0 and all of g left over
+        assert certify.call_count == 0 and not took_cut
+        assert same_bits(sol.flat, np.zeros(n))
+        assert sol.g_range_defect == np.linalg.norm(g)
+    elif path is not None:
         assert took_cut == (path == "cut")
-    if not took_cut:
+    if not took_cut and path != "none":
         assert sol.g_range_defect == 0.0
         assert not sol.g_range_defect > 1e-8 * np.linalg.norm(qp.g)
     tol = 1e-9 if kind == "planted-near" else 1e-12
     assert np.abs(sol.flat - ref).max() <= tol * max(np.abs(ref).max(), 1e-300)
-    if kind == "zero":
-        assert not sol.flat.any()
     if kind == "planted-cut":
         # nothing along the dropped eigenvector, and g's part along it left over
         v = np.linalg.eigh(H)[1][:, 0]
@@ -389,20 +393,22 @@ def test_solvers_leave_dead_coordinates_out(
     qp, dead = _planted_dead_qp(seed, n_tasks, n_directions, n_dead, rank_drop, outside, dead_g)
     H, g, K, P = qp.H, qp.g, n_tasks, n_directions
     live, block, _ = qpmod._live_block(qp)
-    assert np.array_equal(live, ~dead)
+    assert np.array_equal(np.arange(qp.dim)[live], np.flatnonzero(~dead))
     assert (block is H) == (not dead.any())
+    if np.diag(H).all():  # nothing to look for: no mask, no copy
+        assert live == slice(None)
 
     # exact: dead coordinates are +0.0, and the defect is the norm of all g left over
     sol = mq.solve_unconstrained(qp)
     ref, in_range, _ = qpmod._eigen_cut(H, g)
-    assert not sol.flat[dead].view(np.uint64).any()
+    assert same_bits(sol.flat[dead], np.zeros(dead.sum()))
     assert np.abs(sol.flat - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1e-300)
     leftover = np.linalg.norm(g - in_range)
     assert abs(sol.g_range_defect - leftover) <= 1e-12 * max(np.linalg.norm(g), 1e-300)
     if not dead.any():
         certified = qpmod._certified(H)
         want = np.linalg.solve(H.T, -g) if certified else ref
-        assert np.array_equal(sol.flat.view(np.uint64), want.view(np.uint64))
+        assert same_bits(sol.flat, want)
         assert sol.g_range_defect == (0.0 if certified else float(leftover))
 
     # prefix optima: each prefix's whole block, dead rows included, by the eigen cut
@@ -416,7 +422,7 @@ def test_solvers_leave_dead_coordinates_out(
     with mock.patch.object(qpmod, "_live_block", _all_live):
         parent = qpmod.prefix_optima(qp)
     if not dead.any():
-        assert np.array_equal(got.view(np.uint64), parent.view(np.uint64))
+        assert same_bits(got, parent)
 
     # box: a dead coordinate with g = 0 keeps its start bit for bit; one with g != 0 is
     # live, and J is linear along it
@@ -426,7 +432,7 @@ def test_solvers_leave_dead_coordinates_out(
             parent = mq.solve_box_constrained(qp, lo=lo, hi=hi)
         held = dead & (g == 0)
         start = np.full(held.sum(), np.clip(1.0 / K, lo, hi))
-        assert np.array_equal(box.flat[held].view(np.uint64), start.view(np.uint64))
+        assert same_bits(box.flat[held], start)
         assert box.converged == parent.converged
         # the residual the block reports is the whole QP's at the returned point
         grad = H @ box.flat + g
@@ -439,7 +445,7 @@ def test_solvers_leave_dead_coordinates_out(
         best = _box_oracle(H, g, lo, hi) + qp.constant
         assert abs(mq.objective_value(qp, box) - best) <= 1e-9 * magnitude
         if not dead.any():
-            assert np.array_equal(box.flat.view(np.uint64), parent.flat.view(np.uint64))
+            assert same_bits(box.flat, parent.flat)
             assert box.kkt_residual == parent.kkt_residual
 
 
@@ -451,6 +457,11 @@ def test_an_indefinite_h_keeps_a_row_with_a_zero_diagonal_live():
     live, block, g = qpmod._live_block(qp)
     assert live.tolist() == [True, True, False]
     assert np.array_equal(block, H[:2, :2]) and np.array_equal(g, [1.0, -1.0])
+    # flagged but not dead: every row is live, and H is used as it is
+    qp = mq.QuadraticObjective(H=H[:2, :2], g=np.array([1.0, -1.0]), constant=0.0, n_tasks=1,
+                               n_directions=2)
+    live, block, g = qpmod._live_block(qp)
+    assert live.tolist() == [True, True] and block is qp.H and g is qp.g
 
 
 # gen flags of the three benchmark workloads (perfbench/harness.py), and of a
@@ -702,20 +713,20 @@ def _certificate_case(kind, rng, n=8):
 def test_certificate_restores_every_bit_of_h(kind, rng):
     # the shift of H's diagonal is made in place and undone by writing the saved diagonal
     H = _certificate_case(kind, rng)
-    before = H.view(np.uint64).copy()
+    before = H.copy()
     assert qpmod._certified(H) == (kind == "positive-definite")
-    assert np.array_equal(H.view(np.uint64), before)
+    assert same_bits(H, before)
 
 
 def test_solvers_leave_a_read_only_caller_h_untouched(rng):
     # the objective stores its own H, so the in-place certificate never writes the caller's
     H = _certificate_case("positive-definite", rng, n=6)
-    before = H.view(np.uint64).copy()
+    before = H.copy()
     H.flags.writeable = False
     qp = mq.QuadraticObjective(H=H, g=rng.normal(size=6), constant=1.0, n_tasks=2, n_directions=3)
     mq.solve_unconstrained(qp)
     qpmod.prefix_optima(qp)
-    assert np.array_equal(H.view(np.uint64), before)
+    assert same_bits(H, before)
     assert qpmod._certified(qp.H)  # both solvers took the in-place certificate
 
 
@@ -906,11 +917,11 @@ def test_transposed_operands_keep_every_bit(K, r, c, n, rng):
     qp = mq.build_diagonal_qp(mq.merge_geometry(net, 1, calib), deltas)
     assert qp.dim == K * r and qpmod._certified(qp.H)
     d = mq.solve_unconstrained(qp).flat
-    assert np.array_equal(d, np.linalg.solve(np.ascontiguousarray(qp.H), -qp.g))
+    assert same_bits(d, np.linalg.solve(np.ascontiguousarray(qp.H), -qp.g))
     cut = qpmod._eigen_cut(qp.H, qp.g)
     with _c_ordered("eigh"):
         reference = qpmod._eigen_cut(qp.H, qp.g)
-    assert all(np.array_equal(a, b) for a, b in zip(cut, reference))
+    assert all(same_bits(a, b) for a, b in zip(cut, reference))
 
 
 @settings(deadline=None, max_examples=25)

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 import mergeqp as mq
 from mergeqp import subspaces
 
+from conftest import same_bits
+
 
 def _proj(Q):
     return Q @ Q.T
@@ -84,7 +86,7 @@ def test_optimal_basis_matches_per_column_loop_bit_for_bit(seed, kind):
     S = mq.energy_matrix(B)
     for p in range(1, c + 1):
         got = mq.optimal_basis(S, p).columns
-        assert np.array_equal(got.view(np.uint64), _loop_optimal_basis(S, p).view(np.uint64))
+        assert same_bits(got, _loop_optimal_basis(S, p))
 
 
 def test_standard_basis_columns():
@@ -337,11 +339,9 @@ def test_orthonormalize_stack_matches_loop_per_sample(seed, eps_exp, n, p):
         kept = Q[j].any(axis=0)
         _assert_kept_columns_match_loop(Q[j][:, kept], kept, M[j])
     # a sample's bits do not depend on the rest of its stack
-    bits = Q.view(np.uint64)
     for a in range(n - 1):
         for b in range(a + 2, n + 1):
-            assert np.array_equal(subspaces._orthonormalize_stack(M[a:b]).view(np.uint64),
-                                  bits[a:b])
+            assert same_bits(subspaces._orthonormalize_stack(M[a:b]), Q[a:b])
 
 
 def test_random_basis_seeded(rng):
