@@ -8,16 +8,15 @@ earlier versions with each array replaced by its [start, end) byte range,
 so save -> load -> save is bit-exact and equal generator configurations give
 byte-identical files.  Array shapes come from the network: layer rows/cols,
 the layer shape for residual updates, and the input/output width for
-calibration rows.  JSON files of version 1 (number lists) and version 2
-(base64 strings) are still read, told apart by the magic, and saving one
-converts it.  Three seeded generators build desk-scale bundles: plain linear
-stacks, the shared-direction construction behind the closed-form merge
-weights, and a small ReLU classifier fine-tuned on disjoint class subsets.
+calibration rows.  JSON files of version 1 (number lists) are still read,
+told apart by the magic, and saving one converts it.  Three seeded
+generators build desk-scale bundles: plain linear stacks, the
+shared-direction construction behind the closed-form merge weights, and a
+small ReLU classifier fine-tuned on disjoint class subsets.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 from dataclasses import dataclass, field
@@ -29,7 +28,7 @@ from .qp import CalibrationSet
 
 MAGIC = b"\x93MERGEQP"  # not UTF-8, so no JSON text starts with it
 FORMAT_VERSION = 3
-JSON_VERSIONS = (1, 2)
+JSON_VERSION = 1  # the version a file without the magic must have
 
 
 class BundleFormatError(ValueError):
@@ -218,22 +217,15 @@ def _expect(obj, key, kinds, path):
 
 
 def _floats(entry, key, cols, path, rows=None, data=None) -> np.ndarray:
-    """The (rows, cols) float64 array in entry[key]: a byte range, base64 string or number list.
+    """The (rows, cols) float64 array in entry[key]: a byte range or a number list.
 
-    A range indexes data, a version-3 data section; a string is base64 (version
-    2): row-major little-endian float64 bytes either way.  A list is flat when
-    rows is given and a list of rows otherwise (version 1).  rows=None takes
-    the row count from the data, which must be non-empty.
+    A range indexes data, a version-3 data section of row-major little-endian float64
+    bytes.  A list is flat when rows is given and a list of rows otherwise (version 1).
+    rows=None takes the row count from the data, which must be non-empty.
     """
     value, path = _expect(entry, key, None, path), f"{path}.{key}"
     if data is not None:
         value = data.take(value, path)
-    elif isinstance(value, str):
-        try:
-            value = base64.b64decode(value, validate=True)
-        except ValueError as exc:  # binascii.Error, or a non-ASCII character
-            raise BundleFormatError(f"{path}: invalid base64: {exc}") from exc
-    if isinstance(value, (bytes, memoryview)):
         if len(value) % 8:
             raise BundleFormatError(
                 f"{path}: {len(value)} bytes is not a whole number of float64 values"
@@ -253,10 +245,7 @@ def _floats(entry, key, cols, path, rows=None, data=None) -> np.ndarray:
         if rows is None and arr.shape[1] != cols:
             raise BundleFormatError(f"{path}: rows of length {arr.shape[1]}, expected {cols}")
     else:
-        raise BundleFormatError(
-            f"{path}: expected a base64 string or a list of numbers, "
-            f"got {type(value).__name__}"
-        )
+        raise BundleFormatError(f"{path}: expected a list of numbers, got {type(value).__name__}")
     if rows is not None and arr.size != rows * cols:
         raise BundleFormatError(f"{path}: expected {rows * cols} values, got {arr.size}")
     if rows is None and (arr.size == 0 or arr.size % cols):
@@ -305,12 +294,9 @@ def _load(path, parse):
 
 
 def _check_version(obj, data) -> None:
-    versions = JSON_VERSIONS if data is None else (FORMAT_VERSION,)
-    version = _expect(obj, "version", int, "$")
-    if version not in versions:
-        raise BundleFormatError(
-            f"$.version: unsupported version {version}, expected one of {versions}"
-        )
+    expected = JSON_VERSION if data is None else FORMAT_VERSION
+    if (version := _expect(obj, "version", int, "$")) != expected:
+        raise BundleFormatError(f"$.version: unsupported version {version}, expected {expected}")
 
 
 def bundle_from_obj(obj, data=None) -> ModelBundle:

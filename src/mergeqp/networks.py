@@ -178,11 +178,24 @@ def linearize_downstream(net: LinearNetwork, layer_index: int, x) -> np.ndarray:
 
 
 def _downstream(net, layer_index, acts):
-    """linearize_downstream's Jacobian; ReLU masks read acts (a > 0), none if acts is None."""
-    A = np.eye(net.layer_shape(layer_index)[0])
-    for i in range(layer_index - 1, net.depth - 1):
-        if acts is not None and net.activations[i] == RELU:
-            A = (acts[i + 1] > 0.0).astype(float).T[..., None] * A
+    """linearize_downstream's Jacobian; ReLU masks read acts (a > 0), none if acts is None.
+
+    The weights above N, multiplied up to their first ReLU gap, lose the columns N's ReLU
+    masks (the bits of masking first); each later ReLU gap zeroes rows of the product.
+    """
+    r = net.layer_shape(layer_index)[0]  # checks the index
+    if layer_index == net.depth:
+        return np.eye(r)
+    relu = [acts is not None and a == RELU for a in net.activations]
+    top = next((i for i in range(layer_index, net.depth - 1) if relu[i]), net.depth - 1)
+    A = net.layers[layer_index] + 0.0  # a copy with -0.0 as 0.0: the bits of W @ I
+    for i in range(layer_index, top):
+        A = net.layers[i + 1] @ A
+    if relu[layer_index - 1]:
+        A = np.where((acts[layer_index] > 0.0).T.copy()[..., None, :], A, 0.0)  # C-ordered
+    for i in range(top, net.depth - 1):
+        if relu[i]:
+            A = (acts[i + 1] > 0.0).astype(float).T[..., None] * A  # rebound: two stacks at most
         A = net.layers[i + 1] @ A
     if not np.all(np.isfinite(A)):
         raise NumericalError("downstream matrix contains non-finite entries")

@@ -230,11 +230,9 @@ def _sample_geometry(net, layer_index, calib) -> MergeGeometry:
     gaps, one_gap = net.activations[layer_index - 1 :], None
     with np.errstate(over="ignore", invalid="ignore"):  # checked here and in _downstream
         acts = _propagate(net, _input_columns(net, calib.inputs), net.depth)
-        if gaps[:1] == [RELU] and RELU not in gaps[1:]:  # _downstream's stack, bit for bit
-            one_gap = _downstream(net, layer_index, None), (acts[layer_index] > 0).T.copy()
-            down = np.where(one_gap[1][:, None, :], one_gap[0], 0.0)  # C-ordered, as m is
-        else:
-            down = _downstream(net, layer_index, acts)
+        down = _downstream(net, layer_index, acts)
+        if gaps[:1] == [RELU] and RELU not in gaps[1:]:
+            one_gap = _downstream(net, layer_index, None), (acts[layer_index] > 0).T
         U, B = acts[layer_index - 1].T, acts[-1].T - calib.targets
     if not (np.all(np.isfinite(U)) and np.all(np.isfinite(B))):
         raise NumericalError(f"the forward pass overflows at or above layer {layer_index}")

@@ -76,10 +76,13 @@ def test_golden_fixture_round_trip(tmp_path):
     mq.save_bundle(bundle, p1)
     mq.save_bundle(mq.load_bundle(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
+    # saving the version-1 fixture converts it to the version-3 layout
+    assert p1.read_bytes() == _v3_file(*_v3_parts(bundle))
+    _assert_same_bits(bundle, mq.load_bundle(p1))
 
 
 def _mutated(mutate):
-    obj = _v2_obj(_tiny_bundle())
+    obj = _v1_obj(_tiny_bundle())
     mutate(obj)
     return obj
 
@@ -89,6 +92,9 @@ def _mutated(mutate):
     [
         (lambda o: o.pop("version"), "$: missing field 'version'"),
         (lambda o: o.update(version=99), "$.version"),
+        # a JSON header without the magic: version 1 only
+        (lambda o: o.update(version=2), "$.version: unsupported version 2"),
+        (lambda o: o.update(version=3), "$.version: unsupported version 3, expected 1"),
         (lambda o: o.pop("base"), "$: missing field 'base'"),
         (lambda o: o["residuals"][0].update(layer=5), "$.residuals[0].layer"),
         (lambda o: o["residuals"][0].update(data=[1.0]), "$.residuals[0].data"),
@@ -290,9 +296,7 @@ def test_pooled_calibration_concatenates_in_task_order():
     assert moved.task_ids == pooled.task_ids + [7, 7]
 
 
-# --- file formats: v3 raw float64 data section, v2 base64, v1 number lists -----
-
-GOLDEN_V2 = GOLDEN.with_name("golden_bundle_v2.json")
+# --- file formats: v3 raw float64 data section, v1 number lists ---------------
 
 _FINITE_BITS = st.integers(0, 2**64 - 1).filter(lambda b: (b >> 52) & 0x7FF != 0x7FF)
 _EDGE_FLOATS = [5e-324, -5e-324, 2.2250738585072009e-308, -0.0, 0.0,
@@ -352,18 +356,6 @@ def _le_bytes(arr):
     return np.ascontiguousarray(arr, dtype="<f8").tobytes()
 
 
-def _v2_obj(bundle):
-    """The bundle as the version-2 writer stored it: one base64 string per array."""
-    obj = dict(_v1_obj(bundle), version=2)
-    for (entry, key), arr in zip(_array_slots(obj), _arrays(bundle)):
-        entry[key] = base64.b64encode(_le_bytes(arr)).decode("ascii")
-    return obj
-
-
-def _v2_text(bundle):
-    return json.dumps(_v2_obj(bundle), indent=1) + "\n"
-
-
 def _v3_parts(bundle):
     """The version-3 header object and data section of a bundle, built from the layout."""
     obj, data = dict(_v1_obj(bundle), version=3), b""
@@ -418,21 +410,6 @@ def test_edge_floats_survive_network_round_trip(tmp_path):
     assert np.signbit(again[1, 0])  # -0.0 keeps its sign
 
 
-def test_golden_v2_fixture_matches_v1_fixture(tmp_path):
-    v1, v2 = mq.load_bundle(GOLDEN), mq.load_bundle(GOLDEN_V2)
-    _assert_same_bits(v1, v2)
-    assert v1.meta == v2.meta
-    assert json.loads(GOLDEN_V2.read_text())["version"] == 2
-    # pins the little-endian float64 base64 encoding the v2 fixture maker shares
-    assert _v2_text(v1) == GOLDEN_V2.read_text()
-    # saving either fixture converts it to the same version-3 bytes
-    mq.save_bundle(v1, tmp_path / "from_v1.json")
-    mq.save_bundle(v2, tmp_path / "from_v2.json")
-    converted = (tmp_path / "from_v1.json").read_bytes()
-    assert converted == (tmp_path / "from_v2.json").read_bytes() == _v3_file(*_v3_parts(v1))
-    _assert_same_bits(v1, mq.load_bundle(tmp_path / "from_v1.json"))
-
-
 @pytest.mark.parametrize(
     "make",
     [
@@ -441,65 +418,45 @@ def test_golden_v2_fixture_matches_v1_fixture(tmp_path):
         lambda: mq.gen_shared_direction_instance(seed=1),
     ],
 )
-def test_v1_list_file_loads_bit_identical_to_v2(tmp_path, make):
+def test_v1_list_file_loads_bit_identical_to_v3(tmp_path, make):
     bundle = make()
-    v1_path, v2_path, v3_path = (tmp_path / n for n in ("v1.json", "v2.json", "v3.json"))
+    v1_path, v3_path, conv_path = (tmp_path / n for n in ("v1.json", "v3.json", "conv.json"))
     v1_path.write_text(json.dumps(_v1_obj(bundle), indent=1) + "\n")
-    v2_path.write_text(_v2_text(bundle))
     mq.save_bundle(bundle, v3_path)
-    from_v1, from_v2, from_v3 = (mq.load_bundle(p) for p in (v1_path, v2_path, v3_path))
+    from_v1, from_v3 = (mq.load_bundle(p) for p in (v1_path, v3_path))
     _assert_same_bits(bundle, from_v1)
-    _assert_same_bits(from_v1, from_v2)
     _assert_same_bits(from_v1, from_v3)
-    assert from_v1.meta == from_v2.meta == from_v3.meta
-    # load then save converts a v1 or v2 file into the same v3 bytes
-    for i, loaded in enumerate((from_v1, from_v2)):
-        mq.save_bundle(loaded, tmp_path / f"conv{i}.json")
-        assert (tmp_path / f"conv{i}.json").read_bytes() == v3_path.read_bytes()
+    assert from_v1.meta == from_v3.meta
+    # load then save converts a v1 file into the same v3 bytes
+    mq.save_bundle(from_v1, conv_path)
+    assert conv_path.read_bytes() == v3_path.read_bytes()
     assert v3_path.read_bytes().startswith(bn.MAGIC)
-
-
-def test_v2_file_is_smaller_than_v1(tmp_path):
-    bundle = mq.gen_linear_tasks(dims=(16, 12, 8), n_samples=50, noise=0.1, seed=0)
-    v1_path, v2_path, v3_path = tmp_path / "v1.json", tmp_path / "v2.json", tmp_path / "v3.json"
-    v1_path.write_text(json.dumps(_v1_obj(bundle), indent=1) + "\n")
-    v2_path.write_text(_v2_text(bundle))
-    mq.save_bundle(bundle, v3_path)
-    assert v2_path.stat().st_size < 0.6 * v1_path.stat().st_size
-    # raw float64 bytes, no base64 expansion by 4/3
-    assert v3_path.stat().st_size < 0.8 * v2_path.stat().st_size
-
-
-def _b64(values):
-    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
 
 
 @pytest.mark.parametrize(
     "field,set_value,needle",
     [
-        # decodable if illegal characters were skipped, so only a strict decode fails
-        ("residual", "!" + _b64([1.0, 2.0, 3.0, 4.0]), "invalid base64"),
-        ("residual", _b64([1.0, 2.0, 3.0, 4.0])[:20] + " \n" + _b64([1.0, 2.0, 3.0, 4.0])[20:],
-         "invalid base64"),
-        ("residual", "AAAAAAAAAAA", "invalid base64"),  # truncated padding
-        ("residual", "AAA\u00e9" + _b64([1.0, 2.0, 3.0, 4.0])[4:], "invalid base64"),  # not ASCII
-        ("residual", base64.b64encode(b"\0" * 12).decode(), "not a whole number"),
-        ("residual", _b64([1.0, 2.0, 3.0]), "expected 4 values, got 3"),
+        ("residual", [1.0, 2.0, 3.0], "expected 4 values, got 3"),
+        ("residual", [[1.0, 2.0], [3.0, 4.0]], "expected a flat list of numbers"),
+        ("residual", "AAAAAAAAAAA", "expected a list of numbers, got str"),
         ("residual", 5, "got int"),
         ("residual", {"data": []}, "got dict"),
         ("residual", None, "got NoneType"),
-        ("layer", _b64([1.0] * 5), "expected 4 values, got 5"),
+        ("residual", [1.0, None, 2.0, 3.0], "non-finite"),  # null reads as nan
+        ("layer", [1.0] * 5, "expected 4 values, got 5"),
+        ("layer", [[1.0, 0.0], [0.0]], "sequence"),
         ("layer", 1.5, "got float"),
-        ("inputs", _b64([1.0, 2.0, 3.0]), "do not fill rows of width 2"),
-        ("inputs", "", "do not fill rows"),
-        ("inputs", base64.b64encode(b"\0" * 9).decode(), "not a whole number"),
-        ("targets", "@@@@", "invalid base64"),
-        ("targets", _b64([1.0, np.nan]), "non-finite"),
+        ("inputs", [[1.0, 2.0, 3.0]], "rows of length 3, expected 2"),
+        ("inputs", [], "expected a non-empty list of equal-length rows"),
+        ("inputs", [[1.0, "x"]], "could not convert string to float"),
+        ("inputs", [[np.inf, 1.0]], "non-finite"),
+        ("targets", [1.0, 2.0], "expected a non-empty list of equal-length rows"),
+        ("targets", [[1.0, np.nan]], "non-finite"),
         ("targets", True, "got bool"),
     ],
 )
-def test_malformed_base64_names_the_json_path(field, set_value, needle):
-    obj = _v2_obj(_tiny_bundle())
+def test_malformed_v1_arrays_name_the_json_path(field, set_value, needle):
+    obj = _v1_obj(_tiny_bundle())
     target, key, path = {
         "residual": (obj["residuals"][0], "data", "$.residuals[0].data"),
         "layer": (obj["base"]["layers"][0], "data", "$.base.layers[0].data"),
@@ -511,6 +468,19 @@ def test_malformed_base64_names_the_json_path(field, set_value, needle):
         bn.bundle_from_obj(obj)
     assert str(err.value).startswith(path + ":")
     assert needle in str(err.value)
+
+
+def test_version_2_files_exit_2(tmp_path, capsys):
+    # version 2 stored each array as one base64 string; its reader is retired
+    obj = dict(_v1_obj(_tiny_bundle()), version=2)
+    for (entry, key), arr in zip(_array_slots(obj), _arrays(_tiny_bundle())):
+        entry[key] = base64.b64encode(_le_bytes(arr)).decode("ascii")
+    path = tmp_path / "v2.json"
+    path.write_text(json.dumps(obj, indent=1) + "\n")
+    with pytest.raises(mq.BundleFormatError, match=r"^\$\.version: unsupported version 2"):
+        mq.load_bundle(path)
+    assert cli_main(["merge", "--bundle", str(path), "--method", "qp-diag"]) == 2
+    assert "error: $.version: unsupported version 2" in capsys.readouterr().err
 
 
 def test_v1_ragged_calibration_rows_name_the_json_path():
@@ -624,14 +594,12 @@ def test_network_files_check_the_data_section(tmp_path):
         mq.load_network(path)
 
 
-@pytest.mark.parametrize("source", ["v1", "v2", "v3"])
+@pytest.mark.parametrize("source", ["v1", "v3"])
 def test_loaded_arrays_are_writable_native_float64(tmp_path, source):
     bundle = mq.gen_linear_tasks(seed=1)
     path = tmp_path / "b.json"
     if source == "v1":
         path.write_text(json.dumps(_v1_obj(bundle)))
-    elif source == "v2":
-        path.write_text(_v2_text(bundle))
     else:
         mq.save_bundle(bundle, path)
     loaded = mq.load_bundle(path)
@@ -651,7 +619,7 @@ def test_loaded_arrays_are_writable_native_float64(tmp_path, source):
 @pytest.mark.parametrize("bad", [[0], {"k": 0}, 1.5, None, True])
 @pytest.mark.parametrize("where", ["residuals", "calibration"])
 def test_non_scalar_task_ids_are_rejected_at_load(where, bad):
-    obj = _v2_obj(_tiny_bundle())
+    obj = _v1_obj(_tiny_bundle())
     obj[where][0]["task"] = bad
     with pytest.raises(mq.BundleFormatError) as err:
         bn.bundle_from_obj(obj)
@@ -659,7 +627,7 @@ def test_non_scalar_task_ids_are_rejected_at_load(where, bad):
 
 
 def test_string_task_ids_load():
-    obj = _v2_obj(_tiny_bundle())
+    obj = _v1_obj(_tiny_bundle())
     obj["residuals"][0]["task"] = obj["calibration"][0]["task"] = "math"
     bundle = bn.bundle_from_obj(obj)
     assert bundle.task_ids == ["math"]
@@ -667,7 +635,7 @@ def test_string_task_ids_load():
 
 
 def test_cli_exits_2_on_list_task_id(tmp_path, capsys):
-    obj = _v2_obj(_tiny_bundle())
+    obj = _v1_obj(_tiny_bundle())
     obj["calibration"][0]["task"] = [0]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))
@@ -796,7 +764,7 @@ def _two_layer_obj(tmp_path):
     path = tmp_path / "b.json"
     assert cli_main(["gen", "--dims", "5,4,3", "--merge-layer", "1,2", "--tasks", "3",
                      "--out", str(path)]) == 0
-    return _v2_obj(mq.load_bundle(path))
+    return _v1_obj(mq.load_bundle(path))
 
 
 def _layer_two_reversed(obj):

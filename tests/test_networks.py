@@ -4,10 +4,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mergeqp as mq
 
-from conftest import make_linear_net, make_relu_net
+from conftest import make_linear_net, make_relu_net, same_bits
 
 
 def test_forward_identity_chain():
@@ -112,6 +114,57 @@ def test_downstream_map_shapes(rng):
     assert mq.merge_geometry(lin, 1, calib).fixed_downstream
     assert mq.merge_geometry(relu, 2, calib).fixed_downstream
     assert not mq.merge_geometry(relu, 1, calib).fixed_downstream
+
+
+def _masked_identity_downstream(net, layer_index, x):
+    """linearize_downstream as first written: the identity, each ReLU gap's mask applied to
+    its rows, then the layer above; an (n, r, r) masked identity under a ReLU at layer N."""
+    A = np.eye(net.layer_shape(layer_index)[0])
+    for i in range(layer_index - 1, net.depth - 1):
+        if net.activations[i] == "relu":
+            A = (mq.layer_input(net, i + 2, x) > 0.0).astype(float)[..., None] * A
+        A = net.layers[i + 1] @ A
+    return A
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    dims=st.lists(st.integers(1, 6), min_size=2, max_size=6),
+    gaps=st.integers(0, 15),
+    pick=st.integers(0, 4),
+    n=st.integers(0, 4),
+    integers=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+# three ReLU gaps above layer 1 with an identity gap between, a ReLU at layer 1's output
+# under two identity gaps and then a ReLU, one ReLU gap under one layer (the stack is the
+# masked weights themselves), and the last layer
+@example(dims=[3, 5, 4, 4, 3, 2], gaps=0b1011, pick=0, n=3, integers=True, seed=0)
+@example(dims=[3, 5, 4, 4, 3, 2], gaps=0b1001, pick=0, n=3, integers=False, seed=1)
+@example(dims=[3, 5, 4], gaps=0b1, pick=0, n=3, integers=False, seed=0)
+@example(dims=[3, 5, 4, 2], gaps=0b11, pick=2, n=0, integers=False, seed=0)
+def test_downstream_matches_the_masked_identity_product_bit_for_bit(
+    dims, gaps, pick, n, integers, seed
+):
+    # gaps' bit i sets a ReLU at layer i + 1's output; n = 0 is one input vector.  Weights
+    # hold exact zeros of both signs, and small integers put pre-activations at exactly 0
+    rng = np.random.default_rng(seed)
+    depth = len(dims) - 1
+
+    def draw(shape):
+        scale = rng.integers(-2, 3, size=shape) if integers else rng.normal(size=shape)
+        return scale * rng.choice([-1.0, 0.0, 1.0], size=shape)
+
+    activations = ["relu" if gaps >> i & 1 else "identity" for i in range(depth - 1)]
+    net = mq.LinearNetwork([draw((dims[i + 1], dims[i])) for i in range(depth)], activations)
+    layer = 1 + pick % depth
+    x = draw((n, dims[0]) if n else (dims[0],))
+    got = mq.linearize_downstream(net, layer, x)
+    assert same_bits(got, _masked_identity_downstream(net, layer, x))
+    assert got.flags.c_contiguous
+    if n:
+        calib = mq.CalibrationSet(x, draw((n, dims[-1])))
+        assert same_bits(mq.merge_geometry(net, layer, calib).downstream, got)
 
 
 def test_apply_merged_residual_leaves_base_untouched():

@@ -747,9 +747,9 @@ def test_certified_solve_holds_no_copy_of_h(rng):
 
 
 def test_one_gap_geometry_and_build_hold_no_per_sample_blocks(rng):
-    # a ReLU at layer 1's output and nothing above: the geometry forms its (n, c, r) stack
-    # without the (n, r, r) masked identity of the batched product, and the diagonal build
-    # is one GEMM with no (m c, K r) chunk of stacked rows
+    # a ReLU at layer 1's output and nothing above: the geometry's (n, c, r) stack is layer
+    # 2's weights with masked columns, with no (n, r, r) masked identity, and the diagonal
+    # build is one GEMM with no (m c, K r) chunk of stacked rows
     d, r, c, K, n = 8, 48, 8, 2, 100
     net = mq.LinearNetwork([rng.normal(size=(r, d)), rng.normal(size=(c, r))], ["relu"])
     deltas = [mq.ResidualUpdate(1, 0.3 * rng.normal(size=(r, d)), task_id=k) for k in range(K)]
@@ -771,6 +771,26 @@ def test_one_gap_geometry_and_build_hold_no_per_sample_blocks(rng):
     assert step < n
     assert peaks[0] < 8 * n * r * r
     assert peaks[1] < 8 * step * c * K * r
+
+
+def test_two_gap_geometry_holds_no_masked_identity(rng):
+    # two ReLU gaps above layer 1 and r >> c: the stack starts as layer 2's weights with
+    # masked columns, with no (n, r, r) masked identity, and each row mask is rebound before
+    # its product, so at most two (n, c1, r) stacks are alive at once
+    d, r, c1, c, n = 4, 256, 16, 16, 20
+    layers = [rng.normal(size=s) for s in ((r, d), (c1, r), (c, c1))]
+    net = mq.LinearNetwork(layers, ["relu", "relu"])
+    calib = mq.CalibrationSet(rng.normal(size=(n, d)), rng.normal(size=(n, c)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        geometry = mq.merge_geometry(net, 1, calib)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert geometry.one_gap is None and geometry.downstream.shape == (n, c, r)
+    stack = 8 * n * c1 * r
+    assert peak < 2.5 * stack < 8 * n * r * r
 
 
 def test_box_solver_leaves_the_qp_unchanged(rng):

@@ -4,9 +4,12 @@
 
 Generates the bundles of the three benchmark workloads at seed 0 (their
 ``gen`` arguments come from ``perfbench/harness.py``), a ReLU bundle at seed 3
-and a shared-direction bundle, copies the golden test bundle, and runs every
-merge method, both solvers, every qp-basis family, ``compare``,
-``diagnose``, ``eval`` and hybrid refinement on them, in this process
+and a shared-direction bundle, copies the golden test bundle, and last
+generates a ReLU bundle merged at layer 1 under two ReLU gaps (seed 0, the
+only bundle whose Jacobians mask more than one gap; its lines come after
+the others so theirs keep their numbers).  It runs every merge method,
+both solvers, every qp-basis family, ``compare``, ``diagnose``, ``eval``
+and hybrid refinement on the bundles, in this process
 through ``mergeqp.cli.main``, with the mergeqp sources of this checkout and
 one BLAS thread.  Commands run inside OUT with relative paths, so
 ``OUT/battery.txt`` holds one line per command that does not depend on
@@ -18,7 +21,8 @@ artifacts exactly when their ``battery.txt`` files are equal.
 import os
 
 # One BLAS thread, as in the benchmark. Results depend on the thread count by rounding:
-# at 2 OpenBLAS threads, 14 of the 189 lines (all wide-linear) change.
+# at 2 OpenBLAS threads, 18 of the 218 lines change (14 wide-linear; relu-sweep's two qp-diag
+# merges, its eval and its compare).
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
@@ -73,21 +77,25 @@ class Battery:
         return str(path)
 
 
+def _bundle(battery, name, gen=None, seed="0"):
+    """The path of bundle name, made by gen (argv) at seed, or the golden test bundle's copy."""
+    work = Path("bundles") / name
+    work.mkdir(parents=True)
+    bundle = f"{work}/bundle.json"
+    if gen is None:
+        shutil.copyfile(ROOT / "tests" / "data" / "golden_bundle.json", bundle)
+    else:
+        battery.run(["gen", *gen, "--seed", seed, "--out", bundle], work)
+    return bundle
+
+
 def _bundles(battery):
-    """Generate or copy every bundle of the battery; returns {name: path}."""
-    gens = {name: list(w.gen) for name, w in WORKLOADS.items()}
-    gens["relu-seed3"] = ["--kind", "relu"]
-    gens["shared-direction"] = ["--kind", "shared-direction", "--sigmas", "1,2"]
-    bundles = {}
-    for name in [*gens, "golden"]:
-        work = Path("bundles") / name
-        work.mkdir(parents=True)
-        bundles[name] = f"{work}/bundle.json"
-        if name == "golden":
-            shutil.copyfile(ROOT / "tests" / "data" / "golden_bundle.json", bundles[name])
-        else:
-            seed = "3" if name == "relu-seed3" else "0"
-            battery.run(["gen", *gens[name], "--seed", seed, "--out", bundles[name]], work)
+    """Generate or copy the first bundles of the battery; returns {name: path}."""
+    bundles = {name: _bundle(battery, name, list(w.gen)) for name, w in WORKLOADS.items()}
+    bundles["relu-seed3"] = _bundle(battery, "relu-seed3", ["--kind", "relu"], "3")
+    bundles["shared-direction"] = _bundle(
+        battery, "shared-direction", ["--kind", "shared-direction", "--sigmas", "1,2"])
+    bundles["golden"] = _bundle(battery, "golden")
     return bundles
 
 
@@ -140,6 +148,8 @@ def main(argv=None):
     battery = Battery()
     for name, bundle in _bundles(battery).items():
         _bundle_commands(battery, name, bundle)
+    two_gap = _bundle(battery, "relu-two-gap", ["--kind", "relu", "--merge-layer", "1"])
+    _bundle_commands(battery, "relu-two-gap", two_gap)
     (out / "battery.txt").write_text("".join(line + "\n" for line in battery.lines))
     print(f"{len(battery.lines)} commands; fingerprints in {out / 'battery.txt'}")
     return 0
