@@ -89,9 +89,7 @@ def _finite_float(text):
 def _fmt(value):
     if value is None:
         return ""
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
+    return repr(float(value)) if isinstance(value, float) else str(value)
 
 
 def _write_csv(path, header, rows):

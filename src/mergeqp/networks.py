@@ -191,13 +191,14 @@ def _downstream(net, layer_index, acts):
     A = net.layers[layer_index] + 0.0  # a copy with -0.0 as 0.0: the bits of W @ I
     for i in range(layer_index, top):
         A = net.layers[i + 1] @ A
+    finite = top == net.depth - 1 and np.isfinite(A).all()  # A: the whole (c, r) product
     if relu[layer_index - 1]:
         A = np.where((acts[layer_index] > 0.0).T.copy()[..., None, :], A, 0.0)  # C-ordered
     for i in range(top, net.depth - 1):
         if relu[i]:
             A = (acts[i + 1] > 0.0).astype(float).T[..., None] * A  # rebound: two stacks at most
         A = net.layers[i + 1] @ A
-    if not np.all(np.isfinite(A)):
+    if not (finite or np.isfinite(A).all()):  # masking keeps a finite product finite
         raise NumericalError("downstream matrix contains non-finite entries")
     return A
 

@@ -430,8 +430,7 @@ def solve_unconstrained(qp: QuadraticObjective) -> MergeCoefficients:
 
     Dead coordinates (an exactly zero row of H) get 0.  On the live block,
     eigenvalues at or below _EIGEN_CUT (1e-10) times the largest count as
-    zero; if _certified shows there are none, d* = -H^{-1} g by one linear
-    solve.
+    zero; if _certified shows there are none, d* = -H^{-1} g by one solve.
     If g has a component outside the numerical range of H the objective is
     unbounded along it; the solve minimises over the range and reports the
     leftover norm, g on dead coordinates included, in g_range_defect.

@@ -15,6 +15,8 @@ import numpy as np
 
 from .networks import _as_float_matrix, _delta_matrices
 
+_WINDOW = 250  # samples per _orthonormalize_stack call in prefix_captured_energy
+
 
 @dataclass
 class OrthonormalBasis:
@@ -161,61 +163,64 @@ def pullback_basis(L, directions, origin: str = "pullback(custom)") -> Orthonorm
 def _orthonormalize_stack(M: np.ndarray, max_columns: int | None = None) -> np.ndarray:
     """Orthonormalise the columns of every matrix in an (n, c, P) stack, in order.
 
-    Modified Gram-Schmidt on a (P, c, n) copy with the samples contiguous,
-    so each step is one sweep over all samples: a new unit column is removed
-    from all later columns, and every column is projected once more against
-    the kept ones before its norm is taken.  A column whose residual is at
-    most 1e-10 times its matrix's largest column norm comes back as zeros,
-    so the first p output columns of M[j] span the first p input ones.
-    Processing stops once every matrix has max_columns kept columns; later
-    columns come back as zeros.  Without max_columns, a matrix in a stack of
-    two or more gets the same bits in any window of two or more around it.
+    Left-looking classical Gram-Schmidt, twice (Giraud, Langou and Rozloznik, 2005), in place
+    on a (P, c, n) copy with the samples contiguous: column i is projected twice against the
+    kept columns before it, each projection two einsum sweeps over all samples, and no later
+    column is touched.  A column whose residual is at most 1e-10 times its matrix's largest
+    column norm comes back as zeros, so the first p output columns of M[j] span the first p
+    input ones.  A matrix keeps at most max_columns columns, the rest zeros, and the pass stops
+    once every matrix has them.  A matrix in a stack of two or more gets the same bits in any
+    window of two or more around it.
     """
     W = M.transpose(2, 1, 0).copy()
-    out = np.zeros_like(W)
     tol = 1e-10 * np.sqrt(np.einsum("pcn,pcn->pn", W, W)).max(axis=0, initial=0.0)
+    cap = W.shape[0] if max_columns is None else max_columns
     kept_count = np.zeros(W.shape[2], dtype=int)
     for i in range(W.shape[0]):
         v = W[i]
-        v -= np.einsum("pcn,pn->cn", out[:i], np.einsum("pcn,cn->pn", out[:i], v))
+        for _ in range(2):
+            v -= np.einsum("pcn,pn->cn", W[:i], np.einsum("pcn,cn->pn", W[:i], v))
         nrm = np.sqrt(np.einsum("cn,cn->n", v, v))
-        kept_count += nrm > tol
-        np.divide(v, nrm, out=out[i], where=nrm > tol)
-        if max_columns is not None and kept_count.min() >= max_columns:
+        keep = (nrm > tol) & (kept_count < cap)
+        kept_count += keep
+        v[...] = np.divide(v, nrm, out=np.zeros_like(v), where=keep)
+        if kept_count.min() >= cap:
+            W[i + 1 :] = 0.0
             break
-        W[i + 1 :] -= out[i] * np.einsum("cn,pcn->pn", out[i], W[i + 1 :])[:, None, :]
-    return out.transpose(2, 1, 0)
+    return W.transpose(2, 1, 0)
 
 
 def prefix_captured_energy(downstream, basis: OrthonormalBasis, residuals) -> np.ndarray:
     """Captured residual energy of every prefix of a basis chain, in one pass.
 
-    Entry p - 1 is the energy captured by the output image of the first p
-    columns of Q: sum_j b_j^T P_j b_j with P_j the projector onto
-    span(L_j Q[:, :p]) for per-sample maps L_j (an (n, c, r) stack), or
-    tr(S P) with S = sum_j b_j b_j^T for one fixed (c, r) map L.  residuals
-    holds the b_j as (n, c) rows.
+    Entry p - 1 is the energy captured by the output image of the first p columns of Q:
+    sum_j b_j^T P_j b_j with P_j the projector onto span(L_j Q[:, :p]) for per-sample maps L_j
+    (an (n, c, r) stack), or tr(S P) with S = sum_j b_j b_j^T for one fixed (c, r) map L.
+    residuals holds the b_j as (n, c) rows.
 
-    The columns of L_j Q are orthonormalised in order, batched over samples
-    (see _orthonormalize_stack); prefix p then captures the cumulative sum
-    of (q_i^T b_j)^2 over the samples j and the kept columns i < p.  The
-    drop rule matters: ReLU Jacobians make L_j Q exactly rank-deficient once
-    p exceeds the sample's active units, and a QR that keeps every column
-    would count rounding noise as captured directions.  The fixed map sums
-    the same squares rather than q_i^T S q_i: S has entries of size
-    ||b||^2, so a small captured energy read through S loses digits to
-    cancellation.
+    The columns of L_j Q are orthonormalised in order (_orthonormalize_stack); prefix p then
+    captures the cumulative sum of (q_i^T b_j)^2 over the samples j and the kept columns i < p.
+    The drop rule matters: ReLU Jacobians make L_j Q exactly rank-deficient once p exceeds the
+    sample's active units, and a QR that keeps every column would count rounding noise as
+    captured directions.  Per-sample maps go through in windows of about _WINDOW samples, none
+    of one sample unless n = 1, each window's images one flat GEMM; the squares fill one (P, n)
+    array summed once, so the energies have the bits of a whole-stack pass.  The fixed map sums
+    the same squares rather than q_i^T S q_i: S has entries of size ||b||^2, so a small
+    captured energy read through S loses digits to cancellation.
     """
     Q = basis.columns
     B = np.asarray(residuals, dtype=float)
     L = np.asarray(downstream, dtype=float)
     if L.ndim == 2:
         q = _orthonormalize_stack((L @ Q)[None])[0]
-        per_column = ((B @ q) ** 2).sum(axis=0)
-    else:
-        q = _orthonormalize_stack(L @ Q)
-        per_column = (np.einsum("ncp,nc->np", q, B) ** 2).sum(axis=0)
-    return np.cumsum(per_column)
+        return np.cumsum(((B @ q) ** 2).sum(axis=0))
+    n, c, r = L.shape
+    squares = np.empty((Q.shape[1], n))
+    edges = [*range(0, max(n - 1, 1), _WINDOW), n]
+    for a, b in zip(edges, edges[1:]):
+        M = (L[a:b].reshape(-1, r) @ Q).reshape(b - a, c, -1)  # one flat GEMM
+        np.einsum("ncp,nc->pn", _orthonormalize_stack(M), B[a:b], out=squares[:, a:b])
+    return np.cumsum(np.square(squares, out=squares).sum(axis=1))
 
 
 def svd_closed_form_weights(sigmas, target_index: int) -> np.ndarray:

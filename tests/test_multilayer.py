@@ -4,6 +4,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mergeqp as mq
 from mergeqp.multilayer import baseline_merge, layer_params
@@ -262,6 +264,41 @@ def test_basis_fraction_stays_in_the_unit_interval_on_a_deep_tall_bundle():
             fraction = mq.basis_fraction(basis, geometry)
             assert 0.0 <= fraction <= 1.0
             assert fraction == min(float(captured[-1]) / total, 1.0)
+
+
+@settings(deadline=None, max_examples=80)
+@given(seed=st.integers(0, 2**32 - 1), relu=st.booleans(), depth=st.integers(1, 3),
+       n=st.integers(1, 12), tasks=st.integers(1, 3), noise=st.sampled_from([0.0, 0.1]))
+def test_prefix_sweep_rows_lie_between_the_relaxed_loss_and_the_total(
+    seed, relu, depth, n, tasks, noise
+):
+    # Each sample's output change under prefix p lies in span(L_j Q_p), so the exact prefix
+    # optimum is at least the relaxed loss; d = 0 is feasible, so it is at most the total
+    # energy.  A Gram-Schmidt that drops a real direction undercounts the captured energy
+    # and puts the relaxed loss above the optimum.  The rounding term covers the solve: a
+    # backward error E ~ eps ||H|| moves an optimum d* by up to d*' E d* / 2, and an
+    # eigen-cut solve of a singular H (few samples) can have a large d*; over 16,000 rows
+    # the slack never exceeded 1.3 eps (||H|| ||d*||^2 + total), -1.6e-10 of the total.
+    rng = np.random.default_rng(seed)
+    layer = int(rng.integers(1, depth + 1))
+    if relu:
+        dims = rng.integers(2, 7, size=depth + 1).tolist()
+        bundle = mq.gen_relu_tasks(dims, layer, min(tasks, dims[-1]), n, seed)
+    else:
+        dims = tuple(rng.integers(1, 7, size=3).tolist())
+        bundle = mq.gen_linear_tasks(dims, depth, layer, tasks, n, noise=noise, seed=seed)
+    geometry = mq.merge_geometry(bundle.base, layer, bundle.pooled_calibration())
+    deltas = bundle.residuals[layer]
+    total = float(np.trace(mq.energy_matrix(geometry.residuals)))
+    eps = np.finfo(float).eps
+    for kind in ("eigen", "standard", "svd", "random"):
+        basis = mq.layer_basis(kind, None, seed, deltas, geometry)
+        for p, _, relaxed, qp_mse, _ in mq.prefix_sweep(geometry, deltas, basis) if basis.p else []:
+            qp = mq.build_general_basis_qp(geometry, deltas, basis.prefix(p))
+            d = mq.solve_unconstrained(qp).flat
+            rounding = 4 * qp.dim * eps * (np.linalg.norm(qp.H, 2) * (d @ d) + total)
+            optimum = geometry.n_samples * qp_mse
+            assert relaxed - rounding <= optimum <= total + rounding, (kind, p)
 
 
 @pytest.mark.parametrize("call, message", [

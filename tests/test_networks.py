@@ -1,6 +1,7 @@
 """Forward pass, layer inputs, and local linearization of small MLPs."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,6 +166,40 @@ def test_downstream_matches_the_masked_identity_product_bit_for_bit(
     if n:
         calib = mq.CalibrationSet(x, draw((n, dims[-1])))
         assert same_bits(mq.merge_geometry(net, layer, calib).downstream, got)
+
+
+def test_one_gap_downstream_checks_the_product_before_the_stack():
+    # W3 W2 overflows in column 0 only: unit 0 of layer 1, which the ReLU at its output
+    # masks when x < 0.  The masked stack is finite, with the bits of the masked identity
+    # product, unless a sample activates that unit
+    net = mq.LinearNetwork(
+        [[[1.0], [-1.0]], [[1e300, 1.0], [1e300, 1.0]], [[1e300, 1e300]]], ["relu", "identity"]
+    )
+    with np.errstate(over="ignore"):
+        for x in ([-1.0], [[-1.0], [-2.0]], [[-1.0], [0.0], [-3.0]]):
+            got = mq.linearize_downstream(net, 1, x)
+            assert same_bits(got, _masked_identity_downstream(net, 1, x))
+            assert got[..., 1].max() == 2e300 and not got[..., 0].any()
+        for x in ([1.0], [[-1.0], [1.0]]):
+            with pytest.raises(mq.NumericalError, match="downstream matrix"):
+                mq.linearize_downstream(net, 1, x)
+
+
+def test_finite_one_gap_stack_is_not_scanned(rng):
+    # a ReLU at layer 1's output and nothing above: the finite (c, r) product is checked, so
+    # no n c r boolean scan of the masked stack is made (it took 1.125 stacks)
+    d, r, c, n = 4, 64, 64, 100
+    net = mq.LinearNetwork([rng.normal(size=(r, d)), rng.normal(size=(c, r))], ["relu"])
+    x = rng.normal(size=(n, d))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        stack = mq.linearize_downstream(net, 1, x)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert stack.shape == (n, c, r)
+    assert peak < 1.0625 * stack.nbytes
 
 
 def test_apply_merged_residual_leaves_base_untouched():

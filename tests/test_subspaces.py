@@ -1,6 +1,8 @@
 """Energy matrices, optimal subspaces, and projector diagnostics."""
 
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -322,8 +324,8 @@ def test_svd_basis_matches_reference_loop(seed, eps_exp, scale_exp, zero, p, ran
 
 @settings(deadline=None, max_examples=100)
 @given(seed=st.integers(0, 2**32 - 1), eps_exp=st.integers(3, 8), n=st.integers(2, 8),
-       p=st.integers(1, 7))
-def test_orthonormalize_stack_matches_loop_per_sample(seed, eps_exp, n, p):
+       p=st.integers(1, 7), max_columns=st.none() | st.integers(1, 7))
+def test_orthonormalize_stack_matches_loop_per_sample(seed, eps_exp, n, p, max_columns):
     # every sample draws its own scale, zero pattern (none, one zero column,
     # a zero matrix) and inactive units (zero columns), so a stack mixes them
     rng = np.random.default_rng(seed)
@@ -334,14 +336,63 @@ def test_orthonormalize_stack_matches_loop_per_sample(seed, eps_exp, n, p):
         for _ in range(n)
     ])[:, :, rng.permutation(7)[:p]]
     M *= rng.random((n, 1, p)) >= 0.2
-    Q = subspaces._orthonormalize_stack(M)
+    Q = subspaces._orthonormalize_stack(M, max_columns)
     for j in range(n):
         kept = Q[j].any(axis=0)
-        _assert_kept_columns_match_loop(Q[j][:, kept], kept, M[j])
-    # a sample's bits do not depend on the rest of its stack
+        _assert_kept_columns_match_loop(Q[j][:, kept], kept, M[j], max_columns)
+    # a sample's bits do not depend on the rest of its stack, with a column cap too: each
+    # sample stops at its own max_columns kept columns, whenever the pass stops
     for a in range(n - 1):
         for b in range(a + 2, n + 1):
-            assert same_bits(subspaces._orthonormalize_stack(M[a:b]), Q[a:b])
+            assert same_bits(subspaces._orthonormalize_stack(M[a:b], max_columns), Q[a:b])
+
+
+def _relu_images(rng, n, c=5, r=7, P=6):
+    """Per-sample maps with inactive units (zero columns) and exact zeros, a basis, residuals."""
+    L = rng.normal(size=(n, c, r)) * (rng.random((n, 1, r)) >= 0.4)
+    L[::7] = 0.0  # every unit off
+    Q = np.linalg.qr(rng.normal(size=(r, P)))[0]
+    return L, mq.OrthonormalBasis(Q, "test"), rng.normal(size=(n, c))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, subspaces._WINDOW - 1, subspaces._WINDOW,
+                               subspaces._WINDOW + 1, subspaces._WINDOW + 2,
+                               2 * subspaces._WINDOW + 1, 3 * subspaces._WINDOW - 2])
+def test_windowed_energies_equal_the_whole_stack_pass(rng, n):
+    # the per-sample energies go through windows of samples; the sum of each column's
+    # squares, taken once over all n samples, has the bits of one pass over the whole stack
+    L, basis, B = _relu_images(rng, n)
+    r, P = basis.columns.shape
+    M = (L.reshape(-1, r) @ basis.columns).reshape(n, -1, P)
+    whole = np.cumsum((np.einsum("ncp,nc->np", subspaces._orthonormalize_stack(M), B) ** 2).sum(0))
+    spy = mock.patch.object(
+        subspaces, "_orthonormalize_stack", wraps=subspaces._orthonormalize_stack
+    )
+    with spy as kernel:
+        got = mq.prefix_captured_energy(L, basis, B)
+    assert same_bits(got, whole)
+    # windows of _WINDOW samples, the last one longer rather than a lone sample
+    sizes = [len(call.args[0]) for call in kernel.call_args_list]
+    assert sum(sizes) == n and min(sizes) >= min(n, 2) and max(sizes) <= subspaces._WINDOW + 1
+    assert sizes[:-1] == [subspaces._WINDOW] * (len(sizes) - 1)
+
+
+def test_windowed_energies_hold_no_whole_stack(rng):
+    # tracemalloc sees every numpy array: beyond their input, the energies hold one window's
+    # image L_j Q, the kernel's working copy of it and the (P, n) squares, never an (n, c, P)
+    # stack; the whole-stack pass held three of those
+    n, c, r, P = 4 * subspaces._WINDOW, 16, 16, 8
+    L, basis, B = _relu_images(rng, n, c, r, P)
+    window = 8 * subspaces._WINDOW * c * P
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        mq.prefix_captured_energy(L, basis, B)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * window + 8 * P * n
+    assert 2.5 * window + 8 * P * n < 8 * n * c * P  # less than one whole stack
 
 
 def test_random_basis_seeded(rng):
