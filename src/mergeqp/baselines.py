@@ -11,8 +11,8 @@ import math
 
 import numpy as np
 
-from .networks import _delta_matrices
-from .qp import _sample_geometry, merged_delta_from_coefficients
+from .networks import NumericalError, _backward, _delta_matrices, _input_columns, _propagate
+from .qp import merged_delta_from_coefficients
 
 
 def soup_coefficients(n_tasks: int, n_rows: int) -> np.ndarray:
@@ -91,8 +91,8 @@ def fisher_merge(thetas, fishers) -> np.ndarray:
     for t, f in zip(ths, fs):
         if t.shape != shape or f.shape != shape:
             raise ValueError("thetas and fishers must share one shape")
-        if np.any(f < 0):
-            raise ValueError("fisher weights must be non-negative")
+        if not np.all((f >= 0) & (f < np.inf)):  # NaN fails both
+            raise ValueError("fisher weights must be finite and non-negative")
     num = sum(f * t for f, t in zip(fs, ths))
     den = sum(fs)
     mean = sum(ths) / len(ths)
@@ -100,26 +100,28 @@ def fisher_merge(thetas, fishers) -> np.ndarray:
         return np.where(den > 0, num / np.where(den > 0, den, 1.0), mean)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # M and U are checked, fisher_merge checks F
 def fisher_diagonals(net, calib, task_ids, layers) -> dict:
     """{layer: per-task Fisher diagonals}, one per entry of task_ids.
 
-    Surrogate for honest Fisher information: squared gradients of the
-    squared-error loss with respect to the layer's weights, summed over the
-    task's calibration samples.  grad_j = 2 m_j u_j^T with m_j = L_j^T b_j,
-    so the sum of squares is 4 (M^2)^T (U^2) over the task's rows of one
-    per-sample geometry per layer.  Samples go to tasks by their label in
-    calib.task_ids, not by position; a task with no samples is a ValueError.
+    Surrogate for honest Fisher information: squared gradients of the squared-error loss in
+    the layer's weights, summed over the task's samples.  grad_j = 2 m_j u_j^T, with m_j =
+    L_j^T b_j from one networks._backward pass (no Jacobian), so the sum is 4 (M^2)^T (U^2)
+    over the task's rows, picked by their label in calib.task_ids; none is a ValueError.
     """
     code, codes = calib.task_groups
     rows = [np.flatnonzero(codes == code.get(t, -1)) for t in task_ids]
     for t, idx in zip(task_ids, rows):
         if idx.size == 0:
             raise ValueError(f"fisher: task {t!r} has no calibration samples")
+    acts = [a.T for a in _propagate(net, _input_columns(net, calib.inputs), net.depth)]
     fishers = {}
     for layer in layers:
-        geom = _sample_geometry(net, layer, calib)
-        M = np.einsum("...cr,...c->...r", geom.downstream, geom.residuals)
-        M2, U2 = M * M, geom.hidden_inputs * geom.hidden_inputs
+        net.layer_shape(layer)  # checks the index
+        M, U = _backward(net, layer, acts, acts[-1] - calib.targets), acts[layer - 1]
+        if not (np.all(np.isfinite(M)) and np.all(np.isfinite(U))):
+            raise NumericalError(f"the forward pass overflows at or above layer {layer}")
+        M2, U2 = M * M, U * U
         fishers[layer] = [4.0 * M2[idx].T @ U2[idx] for idx in rows]
     return fishers
 

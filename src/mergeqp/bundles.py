@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .networks import RELU, LinearNetwork, ResidualUpdate, forward
+from .networks import RELU, LinearNetwork, ResidualUpdate, _backward, forward
 from .qp import CalibrationSet
 
 MAGIC = b"\x93MERGEQP"  # not UTF-8, so no JSON text starts with it
@@ -527,21 +527,16 @@ def _class_batch(rng, means, classes, n, input_noise):
 
 
 def _finetune_layer(net, layer_index, X, T, steps, lr):
-    """Full-batch gradient descent on one layer's mean squared loss; layers below run once."""
+    """Full-batch gradient descent on one layer's MSE; layers below run once, _backward above."""
     layers = [W.copy() for W in net.layers]
     M = len(layers)
-    acts, pre = [X], []
+    acts = [X]
     for _ in range(steps):
-        del acts[layer_index:], pre[layer_index - 1 :]  # back to the frozen prefix
-        for l in range(len(pre), M):
-            pre.append(acts[-1] @ layers[l].T)
-            relu = l < M - 1 and net.activations[l] == RELU
-            acts.append(np.maximum(pre[-1], 0.0) if relu else pre[-1])
-        G = 2.0 * (acts[-1] - T) / len(X)
-        for l in range(M - 1, layer_index - 1, -1):
-            G = G @ layers[l]
-            if net.activations[l - 1] == RELU:
-                G = G * (pre[l - 1] > 0.0)
+        del acts[layer_index:]  # back to the frozen prefix
+        for l in range(len(acts) - 1, M):
+            a = acts[-1] @ layers[l].T
+            acts.append(np.maximum(a, 0.0) if l < M - 1 and net.activations[l] == RELU else a)
+        G = _backward(net, layer_index, acts, 2.0 * (acts[-1] - T) / len(X))
         layers[layer_index - 1] -= lr * (G.T @ acts[layer_index - 1])
     return LinearNetwork(layers, list(net.activations))
 

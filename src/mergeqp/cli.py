@@ -287,6 +287,8 @@ def cmd_merge(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    if args.random_seeds < 0:
+        raise ValueError(f"--random-seeds must be >= 0, got {args.random_seeds}")
     bundle, layer, calib, deltas, geometry = _single_layer(args)
     p_cap = geometry.default_p
     p_max = args.p_max if args.p_max is not None else p_cap

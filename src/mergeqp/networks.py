@@ -149,6 +149,15 @@ def _propagate(net: LinearNetwork, cols, n_layers: int) -> list:
     return acts
 
 
+def _backward(net, layer_index, acts, G):
+    """Output rows G (n, c) pulled back to layer N's output, row j to L_j^T g_j; acts as rows."""
+    for l in range(net.depth - 1, layer_index - 1, -1):
+        G = G @ net.layers[l]
+        if net.activations[l - 1] == RELU:
+            G = np.where(acts[l] > 0.0, G, 0.0)  # not a product: a dead unit's inf reads 0
+    return G
+
+
 def forward(net: LinearNetwork, x) -> np.ndarray:
     """Evaluate the network on one input vector or on an (n, d) sample matrix."""
     return _propagate(net, _input_columns(net, x), net.depth)[-1].T

@@ -200,9 +200,8 @@ class MergeGeometry:
         (m, c): base model output minus target, one row per sample.
     n_samples
         n, the divisor of any mean over samples.  For a fixed map with n >= 2 (r_in + c),
-        merge_geometry's m = r_in + c rows are instead R from a thin QR of [U | B]:
-        R'R = [U | B]'[U | B] prices the QP, J_lin, S and captured energy exactly, but
-        no row is a sample, so fisher_diagonals (per-task sums) reads per-sample rows.
+        merge_geometry's m = r_in + c rows are instead R from a thin QR of [U | B], no row
+        a sample: R'R = [U | B]'[U | B] prices the QP, J_lin, S and captured energy exactly.
     one_gap
         (W_top, m) if layer N's own output gap is the only ReLU above it, else None: then
         downstream[j] = W_top diag(m[j]), W_top (c, r) the weights above, m (n, r) 0/1.
@@ -225,8 +224,11 @@ class MergeGeometry:
         return min(self.downstream.shape[-2:])
 
 
-def _sample_geometry(net, layer_index, calib) -> MergeGeometry:
-    """The merge geometry with one row per sample, for any downstream map, from one pass."""
+def merge_geometry(net: LinearNetwork, layer_index: int, calib: CalibrationSet) -> MergeGeometry:
+    """Hidden inputs, downstream maps and residuals for all samples, from one forward pass.
+
+    A fixed map gets R (see MergeGeometry) only where the QR at least halves the rows.
+    """
     gaps, one_gap = net.activations[layer_index - 1 :], None
     with np.errstate(over="ignore", invalid="ignore"):  # checked here and in _downstream
         acts = _propagate(net, _input_columns(net, calib.inputs), net.depth)
@@ -234,22 +236,12 @@ def _sample_geometry(net, layer_index, calib) -> MergeGeometry:
         if gaps[:1] == [RELU] and RELU not in gaps[1:]:
             one_gap = _downstream(net, layer_index, None), (acts[layer_index] > 0).T
         U, B = acts[layer_index - 1].T, acts[-1].T - calib.targets
+    del acts  # the QR below runs without the other layers' activations
     if not (np.all(np.isfinite(U)) and np.all(np.isfinite(B))):
         raise NumericalError(f"the forward pass overflows at or above layer {layer_index}")
+    if down.ndim == 2 and len(B) >= 2 * (U.shape[1] + B.shape[1]):
+        U, B = np.hsplit(np.linalg.qr(np.hstack([U, B]), mode="r"), [U.shape[1]])
     return MergeGeometry(layer_index, U, down, B, len(calib), one_gap)
-
-
-def merge_geometry(net: LinearNetwork, layer_index: int, calib: CalibrationSet) -> MergeGeometry:
-    """Hidden inputs, downstream maps and residuals for all samples at once.
-
-    A fixed map gets R (see MergeGeometry) only where the QR at least halves the rows.
-    """
-    geometry = _sample_geometry(net, layer_index, calib)
-    U, B = geometry.hidden_inputs, geometry.residuals
-    if geometry.fixed_downstream and len(B) >= 2 * (U.shape[1] + B.shape[1]):
-        R = np.linalg.qr(np.hstack([U, B]), mode="r")
-        geometry.hidden_inputs, geometry.residuals = np.hsplit(R, [U.shape[1]])
-    return geometry
 
 
 def _check_deltas(geometry, deltas):

@@ -1,6 +1,7 @@
 """Row-coefficient forms of soup, task arithmetic, DARE, TIES, and Fisher."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,6 +116,55 @@ def test_fisher_zero_information_falls_back_to_mean():
     thetas = [np.array([[2.0]]), np.array([[6.0]])]
     zeros = [np.zeros((1, 1))] * 2
     assert np.isclose(mq.fisher_merge(thetas, zeros)[0, 0], 4.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_fisher_merge_rejects_non_finite_and_negative_weights(bad):
+    # a NaN weight would read as zero information, an inf one would make NaN weights
+    thetas = [np.array([[2.0, 1.0]]), np.array([[6.0, 3.0]])]
+    fishers = [np.array([[1.0, bad]]), np.ones((1, 2))]
+    with pytest.raises(ValueError, match="fisher weights must be finite and non-negative"):
+        mq.fisher_merge(thetas, fishers)
+
+
+def test_fisher_diagonals_form_no_jacobian_stack(rng):
+    # two ReLU gaps above layer 1 and r >> c: M comes back as (n, r) rows, so no (n, c, r)
+    # array of per-sample Jacobians is allocated
+    d, r, c1, c, n = 4, 256, 16, 16, 20
+    net = mq.LinearNetwork([rng.normal(size=s) for s in ((r, d), (c1, r), (c, c1))],
+                           ["relu", "relu"])
+    calib = mq.CalibrationSet(rng.normal(size=(n, d)), rng.normal(size=(n, c)), [0] * n)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fishers = mq.fisher_diagonals(net, calib, [0], [1])
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert fishers[1][0].shape == (r, d) and np.all(np.isfinite(fishers[1][0]))
+    assert peak < 8 * n * c * r
+
+
+def test_fisher_diagonals_stay_finite_above_a_dead_unit():
+    # W2's column 0 (near 1e308) sits above unit 0 of layer 1, which no input x < 0
+    # activates: the pulled-back residual overflows there and the ReLU gap zeroes it
+    net = mq.LinearNetwork([[[1.0], [-1.0]], [[1e308, 1.0], [1e308, 1.0]]], ["relu"])
+    x = np.array([[-1.0], [-2.0], [-3.0]])
+    calib = mq.CalibrationSet(x, np.full((3, 2), 5.0), [0] * 3)
+    with np.errstate(over="ignore"):
+        assert np.isinf((mq.forward(net, x) - calib.targets) @ net.layers[1])[:, 0].all()
+    fishers = mq.fisher_diagonals(net, calib, [0], [1, 2])
+    assert all(np.all(np.isfinite(f)) for fs in fishers.values() for f in fs)
+    assert np.all(fishers[1][0][0] == 0.0) and fishers[1][0][1, 0] > 0.0
+    # an input that activates unit 0 overflows the forward pass itself
+    hot = mq.CalibrationSet(np.array([[-1.0], [2.0]]), np.zeros((2, 2)), [0, 0])
+    for layer in (1, 2):
+        with pytest.raises(mq.NumericalError, match=f"overflows at or above layer {layer}"):
+            mq.fisher_diagonals(net, hot, [0], [layer])
+    # so is a pulled-back residual L_j' b_j that overflows over a finite forward pass
+    steep = mq.LinearNetwork([[[1e-50], [1e-50]], [[1e200, 1e200]]])
+    with pytest.raises(mq.NumericalError, match="overflows at or above layer 1"):
+        mq.fisher_diagonals(steep, mq.CalibrationSet([[1.0]], [[0.0]], [0]), [0], [1])
 
 
 def test_fisher_delta_weighted_combination(rng):

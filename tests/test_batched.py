@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mergeqp as mq
-from mergeqp import cli, qp, subspaces
+from mergeqp import cli, networks, qp, subspaces
 
 from conftest import make_linear_net, make_relu_net, same_bits
 
@@ -352,10 +352,10 @@ def test_stacked_evaluators_match_per_sample_loops(net_name):
 
     # fisher reads the set's grouping: the rows an object-array label match picks, bit for bit
     sets = mq.CalibrationSet(rng.normal(size=(45, 4)), rng.normal(size=(45, 3)), LAYOUTS["interleaved"])
-    geom = qp._sample_geometry(net, layer, sets)
-    M = np.einsum("...cr,...c->...r", geom.downstream, geom.residuals)
+    acts = [a.T for a in networks._propagate(net, sets.inputs.T, net.depth)]
+    M, U = networks._backward(net, layer, acts, acts[-1] - sets.targets), acts[layer - 1]
     labels = np.array(sets.task_ids, dtype=object)
-    want = [4.0 * (M * M)[labels == t].T @ (geom.hidden_inputs ** 2)[labels == t] for t in (2, 0)]
+    want = [4.0 * (M * M)[labels == t].T @ (U * U)[labels == t] for t in (2, 0)]
     got = mq.fisher_diagonals(net, sets, [2, 0], [layer])[layer]
     assert len(got) == len(want) and all(same_bits(g, w) for g, w in zip(got, want))
     for labelled, missing in ((sets, 3), (mq.CalibrationSet(sets.inputs, sets.targets), 0)):

@@ -360,6 +360,16 @@ def test_diagnose_stdout_when_no_out(tmp_path, capsys):
     assert len(lines) > 3
 
 
+def test_diagnose_rejects_a_negative_random_seed_count(tmp_path, capsys):
+    # a negative count would empty the random chains without a word
+    bundle = _gen(tmp_path)
+    capsys.readouterr()
+    assert main(["diagnose", "--bundle", str(bundle), "--random-seeds", "-2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--random-seeds must be >= 0, got -2" in captured.err
+
+
 def test_diagnose_clipping_note_leaves_the_stdout_csv_intact(tmp_path, capsys):
     bundle = _gen(tmp_path, "--kind", "relu", "--seed", "0")
     capsys.readouterr()
