@@ -100,7 +100,7 @@ def fisher_merge(thetas, fishers) -> np.ndarray:
         return np.where(den > 0, num / np.where(den > 0, den, 1.0), mean)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # M and U are checked, fisher_merge checks F
+@np.errstate(over="ignore", invalid="ignore")  # every returned diagonal is checked
 def fisher_diagonals(net, calib, task_ids, layers) -> dict:
     """{layer: per-task Fisher diagonals}, one per entry of task_ids.
 
@@ -108,6 +108,7 @@ def fisher_diagonals(net, calib, task_ids, layers) -> dict:
     the layer's weights, summed over the task's samples.  grad_j = 2 m_j u_j^T, with m_j =
     L_j^T b_j from one networks._backward pass (no Jacobian), so the sum is 4 (M^2)^T (U^2)
     over the task's rows, picked by their label in calib.task_ids; none is a ValueError.
+    A non-finite diagonal is a NumericalError naming the forward pass or else m_j and m_j^2.
     """
     code, codes = calib.task_groups
     rows = [np.flatnonzero(codes == code.get(t, -1)) for t in task_ids]
@@ -115,14 +116,16 @@ def fisher_diagonals(net, calib, task_ids, layers) -> dict:
         if idx.size == 0:
             raise ValueError(f"fisher: task {t!r} has no calibration samples")
     acts = [a.T for a in _propagate(net, _input_columns(net, calib.inputs), net.depth)]
-    fishers = {}
+    B, fishers = acts[-1] - calib.targets, {}
     for layer in layers:
         net.layer_shape(layer)  # checks the index
-        M, U = _backward(net, layer, acts, acts[-1] - calib.targets), acts[layer - 1]
-        if not (np.all(np.isfinite(M)) and np.all(np.isfinite(U))):
-            raise NumericalError(f"the forward pass overflows at or above layer {layer}")
-        M2, U2 = M * M, U * U
-        fishers[layer] = [4.0 * M2[idx].T @ U2[idx] for idx in rows]
+        M2, U = np.square(_backward(net, layer, acts, B)), acts[layer - 1]
+        fishers[layer] = [4.0 * M2[idx].T @ np.square(U[idx]) for idx in rows]
+        if not all(np.isfinite(f).all() for f in fishers[layer]):  # m_j^2 inf, u_j^2 0: NaN
+            cause = "the pulled-back residual L_j' b_j or its square overflows at layer"
+            if not (np.isfinite(U).all() and np.isfinite(B).all()):
+                cause = "the forward pass overflows at or above layer"
+            raise NumericalError(f"{cause} {layer}")
     return fishers
 
 

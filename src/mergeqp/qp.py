@@ -34,7 +34,7 @@ from .networks import (
     _propagate,
     forward,
 )
-from .subspaces import OrthonormalBasis
+from .subspaces import OrthonormalBasis, _windows
 
 
 @dataclass
@@ -289,11 +289,6 @@ def build_general_basis_qp(
     return _build_qp(geometry, deltas, Q, basis.origin)
 
 
-# Samples per chunk of the per-sample-Jacobian build are chosen so the
-# stacked design rows of one chunk take about this many bytes.
-_CHUNK_BYTES = 1 << 19
-
-
 def _build_qp(geometry, deltas, Q, basis_id):
     """J(d) = sum_j ||A_j d + b_j||^2 over coefficients of directions Q (None: I).
 
@@ -304,22 +299,19 @@ def _build_qp(geometry, deltas, Q, basis_id):
     sum: H = 2 (A^T A) * tile(M^T M) with A = alpha reshaped to (n, K P), one
     GEMM.  So does a one-gap map (MergeGeometry.one_gap) if Q is None or selects coordinates
     (each column's one nonzero is 1): L_j Q = W_top Q diag(m_j Q); H, g move by rounding.
-    Other per-sample Jacobians stack the rows of A_j over a chunk of samples
-    and add their Gram matrix, one GEMM per chunk.  Each Gram matrix is a
-    symmetric rank-k update and each tile M^T M is symmetric, so H is
-    exactly symmetric and the objective skips the symmetry scan.
+    Other per-sample Jacobians go through in subspaces._windows: per window, the tiles M_j^T M_j
+    are one batched product and rows (k, i) of H one GEMM, sum_j alpha[j, k, i] (alpha_j *
+    tile_j[i]).  (H + H^T) / 2 then, like A^T A, is exactly symmetric: no symmetry scan.
     """
     _check_deltas(geometry, deltas)
-    K = len(deltas)
-    r = deltas[0].delta.shape[0]
+    K, r = len(deltas), deltas[0].delta.shape[0]
     P = r if Q is None else Q.shape[1]
     dim = K * P
     B = geometry.residuals
     n, c = B.shape
     # overflow here surfaces as a NumericalError from the objective validation
     with np.errstate(over="ignore", invalid="ignore"):
-        U = geometry.hidden_inputs
-        alpha = (U @ np.concatenate([d.delta for d in deltas]).T).reshape(n, K, r)
+        alpha = (geometry.hidden_inputs @ np.vstack([d.delta for d in deltas]).T).reshape(n, K, r)
         L = geometry.downstream
         if geometry.one_gap and (Q is None or (((Q != 0).sum(0) == 1) & (Q.sum(0) == 1)).all()):
             L, alpha = geometry.one_gap[0], alpha * geometry.one_gap[1][:, None, :]  # M = W_top Q
@@ -331,18 +323,18 @@ def _build_qp(geometry, deltas, Q, basis_id):
             H = A.T @ A
             # tile(M^T M) multiplied into the K x K blocks in place
             H.reshape(K, P, K, P)[...] *= (M.T @ M)[None, :, None, :]
-            g = np.einsum("jkp,jp->kp", alpha, B @ M).ravel()
+            MB = B @ M
         else:
-            H = np.zeros((dim, dim))
-            g = np.zeros(dim)
-            step = max(1, _CHUNK_BYTES // (8 * c * max(dim, 1)))
-            for s in range(0, n, step):
-                M = L[s : s + step] if Q is None else L[s : s + step] @ Q  # (m, c, P)
-                rows = (M[:, :, None, :] * alpha[s : s + step, None]).reshape(len(M) * c, dim)
-                H += rows.T @ rows
-                g += rows.T @ B[s : s + step].ravel()
+            H, MB = np.zeros((K, P, dim)), np.empty((n, P))
+            for a, b in _windows(n):
+                M = L[a:b] if Q is None else (L[a:b].reshape(-1, r) @ Q).reshape(b - a, c, P)
+                G, w = M.transpose(0, 2, 1) @ M, alpha[a:b]  # (m, P, P) tiles, (m, K, P)
+                for i in range(P):
+                    H[:, i] += w[:, :, i].T @ (w * G[:, i, None, :]).reshape(b - a, dim)
+                MB[a:b] = np.einsum("jcp,jc->jp", M, B[a:b])
+            H = 0.5 * (H.reshape(dim, dim) + H.reshape(dim, dim).T)
         H *= 2.0
-        g *= 2.0
+        g = 2.0 * np.einsum("jkp,jp->kp", alpha, MB).ravel()
         const = float(np.einsum("jc,jc->", B, B))
     return QuadraticObjective._symmetric(H, g, const, K, P, basis_id)
 

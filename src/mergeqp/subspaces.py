@@ -15,7 +15,12 @@ import numpy as np
 
 from .networks import _as_float_matrix, _delta_matrices
 
-_WINDOW = 250  # samples per _orthonormalize_stack call in prefix_captured_energy
+_WINDOW = 250  # samples per window of an (n, c, r) stack, in the QP build and the energies
+
+
+def _windows(n: int):
+    """(start, stop) of windows of _WINDOW samples; the last takes the rest, 1 only if n = 1."""
+    return zip(edges := [*range(0, max(n - 1, 1), _WINDOW), n], edges[1:])
 
 
 @dataclass
@@ -202,11 +207,11 @@ def prefix_captured_energy(downstream, basis: OrthonormalBasis, residuals) -> np
     captures the cumulative sum of (q_i^T b_j)^2 over the samples j and the kept columns i < p.
     The drop rule matters: ReLU Jacobians make L_j Q exactly rank-deficient once p exceeds the
     sample's active units, and a QR that keeps every column would count rounding noise as
-    captured directions.  Per-sample maps go through in windows of about _WINDOW samples, none
-    of one sample unless n = 1, each window's images one flat GEMM; the squares fill one (P, n)
-    array summed once, so the energies have the bits of a whole-stack pass.  The fixed map sums
-    the same squares rather than q_i^T S q_i: S has entries of size ||b||^2, so a small
-    captured energy read through S loses digits to cancellation.
+    captured directions.  Per-sample maps go through in sample windows (_windows), each
+    window's images one flat GEMM; the squares fill one (P, n) array summed once, so the
+    energies have the bits of a whole-stack pass.  The fixed map sums the same squares rather
+    than q_i^T S q_i: S has entries of size ||b||^2, so a small captured energy read through S
+    loses digits to cancellation.
     """
     Q = basis.columns
     B = np.asarray(residuals, dtype=float)
@@ -216,8 +221,7 @@ def prefix_captured_energy(downstream, basis: OrthonormalBasis, residuals) -> np
         return np.cumsum(((B @ q) ** 2).sum(axis=0))
     n, c, r = L.shape
     squares = np.empty((Q.shape[1], n))
-    edges = [*range(0, max(n - 1, 1), _WINDOW), n]
-    for a, b in zip(edges, edges[1:]):
+    for a, b in _windows(n):
         M = (L[a:b].reshape(-1, r) @ Q).reshape(b - a, c, -1)  # one flat GEMM
         np.einsum("ncp,nc->pn", _orthonormalize_stack(M), B[a:b], out=squares[:, a:b])
     return np.cumsum(np.square(squares, out=squares).sum(axis=1))

@@ -161,10 +161,25 @@ def test_fisher_diagonals_stay_finite_above_a_dead_unit():
     for layer in (1, 2):
         with pytest.raises(mq.NumericalError, match=f"overflows at or above layer {layer}"):
             mq.fisher_diagonals(net, hot, [0], [layer])
-    # so is a pulled-back residual L_j' b_j that overflows over a finite forward pass
+    # a pulled-back residual L_j' b_j that overflows over a finite forward pass is named
     steep = mq.LinearNetwork([[[1e-50], [1e-50]], [[1e200, 1e200]]])
-    with pytest.raises(mq.NumericalError, match="overflows at or above layer 1"):
+    with pytest.raises(mq.NumericalError, match="residual L_j' b_j or its square overflows"):
         mq.fisher_diagonals(steep, mq.CalibrationSet([[1.0]], [[0.0]], [0]), [0], [1])
+
+
+@pytest.mark.parametrize("layers, x, y", [
+    # m_j = 2e160 is finite, but m_j^2 overflows while u_j^2 = 1e-380 underflows: inf * 0
+    ([[[1e-50], [1e-50]], [[1e200, 1e200]]], 1e-190, 0.0),
+    # the forward pass is 1e300, finite; m_j at layer 1 is 1e600
+    ([[[1.0]], [[1e300]], [[1e300]]], 1e-300, 1.0),
+])
+def test_fisher_diagonals_raise_on_any_non_finite_diagonal(layers, x, y):
+    net = mq.LinearNetwork(layers)
+    calib = mq.CalibrationSet([[x]], [[y]], [0])
+    assert np.isfinite(mq.forward(net, calib.inputs)).all()
+    with pytest.raises(mq.NumericalError,
+                       match="pulled-back residual L_j' b_j or its square overflows at layer 1"):
+        mq.fisher_diagonals(net, calib, [0], [1])
 
 
 def test_fisher_delta_weighted_combination(rng):

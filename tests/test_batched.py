@@ -112,13 +112,13 @@ def _instance(seed, net_name, n, K=2, weights=None):
     return net, deltas, calib, rng
 
 
-class _ChunkSpy(np.ndarray):
-    """A Jacobian stack that records whether a build read it in chunks of samples."""
+class _WindowSpy(np.ndarray):
+    """A Jacobian stack that records the keys (sample windows) a build reads it by."""
 
-    chunked = False
+    windows = ()
 
     def __getitem__(self, key):
-        self.chunked = True
+        self.windows = [*self.windows, key]
         return self.view(np.ndarray)[key]
 
 
@@ -149,38 +149,51 @@ def test_builder_matches_per_sample_oracle(seed, net_name, weights, basis_kind, 
     r = deltas[0].delta.shape[0]
     basis = _oracle_basis(basis_kind, r, seed)
     Q = np.eye(r) if basis is None else basis.columns
-    c = net.output_dim
-    dim = len(deltas) * Q.shape[1]
     geometry = mq.merge_geometry(net, deltas[0].layer_index, calib)
     assert (geometry.one_gap is not None) == (net_name in ONE_GAP_NETS)
     if geometry.one_gap and weights in ("masks-on", "masks-off"):
         assert np.all(geometry.one_gap[1] == (weights == "masks-on"))
-    geometry.downstream = spy = geometry.downstream.view(_ChunkSpy)
-    # three samples per chunk, so n (never a multiple of 3) ends on a short chunk
-    with mock.patch.object(qp, "_CHUNK_BYTES", 3 * 8 * c * dim):
+    geometry.downstream = spy = geometry.downstream.view(_WindowSpy)
+    # windows of three samples, so n (never a multiple of 3) ends on a window of 2 or 4
+    with mock.patch.object(subspaces, "_WINDOW", 3):
         if basis is None:
             built = mq.build_diagonal_qp(geometry, deltas)
         else:
             built = mq.build_general_basis_qp(geometry, deltas, basis)
     # a one-gap map under I or a coordinate selection takes the masked GEMM instead
     masked = net_name in ONE_GAP_NETS and basis_kind in ("diagonal", "standard")
-    assert spy.chunked == (spy.ndim == 3 and not masked)
+    assert bool(spy.windows) == (spy.ndim == 3 and not masked)
     H, g, const = _loop_qp(net, deltas, calib, Q)
     _close(built.H, H)
     _close(built.g, g)
     _close(built.constant, const)
 
 
-def test_builder_default_chunks_match_oracle():
-    net, deltas, calib, _ = _instance(7, "relu-jacobian", 1)
-    dim = len(deltas) * deltas[0].delta.shape[0]
-    step = qp._CHUNK_BYTES // (8 * net.output_dim * dim)
-    net, deltas, calib, _ = _instance(7, "relu-jacobian", 2 * step + 5)
+def test_builder_default_windows_match_oracle():
+    # two windows of the default size, the second taking the last sample
+    net, deltas, calib, _ = _instance(7, "relu-jacobian", 2 * subspaces._WINDOW + 1)
     H, g, const = _loop_qp(net, deltas, calib, np.eye(deltas[0].delta.shape[0]))
     built = mq.build_diagonal_qp(mq.merge_geometry(net, deltas[0].layer_index, calib), deltas)
     _close(built.H, H)
     _close(built.g, g)
     _close(built.constant, const)
+
+
+def test_build_and_energies_read_the_same_sample_windows():
+    # one patch of subspaces._WINDOW reaches both passes over a per-sample stack; 10 samples
+    # in windows of 3 end on a window of 4, not on a lone sample
+    net, deltas, calib, _ = _instance(5, "relu-jacobian", 10)
+    geometry = mq.merge_geometry(net, deltas[0].layer_index, calib)
+    basis = mq.random_basis(deltas[0].delta.shape[0], 3, 5)
+    geometry.downstream = spy = geometry.downstream.view(_WindowSpy)
+    kernel = mock.patch.object(
+        subspaces, "_orthonormalize_stack", wraps=subspaces._orthonormalize_stack
+    )
+    with mock.patch.object(subspaces, "_WINDOW", 3), kernel as calls:
+        mq.build_general_basis_qp(geometry, deltas, basis)
+        mq.prefix_captured_energy(geometry.downstream, basis, geometry.residuals)
+    assert spy.windows == [slice(0, 3), slice(3, 6), slice(6, 10)]
+    assert [len(call.args[0]) for call in calls.call_args_list] == [3, 3, 4]
 
 
 @settings(deadline=None, max_examples=60)
@@ -205,9 +218,8 @@ def test_builder_hessian_is_exactly_symmetric(seed, net_name, random_basis, dims
     geometry = mq.merge_geometry(net, layer, calib)
     r = shape[0]
     basis = mq.random_basis(r, 1 + seed % r, seed) if random_basis else None
-    dim = K * (r if basis is None else basis.columns.shape[1])
-    # three samples per chunk, so a per-sample map sums at least three chunks
-    with mock.patch.object(qp, "_CHUNK_BYTES", 3 * 8 * net.output_dim * dim):
+    # windows of three samples, so a per-sample map sums at least two windows
+    with mock.patch.object(subspaces, "_WINDOW", 3):
         if basis is None:
             built = mq.build_diagonal_qp(geometry, deltas)
         else:

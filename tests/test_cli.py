@@ -319,6 +319,19 @@ def test_fisher_task_without_calibration_exits_two(tmp_path, capsys):
     assert "task 1 has no calibration samples" in capsys.readouterr().err
 
 
+def test_fisher_with_non_finite_diagonals_exits_three(tmp_path, capsys):
+    # m_j^2 overflows while u_j^2 underflows: NaN diagonals are a numerical failure, not usage
+    net = mq.LinearNetwork([[[1e-50], [1e-50]], [[1e200, 1e200]]])
+    calib = mq.CalibrationSet.for_task(0, [[1e-190]], [[0.0]])
+    path = tmp_path / "steep.json"
+    mq.save_bundle(mq.ModelBundle(net, {1: [mq.ResidualUpdate(1, np.ones((2, 1)), 0)]}, [calib]),
+                   path)
+    assert main(["merge", "--bundle", str(path), "--method", "fisher"]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: the pulled-back residual L_j' b_j or its square overflows at layer 1\n"
+    )
+
+
 def test_compare_marks_fisher_failed_for_a_task_without_calibration(tmp_path, capsys):
     bundle = _gen(tmp_path, "--kind", "shared-direction", "--sigmas", "1,2", name="sd.json")
     capsys.readouterr()
