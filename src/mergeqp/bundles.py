@@ -70,7 +70,7 @@ class ModelBundle:
             ids = [u.task_id for u in self.residuals[layer]]
             if ids != self.task_ids:
                 raise BundleFormatError(f"layer {layer} lists tasks {ids}, not {self.task_ids}")
-        if len(set(self.task_ids)) < len(self.task_ids):
+        if len(set(map(str, self.task_ids))) < len(self.task_ids):  # reports key tasks by text
             raise BundleFormatError(f"task ids {self.task_ids} repeat within a layer")
         if not self.calibration:
             raise ValueError("bundle has no calibration sets")

@@ -367,16 +367,14 @@ def cmd_compare(args) -> int:
                 if params is None:
                     params = _baseline_params(args, bundle, calib, kind, [layer])
                 delta = baseline_delta(kind, deltas, layer_params(kind, params, layer))
-            if not np.all(np.isfinite(delta)):
-                raise NumericalError(f"{name} produced non-finite weights")
             merged = apply_merged_residual(bundle.base, layer, delta)
             mse, per_task = calibration_mse(merged, calib)  # a model that overflows exits 3
             objective = linearized_delta_objective(geometry, delta)
             rows.append(
                 [name, layer, objective, mse] + [per_task.get(t) for t in task_ids] + ["ok"]
             )
-        except NumericalError:
-            raise
+        except NumericalError as exc:  # exits 3, naming the row
+            raise NumericalError(f"{name}: {exc}") from exc
         except Exception as exc:  # a single method failing should not kill the table
             rows.append([name, layer, None, None] + [None] * len(task_ids) + ["failed"])
             print(f"method {name} failed: {exc}", file=sys.stderr)

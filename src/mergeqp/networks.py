@@ -217,15 +217,17 @@ def apply_merged_residual(
 ) -> LinearNetwork:
     """New network with merged_delta added to layer N's weights.
 
-    The input network is left untouched; all arrays are copied.
+    The input network is left untouched; all arrays are copied.  A new layer that
+    is not finite (a non-finite delta, or W + delta overflowing) is a NumericalError.
     """
     shape = net.layer_shape(layer_index)
-    delta = _as_float_matrix(merged_delta, "merged delta")
+    delta = np.asarray(merged_delta, dtype=float)
     if delta.shape != shape:
-        raise ValueError(
-            f"merged delta shape {delta.shape} does not match layer "
-            f"{layer_index} shape {shape}"
-        )
+        raise ValueError(f"merged delta shape {delta.shape} does not match layer "
+                         f"{layer_index} shape {shape}")
     layers = [W.copy() for W in net.layers]
-    layers[layer_index - 1] = layers[layer_index - 1] + delta
+    with np.errstate(over="ignore", invalid="ignore"):
+        layers[layer_index - 1] = layers[layer_index - 1] + delta
+    if not np.isfinite(layers[layer_index - 1]).all():
+        raise NumericalError(f"merged layer {layer_index} contains non-finite weights")
     return LinearNetwork(layers, list(net.activations))

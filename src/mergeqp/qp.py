@@ -256,9 +256,7 @@ def _check_deltas(geometry, deltas):
                 f"is layer {layer}'s; one QP merges a single layer"
             )
         if d.delta.shape != shape:
-            raise ValueError(
-                f"delta shape {d.delta.shape} does not match layer shape {shape}"
-            )
+            raise ValueError(f"delta shape {d.delta.shape} does not match layer shape {shape}")
 
 
 def build_diagonal_qp(geometry: MergeGeometry, deltas: list) -> QuadraticObjective:
@@ -283,9 +281,7 @@ def build_general_basis_qp(
     Q = basis.columns
     r = geometry.downstream.shape[-1]
     if Q.shape[0] != r:
-        raise ValueError(
-            f"basis lives in dim {Q.shape[0]} but layer output dim is {r}"
-        )
+        raise ValueError(f"basis lives in dim {Q.shape[0]} but layer output dim is {r}")
     return _build_qp(geometry, deltas, Q, basis.origin)
 
 
@@ -553,7 +549,7 @@ def solve_1d(m, beta: float) -> np.ndarray:
     return -float(beta) / denom * m
 
 
-@np.errstate(over="ignore", invalid="ignore")  # its merge-path callers check finiteness
+@np.errstate(over="ignore", invalid="ignore")  # apply_merged_residual checks the weights
 def merged_delta_from_coefficients(
     deltas: list, coeffs, basis: OrthonormalBasis | None = None
 ) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .networks import _as_float_matrix, _delta_matrices
+from .networks import NumericalError, _as_float_matrix, _delta_matrices
 
 _WINDOW = 250  # samples per window of an (n, c, r) stack, in the QP build and the energies
 
@@ -54,16 +54,19 @@ class OrthonormalBasis:
         return OrthonormalBasis(self.columns[:, :p].copy(), self.origin)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # S is checked
 def energy_matrix(residuals) -> np.ndarray:
     """S = sum_j b_j b_j^T from stacked residual rows, exactly symmetric.
 
-    Its trace is the total residual energy sum_j ||b_j||^2.  numpy forms
-    B^T B as a symmetric rank-k update, so S equals S^T bit for bit.
+    Its trace is the total residual energy sum_j ||b_j||^2.  numpy forms B^T B as a symmetric
+    rank-k update, so S equals S^T bit for bit.  An S that overflows is a NumericalError.
     """
     B = np.asarray(residuals, dtype=float)
     if B.ndim != 2 or B.shape[0] == 0:
         raise ValueError("residuals must be a non-empty 2-D array of rows")
-    return B.T @ B
+    if not np.isfinite(S := B.T @ B).all():
+        raise NumericalError("the residual energy matrix S = B^T B overflows")
+    return S
 
 
 def optimal_basis(S, p: int) -> OrthonormalBasis:
@@ -175,9 +178,13 @@ def _orthonormalize_stack(M: np.ndarray, max_columns: int | None = None) -> np.n
     column norm comes back as zeros, so the first p output columns of M[j] span the first p
     input ones.  A matrix keeps at most max_columns columns, the rest zeros, and the pass stops
     once every matrix has them.  A matrix in a stack of two or more gets the same bits in any
-    window of two or more around it.
+    window of two or more around it.  Each matrix is first scaled by the power of two (at most
+    2^1023) that brings its largest |entry| into [1/2, 1).  That is exact, so the output keeps
+    its bits, and the squared norms stay in range at any scale of M.
     """
+    big = np.maximum(M.max(axis=(1, 2), initial=0.0), -M.min(axis=(1, 2), initial=0.0))
     W = M.transpose(2, 1, 0).copy()
+    W *= np.ldexp(1.0, np.minimum(-np.frexp(big)[1], 1023))
     tol = 1e-10 * np.sqrt(np.einsum("pcn,pcn->pn", W, W)).max(axis=0, initial=0.0)
     cap = W.shape[0] if max_columns is None else max_columns
     kept_count = np.zeros(W.shape[2], dtype=int)

@@ -808,3 +808,26 @@ def test_task_id_repeated_in_every_layer_is_rejected(tmp_path, capsys):
     capsys.readouterr()
     assert cli_main(["merge", "--bundle", str(path), "--method", "fisher"]) == 2
     assert "error: task ids [0, 0, 2] repeat within a layer" in capsys.readouterr().err
+
+
+def test_task_ids_that_print_alike_are_rejected(tmp_path, capsys):
+    # reports key task_mse by the id's text, so tasks "1" and 1 would share one entry
+    obj = _two_layer_obj(tmp_path)
+    for entry in obj["residuals"] + obj["calibration"]:
+        if entry["task"] == 0:
+            entry["task"] = "1"
+    listed = re.escape("task ids ['1', 1, 2] repeat within a layer")
+    with pytest.raises(mq.BundleFormatError, match=f"^{listed}"):
+        bn.bundle_from_obj(obj)
+    path = tmp_path / "alike.json"
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert cli_main(["merge", "--bundle", str(path), "--method", "qp-diag"]) == 2
+    assert "error: task ids ['1', 1, 2] repeat within a layer" in capsys.readouterr().err
+    # a bundle built in memory is refused before anything can be saved
+    bundle = mq.gen_linear_tasks(n_tasks=2)
+    for layer, ups in bundle.residuals.items():
+        ups[0] = mq.ResidualUpdate(layer, ups[0].delta, "1")
+        ups[1] = mq.ResidualUpdate(layer, ups[1].delta, 1)
+    with pytest.raises(ValueError, match=re.escape("task ids ['1', 1] repeat within a layer")):
+        mq.ModelBundle(bundle.base, bundle.residuals, bundle.calibration)

@@ -224,7 +224,7 @@ def test_non_finite_baseline_exits_three(tmp_path, capsys, flags):
     )
     rc = main(["merge", "--bundle", str(bundle), *flags, "--lambda", "1e300"])
     assert rc == 3
-    assert "ta produced non-finite weights at layer 1" in capsys.readouterr().err
+    assert "numerical failure: merged layer 1 contains non-finite weights" in capsys.readouterr().err
 
 
 DEEP_TALL = (
@@ -605,6 +605,14 @@ def test_console_script_installed(tmp_path):
 
 
 def _degenerate_bundle(tmp_path, kind):
+    if kind == "merged-layer-overflow":  # finite updates, a finite model; W + delta overflows
+        path = tmp_path / "overflow.json"
+        mq.save_bundle(mq.ModelBundle(
+            mq.LinearNetwork([[[1e308]], [[1.0]]]),
+            {1: [mq.ResidualUpdate(1, [[1e308]], t) for t in (0, 1)]},
+            [mq.CalibrationSet.for_task(t, [[1e-300]], [[0.0]]) for t in (0, 1)],
+        ), path)
+        return path
     if kind == "delta-scale-1e10":
         return _gen(tmp_path, "--delta-scale", "1e10")
     if kind == "one-task-one-sample":
@@ -614,15 +622,22 @@ def _degenerate_bundle(tmp_path, kind):
     else:
         path = _gen(tmp_path, "--tasks", "2" if kind == "identical-tasks" else "3")
     bundle = mq.load_bundle(path)
-    if kind == "relu-zero-input":
-        for cs in bundle.calibration:
+    for cs in bundle.calibration:
+        if kind == "relu-zero-input":
             cs.inputs[...] = 0.0  # every pre-activation is exactly 0
+        elif kind == "energy-overflow":
+            cs.targets += 1e200  # S = B^T B overflows
+        elif kind == "updates-1e160":
+            cs.inputs *= 1e-160  # keeps the merged model's outputs in range
     for ups in bundle.residuals.values():
         if kind == "zero-updates":
             for u in ups:
                 u.delta[...] = 0.0
         elif kind == "identical-tasks":
             ups[1].delta[...] = ups[0].delta  # H is exactly rank-deficient
+        elif kind == "updates-1e160":
+            for u in ups:
+                u.delta *= 1e160  # squared norms of the updates overflow
     mq.save_bundle(bundle, path)
     return path
 
@@ -770,6 +785,65 @@ def test_degenerate_bundles_exit_cleanly_with_eigen_cut_objectives(tmp_path, kin
             qp = basis_qp(label.split("(")[0], int(p), seed)
             check(float(qp_mse) * len(calib), qp)
     assert "Traceback" not in capsys.readouterr().err
+
+
+EXTREME_MERGES = [["--method", m] for m in BASELINES] + [
+    ["--method", "qp-diag", "--mode", "hybrid", "--init-method", "soup"],
+    ["--method", "qp-diag"],
+    ["--method", "qp-basis", "--basis", "eigen"],
+    ["--method", "qp-basis", "--basis", "svd"],
+]
+
+
+@pytest.mark.parametrize("kind, exit_codes", [
+    # soup, ta, ties, fisher and hybrid refinement from soup overflow; a DARE draw and the
+    # QP solves pick updates whose merged layer stays finite
+    ("merged-layer-overflow", {"merge": [3, 3, 0, 3, 3, 3, 0, 0, 0], "compare": 3, "diagnose": 0}),
+    ("energy-overflow", {"merge": [3] * 9, "compare": 3, "diagnose": 3}),
+    ("updates-1e160", {"merge": [0] * 9, "compare": 0, "diagnose": 0}),
+])
+def test_extreme_scale_bundles_exit_three_or_keep_every_direction(tmp_path, capsys, kind,
+                                                                    exit_codes):
+    # every command either fails loudly, exit 3 and no report, or succeeds with a full basis
+    path = _degenerate_bundle(tmp_path, kind)
+    bundle = mq.load_bundle(path)
+    p_max = min(bundle.residuals[1][0].delta.shape[0], bundle.base.output_dim)
+    capsys.readouterr()
+    for flags, want in zip(EXTREME_MERGES, exit_codes["merge"]):
+        report, model = tmp_path / "merge.json", tmp_path / "merged.json"
+        rc = main(["merge", "--bundle", str(path), *flags, "--out", str(model),
+                   "--format", "json", "--report", str(report)])
+        assert rc == want, flags
+        if rc == 3:
+            assert not report.exists() and not model.exists()
+            continue
+        if flags[1] == "qp-basis":
+            assert np.shape(json.loads(report.read_text())["layers"][0]["coefficients"]) == (
+                len(bundle.task_ids), p_max)
+        report.unlink()
+        model.unlink()
+    err = capsys.readouterr().err
+    assert "rank-deficient" not in err and "Traceback" not in err
+    if kind == "merged-layer-overflow":
+        assert "numerical failure: merged layer 1 contains non-finite weights" in err
+    out = tmp_path / "cmp.csv"
+    assert main(["compare", "--bundle", str(path), "--out", str(out)]) == exit_codes["compare"]
+    if exit_codes["compare"] == 3:
+        assert not out.exists()
+    else:
+        assert all(row[-1] == "ok" for row in _read_csv(out)[1])
+    if kind == "merged-layer-overflow":  # the row that overflowed, not a "failed" row
+        assert capsys.readouterr().err == (
+            "numerical failure: soup: merged layer 1 contains non-finite weights\n")
+    out = tmp_path / "diag.csv"
+    rc = main(["diagnose", "--bundle", str(path), "--random-seeds", "1", "--out", str(out)])
+    assert rc == exit_codes["diagnose"]
+    if rc == 3:
+        assert not out.exists()
+    else:
+        rows = _read_csv(out)[1]
+        for chain in ("eigen", "standard", "svd", "random(0)"):
+            assert [int(row[1]) for row in rows if row[0] == chain] == list(range(1, p_max + 1))
 
 
 # A deep-tall-shaped linear bundle with 80 samples: at layer 2, r_in + c = 20,

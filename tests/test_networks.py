@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -208,6 +209,20 @@ def test_apply_merged_residual_leaves_base_untouched():
     merged = mq.apply_merged_residual(net, 1, np.ones((2, 2)))
     assert np.array_equal(net.layers[0], before)
     assert np.array_equal(merged.layers[0], before + 1.0)
+
+
+def test_apply_merged_residual_owns_finiteness():
+    # the new layer is checked where it is made: a non-finite delta, or W + delta past the
+    # largest double, is a NumericalError naming the layer, raised without a numpy warning
+    net = make_linear_net([[1e308]], [[1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for delta in ([[1e308]], [[np.nan]], [[-np.inf]]):
+            with pytest.raises(mq.NumericalError, match="^merged layer 1 contains non-finite"):
+                mq.apply_merged_residual(net, 1, delta)
+    with pytest.raises(ValueError, match=re.escape("merged delta shape (1, 2) does not match")):
+        mq.apply_merged_residual(net, 1, np.ones((1, 2)))
+    assert mq.apply_merged_residual(net, 1, [[-1e308]]).layers[0][0, 0] == 0.0
 
 
 def test_network_validation():

@@ -35,6 +35,13 @@ def test_energy_matrix_is_sum_of_outer_products(rng):
         assert np.array_equal(S, S.T)
 
 
+def test_energy_matrix_that_overflows_is_a_numerical_error():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the error is the one signal
+        with pytest.raises(mq.NumericalError, match="residual energy matrix S = B\\^T B overflows"):
+            mq.energy_matrix(np.full((3, 2), 1e200))
+
+
 def test_optimal_basis_spans_top_eigenspace(rng):
     B = rng.normal(size=(12, 5))
     em = mq.energy_matrix(B)
@@ -345,6 +352,31 @@ def test_orthonormalize_stack_matches_loop_per_sample(seed, eps_exp, n, p, max_c
     for a in range(n - 1):
         for b in range(a + 2, n + 1):
             assert same_bits(subspaces._orthonormalize_stack(M[a:b], max_columns), Q[a:b])
+
+
+@pytest.mark.parametrize("shape", [(160, 16, 16), (9, 6, 4), (1, 32, 12)])
+@pytest.mark.parametrize("max_columns", [None, 3])
+def test_orthonormalize_stack_keeps_its_bits_at_any_scale(rng, shape, max_columns):
+    # each matrix is scaled by a power of two first, which is exact: times 2^600 its squared
+    # norms would overflow and times 2^-600 underflow, yet the output bits do not move
+    n, c, P = shape
+    M = rng.normal(size=shape) * (rng.random((n, 1, P)) >= 0.2)
+    M[1::3] *= 1e-3
+    M[2::4] = 0.0
+    Q = subspaces._orthonormalize_stack(M, max_columns)
+    for k in (600, -600):
+        assert same_bits(subspaces._orthonormalize_stack(M * 2.0**k, max_columns), Q)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-160])
+def test_svd_basis_of_huge_or_tiny_updates_keeps_every_direction(rng, scale):
+    # at 1e160 the squared column norms overflowed, the drop threshold became inf and the
+    # basis came back empty
+    mats = [rng.normal(size=(4, 3)) for _ in range(2)]
+    want = mq.svd_basis(mats, 2)
+    got = mq.svd_basis([scale * m for m in mats], 2)
+    assert got.p == 2 and not got.rank_deficient
+    assert np.allclose(_proj(got.columns), _proj(want.columns), atol=1e-10)
 
 
 def _relu_images(rng, n, c=5, r=7, P=6):
