@@ -60,13 +60,15 @@ def ties_coefficients(deltas, density: float) -> np.ndarray:
     mats = _delta_matrices(deltas)
     if not 0.0 < density <= 1.0:
         raise ValueError(f"density must lie in (0, 1], got {density}")
-    K = len(mats)
-    r = mats[0].shape[0]
-    norms = np.stack([np.linalg.norm(m, axis=1) for m in mats])
+    K, (r, n) = len(mats), mats[0].shape
+    # powers of two scale exactly: each task by its own for its row norms, all by one for masses
+    exps = [np.frexp(np.abs(m).max())[1] for m in mats]
+    norms = np.stack([np.linalg.norm(np.ldexp(m, -e), axis=1) for m, e in zip(mats, exps)])
     order = np.argsort(-norms, axis=1, kind="stable")
     kept = np.zeros((K, r), dtype=bool)
     np.put_along_axis(kept, order[:, : math.ceil(density * r)], True, axis=1)
-    mass = np.stack([m.sum(axis=1) for m in mats]) * kept
+    top = max(exps) + (K * n).bit_length()  # a row's K n scaled entries sum below 1
+    mass = np.stack([np.ldexp(m, -top).sum(axis=1) for m in mats]) * kept
     # sum each row's masses along a contiguous axis, numpy's pairwise order;
     # mass.sum(axis=0) adds task by task and can flip an exact cancellation
     total = np.ascontiguousarray(mass.T).sum(axis=1)
@@ -76,12 +78,13 @@ def ties_coefficients(deltas, density: float) -> np.ndarray:
     return np.where(survivors, 1.0 / np.maximum(survivors.sum(axis=0), 1), 0.0)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # apply_merged_residual checks
 def fisher_merge(thetas, fishers) -> np.ndarray:
     """Precision-weighted average: theta* = (sum F_k)^-1 sum F_k theta_k.
 
     F_k are elementwise non-negative Fisher diagonals shaped like the
     parameters.  Coordinates where every F_k is zero fall back to the
-    unweighted mean.
+    unweighted mean, finite wherever it is representable.
     """
     ths = [np.asarray(t, dtype=float) for t in thetas]
     fs = [np.asarray(f, dtype=float) for f in fishers]
@@ -95,9 +98,9 @@ def fisher_merge(thetas, fishers) -> np.ndarray:
             raise ValueError("fisher weights must be finite and non-negative")
     num = sum(f * t for f, t in zip(fs, ths))
     den = sum(fs)
-    mean = sum(ths) / len(ths)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(den > 0, num / np.where(den > 0, den, 1.0), mean)
+    e = (len(ths) - 1).bit_length()  # terms over 2^e >= K cannot sum past the largest double
+    mean = np.ldexp(sum(np.ldexp(t, -e) for t in ths) / len(ths), e)  # sum / K above subnormals
+    return np.where(den > 0, num / np.where(den > 0, den, 1.0), mean)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # every returned diagonal is checked

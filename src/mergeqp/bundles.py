@@ -196,9 +196,10 @@ def _write(path, make_header) -> None:
 def save_bundle(bundle: ModelBundle, path) -> None:
     """Write a bundle as a version-3 file. Deterministic, no timestamps.
 
-    Raises ValueError naming the field, before anything is written, when the
-    bundle holds non-finite values or a task id that is not an int or str.
+    Raises ValueError before anything is written: ModelBundle's checks, rerun as fields can
+    change, or one naming the field of a non-finite value or a task id not an int or str.
     """
+    bundle.__post_init__()
     _write(path, lambda section: _bundle_header(bundle, section))
 
 

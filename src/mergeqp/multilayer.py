@@ -98,9 +98,9 @@ def prefix_sweep(geometry, deltas, basis):
 
     Returns one (p, fraction, relaxed_loss, qp_mse, gap) tuple per prefix
     p = 1..basis.p: the captured-energy fraction, the relaxed loss
-    total - captured, the calibration MSE of the exact QP solve restricted
-    to the first p directions (prefix_optima), and the gap to the relaxed
-    loss of the best min(p, c)-dimensional output subspace.
+    total - captured, the calibration MSE of the exact QP optimum over the
+    first p directions' coordinates that the chain's factor keeps (prefix_optima),
+    and the gap to the relaxed loss of the best min(p, c)-dimensional output subspace.
     """
     S = energy_matrix(geometry.residuals)
     total = float(np.trace(S))

@@ -426,30 +426,26 @@ def solve_unconstrained(qp: QuadraticObjective) -> MergeCoefficients:
 
 
 def prefix_optima(qp: QuadraticObjective) -> np.ndarray:
-    """Exact optimum of J over directions 0..p-1, for every p = 1..n_directions.
+    """Optimum of J over the kept coordinates of directions 0..p-1, for p = 1..n_directions.
 
-    Dead coordinates (an exactly zero row of H) drop out.  Ordered direction-major
-    (flat index i * K + k), prefix p's QP is the leading block of its e_p live
-    coordinates, so if _certified passes on the live H it does on every block
-    (Cauchy interlacing) and H = L L^T, z = L^{-1}(-g) give its optimum
-    const - 1/2 sum_{i<e_p} z_i^2.  z is the last row of the Cholesky factor of H bordered
-    by -g and 4 const + 1 > z^T z (J >= 0 at d = -H^{-1} g); if either factorisation
-    fails, each non-empty block takes the eigen cut.
+    H bordered by -g is factored direction-major (flat index i * K + k), so prefix p leads.
+    A Schur pivot at or below _EIGEN_CUT times H's largest diagonal entry drops its coordinate:
+    held at 0, its row and column leave the Schur complement.  The factor's last row z, 0 where
+    dropped, gives prefix p const - 1/2 sum z_i^2: the exact optimum over its kept coordinates,
+    nested.  With no pivot dropped that is LAPACK's factor (J >= 0 puts z^T z below 4 const + 1).
     """
     K, n = qp.n_tasks, qp.dim
-    live, certify, _ = _live_block(qp)
-    order, ends = np.arange(n).reshape(K, -1).T, np.arange(K, n + 1, K)  # ends: e_p
-    if not isinstance(live, slice):
-        order, ends = order[live.reshape(K, -1).T], np.cumsum(live.reshape(K, -1).sum(axis=0))
-    order = np.append(order.ravel(), n)
+    order = np.append(np.arange(n).reshape(K, -1).T.ravel(), n)
     B = np.block([[qp.H, -qp.g[:, None]], [-qp.g, 4.0 * qp.constant + 1.0]])[np.ix_(order, order)]
-    H, g = B[:-1, :-1], -B[:-1, -1]
-    if g.size and _certified(certify):
-        with contextlib.suppress(np.linalg.LinAlgError):
-            z = np.linalg.cholesky(B.T)[-1, :-1]
-            return qp.constant - 0.5 * np.append(0.0, np.cumsum(z * z))[ends]
-    cuts = (_eigen_cut(H[:e, :e], g[:e])[0] if e else g[:0] for e in ends)  # e = 0: no block
-    return qp.constant + 0.5 * np.array([g[: d.size] @ d for d in cuts])
+    cut, L = _EIGEN_CUT * qp.H.diagonal().max(initial=0.0), None
+    with contextlib.suppress(np.linalg.LinAlgError):
+        L = np.linalg.cholesky(B.T)
+    if L is None or not (L.diagonal()[:-1] ** 2 > cut).all():
+        for i in range(n):  # right-looking, in place: B[i + 1:, i + 1:] is the Schur complement
+            B[i:, i] = B[i:, i] / np.sqrt(B[i, i]) if B[i, i] > cut else 0.0
+            B[i + 1 :, i + 1 :] -= np.outer(B[i + 1 :, i], B[i + 1 :, i])
+        L = B
+    return qp.constant - 0.5 * np.cumsum(L[-1, :-1] ** 2)[K - 1 :: K]
 
 
 # A box solve is certified once its KKT residual is at most this.

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mergeqp as mq
+
+from conftest import same_bits
 
 
 def _updates(*mats):
@@ -116,6 +119,19 @@ def test_fisher_zero_information_falls_back_to_mean():
     thetas = [np.array([[2.0]]), np.array([[6.0]])]
     zeros = [np.zeros((1, 1))] * 2
     assert np.isclose(mq.fisher_merge(thetas, zeros)[0, 0], 4.0)
+
+
+def test_fisher_fallback_mean_is_finite_where_it_is_representable(rng):
+    # the sum of two updates at 1e308 overflows and their mean does not; at normal scale the
+    # mean keeps the bits of sum / K
+    big = [np.full((1, 2), 1e308), np.array([[1e308, -1e308]]), np.full((1, 2), 1e308)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(mq.fisher_merge(big[:2], [np.zeros((1, 2))] * 2), [[1e308, 0.0]])
+        three = mq.fisher_merge(big, [np.zeros((1, 2))] * 3)
+    assert np.allclose(three, [[1e308, 1e308 / 3]], rtol=1e-15, atol=0.0)
+    thetas = [rng.normal(size=(3, 4)) for _ in range(3)]
+    assert same_bits(mq.fisher_merge(thetas, [np.zeros((3, 4))] * 3), sum(thetas) / 3)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
@@ -255,6 +271,20 @@ def test_ties_exact_cancellation_over_eight_tasks():
     coeffs = mq.ties_coefficients(mats, 1.0)
     assert np.array_equal(coeffs, _ties_coefficients_loop(mats, 1.0))
     assert np.array_equal(coeffs[:, 1], [0.0, 1 / 3, 1 / 3, 1 / 3, 0.0, 0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-160, 2.0**900])
+def test_ties_keeps_its_coefficients_at_extreme_scales(scale):
+    # row norms overflow near 1e155 and lose digits near 1e-155 unless each task is scaled by
+    # a power of two first; unscaled, x1e160 tied every row and kept rows 0-2 of each task
+    deltas = [u.delta for u in mq.gen_linear_tasks(n_tasks=3, seed=0).residuals[1]]
+    want = mq.ties_coefficients(deltas, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert same_bits(mq.ties_coefficients([scale * m for m in deltas], 0.5), want)
+        # the kept masses' sum 2e308 overflows, yet it elects the sign of the pair
+        big = [np.array([[1e308]]), np.array([[1e308]]), np.array([[-1e308]])]
+        assert np.array_equal(mq.ties_coefficients(big, 1.0), [[0.5], [0.5], [0.0]])
 
 
 @settings(deadline=None, max_examples=300)

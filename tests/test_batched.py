@@ -610,7 +610,8 @@ def test_prefix_objective_equals_fresh_prefix_build(net_name):
 def test_prefix_sweep_takes_every_prefix_from_one_factor(tmp_path):
     # the relu-sweep benchmark bundle: update rows that are exactly zero give the standard
     # chain's H exactly zero rows, so only its live block is positive definite, as every
-    # other chain's whole H is
+    # other chain's whole H is.  Their pivots are 0, so the standard chain is factored by
+    # the loop of rank-1 updates, one a coordinate, and every other chain by LAPACK alone
     path = tmp_path / "relu.json"
     assert cli.main(["gen", "--kind", "relu", "--dims", "64,48,32,16", "--merge-layer", "2",
                      "--tasks", "4", "--n-calib", "40", "--seed", "0", "--out", str(path)]) == 0
@@ -623,12 +624,11 @@ def test_prefix_sweep_takes_every_prefix_from_one_factor(tmp_path):
     for kind, seed in chains:
         chain = mq.layer_basis(kind, 16, seed, deltas, geometry)
         full = mq.build_general_basis_qp(geometry, deltas, chain)
-        with mock.patch.object(qp, "_eigen_cut", wraps=qp._eigen_cut) as spy:
+        with mock.patch.object(np, "outer", wraps=np.outer) as update:
             rows = mq.prefix_sweep(geometry, deltas, chain)
         _, H, _ = qp._live_block(full)
         certified[kind, seed], dead[kind, seed] = qp._certified(H), full.dim - len(H)
-        # a certified live block makes no eigen cut; any other cuts each prefix's block
-        assert spy.call_count == (0 if certified[kind, seed] else chain.p)
+        assert update.call_count == (full.dim if dead[kind, seed] else 0)
         qp_mse = [row[3] for row in rows]
         for p, got in enumerate(qp_mse, start=1):
             # the oracle: the eigen cut on the whole prefix block, dead rows included

@@ -669,6 +669,16 @@ def test_save_refuses_what_load_would_reject(tmp_path, spoil, needle):
     assert path.read_text() == "previous contents"  # nothing written
 
 
+def test_save_reruns_the_bundle_checks_on_edited_fields(tmp_path):
+    # task ids edited after construction: 0 and "0" key one report column, so no load
+    bundle = mq.gen_linear_tasks(n_tasks=2)
+    bundle.residuals[1][1].task_id = "0"
+    path = tmp_path / "b.json"
+    with pytest.raises(ValueError, match=r"task ids \[0, '0'\] repeat"):
+        mq.save_bundle(bundle, path)
+    assert not path.exists()
+
+
 def test_save_network_refuses_non_finite_weights(tmp_path):
     net = mq.LinearNetwork([np.eye(2), np.array([[1.0, 2.0]])])
     net.layers[1][0, 1] = np.nan  # the constructor checks; later edits are not

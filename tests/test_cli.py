@@ -787,6 +787,41 @@ def test_degenerate_bundles_exit_cleanly_with_eigen_cut_objectives(tmp_path, kin
     assert "Traceback" not in capsys.readouterr().err
 
 
+def _stacked_least_squares(geometry, deltas, Q):
+    """min_d sum_j ||A_j d + b_j||^2 over directions Q, by lstsq on the stacked design.
+
+    Column (k, p) of A_j is (L_j q_p)(q_p^T delta_k u_j) and b_j the base residual.
+    """
+    U, LQ = geometry.hidden_inputs, geometry.downstream @ Q
+    alpha = np.einsum("rp,krm,nm->nkp", Q, np.stack([u.delta for u in deltas]), U)
+    A = np.broadcast_to(LQ, (len(U), *LQ.shape[-2:]))[:, :, None, :] * alpha[:, None]
+    A, b = A.reshape(-1, alpha.shape[1] * Q.shape[1]), geometry.residuals.ravel()
+    res = A @ np.linalg.lstsq(A, -b, rcond=None)[0] + b
+    return float(res @ res)
+
+
+def test_diagnose_rows_of_a_singular_bundle_are_least_squares_optima(tmp_path):
+    # one sample per task leaves every chain's H singular.  Each row's n qp_mse must be within
+    # 5e-11 of the total of a least-squares solve on the stacked design; per-prefix eigen cuts
+    # put the standard chain's rows 6.8e-3 of it too high and the random chain's 1.6e-10 low
+    path = _gen(tmp_path, "--kind", "relu", "--dims", "6,3,5,6", "--merge-layer", "3",
+                "--tasks", "4", "--n-calib", "1", "--seed", "599031595")
+    out = tmp_path / "diag.csv"
+    assert main(["diagnose", "--bundle", str(path), "--seed", "599031595", "--random-seeds", "1",
+                 "--out", str(out)]) == 0
+    bundle = mq.load_bundle(path)
+    calib = bundle.pooled_calibration()
+    deltas = bundle.residuals[3]
+    geometry = mq.merge_geometry(bundle.base, 3, calib)
+    total = float(np.sum(geometry.residuals**2))
+    rows = _read_csv(out)[1]
+    assert [row[0] for row in rows[::6]] == ["eigen", "standard", "svd", "random(599031595)"]
+    for label, p, _, _, qp_mse, _ in rows:
+        chain = mq.layer_basis(label.split("(")[0], None, 599031595, deltas, geometry)
+        want = _stacked_least_squares(geometry, deltas, chain.prefix(int(p)).columns)
+        assert abs(len(calib) * float(qp_mse) - want) <= 5e-11 * total, (label, p)
+
+
 EXTREME_MERGES = [["--method", m] for m in BASELINES] + [
     ["--method", "qp-diag", "--mode", "hybrid", "--init-method", "soup"],
     ["--method", "qp-diag"],
@@ -811,9 +846,12 @@ def test_extreme_scale_bundles_exit_three_or_keep_every_direction(tmp_path, caps
     capsys.readouterr()
     for flags, want in zip(EXTREME_MERGES, exit_codes["merge"]):
         report, model = tmp_path / "merge.json", tmp_path / "merged.json"
-        rc = main(["merge", "--bundle", str(path), *flags, "--out", str(model),
-                   "--format", "json", "--report", str(report)])
+        with warnings.catch_warnings(record=True) as caught:  # the CLI prints them on stderr
+            warnings.simplefilter("always")
+            rc = main(["merge", "--bundle", str(path), *flags, "--out", str(model),
+                       "--format", "json", "--report", str(report)])
         assert rc == want, flags
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], flags
         if rc == 3:
             assert not report.exists() and not model.exists()
             continue

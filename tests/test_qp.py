@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import mergeqp as mq
 from mergeqp import cli, qp as qpmod
 
-from conftest import make_linear_net, same_bits
+from conftest import kept_coordinate_optima, make_linear_net, same_bits
 from test_cli_reports import BUNDLES
 
 
@@ -388,10 +388,10 @@ def _planted_dead_qp(seed, n_tasks, n_directions, n_dead, rank_drop, outside, de
 def test_solvers_leave_dead_coordinates_out(
     seed, n_tasks, n_directions, n_dead, rank_drop, outside, dead_g
 ):
-    # n_dead >= n makes every row dead (H = 0); the references are the solvers on the whole
-    # H with no row found dead: the eigen cut, a per-prefix eigen cut and the Newton steps
+    # n_dead >= n makes every row dead (H = 0); the references are the eigen cut and the
+    # Newton steps on the whole H with no row found dead, and the kept-coordinate optima
     qp, dead = _planted_dead_qp(seed, n_tasks, n_directions, n_dead, rank_drop, outside, dead_g)
-    H, g, K, P = qp.H, qp.g, n_tasks, n_directions
+    H, g, K = qp.H, qp.g, n_tasks
     live, block, _ = qpmod._live_block(qp)
     assert np.array_equal(np.arange(qp.dim)[live], np.flatnonzero(~dead))
     assert (block is H) == (not dead.any())
@@ -411,18 +411,13 @@ def test_solvers_leave_dead_coordinates_out(
         assert same_bits(sol.flat, want)
         assert sol.g_range_defect == (0.0 if certified else float(leftover))
 
-    # prefix optima: each prefix's whole block, dead rows included, by the eigen cut
-    want = []
-    for p in range(1, P + 1):
-        idx = (np.arange(K)[:, None] * P + np.arange(p)).ravel()
-        d = qpmod._eigen_cut(H[np.ix_(idx, idx)], g[idx])[0]
-        want.append(qp.constant + 0.5 * (g[idx] @ d))
-    got = qpmod.prefix_optima(qp)
-    assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-    with mock.patch.object(qpmod, "_live_block", _all_live):
-        parent = qpmod.prefix_optima(qp)
-    if not dead.any():
-        assert same_bits(got, parent)
+    # prefix optima: a dead coordinate has pivot 0 and is never kept, nor are the live ones
+    # past the live block's rank; g off H's range moves only the kept coordinates' optimum
+    points = kept_coordinate_optima(qp)
+    want = [value for value, _ in points]
+    assert not any(d[dead].any() for _, d in points)
+    got = qpmod.prefix_optima(qp)  # both are const + rounding of the constant's size
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * max(*np.abs(want), qp.constant))
 
     # box: a dead coordinate with g = 0 keeps its start bit for bit; one with g != 0 is
     # live, and J is linear along it
@@ -885,23 +880,12 @@ def test_solvers_hand_lapack_column_ordered_qp_matrices(case, rng):
     assert seen and all(np.array_equal(a, a.T) and a.flags.f_contiguous for _, a in seen)
 
 
-def test_prefix_eigen_cuts_read_contiguous_columns(rng):
-    # uncertified, prefix_optima cuts each leading block of the reordered H: a
-    # view whose transpose has unit stride down each column
-    net, deltas, calib = _random_instance(rng, d=5, K=2, n=3)
-    qp = mq.build_diagonal_qp(mq.merge_geometry(net, 1, calib), deltas)
-    with _lapack_spy() as seen:
-        qpmod.prefix_optima(qp)
-    eigh = [a for name, a in seen if name == "eigh"]
-    assert len(eigh) == qp.n_directions
-    assert all(a.strides[0] == a.itemsize and np.array_equal(a, a.T) for a in eigh)
-
-
 @pytest.mark.parametrize("path", ["bordered", "fallback"])
 def test_prefix_optima_match_a_triangular_solve(path, rng):
     # the reference: z = L^{-1}(-g) by scipy's triangular solve on the
     # direction-major H; a QP with J < 0 somewhere puts z^T z above the
-    # bordered factor's corner 4 const + 1, so that factor fails
+    # bordered factor's corner 4 const + 1, so LAPACK fails and the loop of
+    # rank-1 updates, one a coordinate, factors it
     scipy_linalg = pytest.importorskip("scipy.linalg")
     net, deltas, calib = _random_instance(rng, d=5, r=6, c=4, K=3, n=12)
     qp = mq.build_diagonal_qp(mq.merge_geometry(net, 1, calib), deltas)
@@ -915,10 +899,75 @@ def test_prefix_optima_match_a_triangular_solve(path, rng):
     L = np.linalg.cholesky(qp.H[np.ix_(order, order)])
     z = scipy_linalg.solve_triangular(L, -qp.g[order], lower=True)
     want = qp.constant - 0.5 * np.cumsum(z * z)[K - 1 :: K]
-    with mock.patch.object(qpmod, "_eigen_cut", wraps=qpmod._eigen_cut) as cut:
+    with mock.patch.object(np, "outer", wraps=np.outer) as update:
         got = qpmod.prefix_optima(qp)
-    assert cut.call_count == (0 if path == "bordered" else qp.n_directions)
+    assert update.call_count == (0 if path == "bordered" else qp.dim)
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def _planted_design(seed, K, P, kinds, scale):
+    """An explicit stacked design with planted dependencies and its QP: (qp, A, b, kept, span).
+
+    Columns are task-major (k * P + p) and planted direction-major, the order prefix_optima
+    factors in.  The first column is "free"; each later one follows kinds.  A free column is
+    Gaussian, a "zero" one 0, a "copy" a Gaussian mix of the free columns before it, and a
+    "near" one such a mix plus 1e-7 times a Gaussian w: its pivot, about 1e-14 of a free
+    one's, is under the cut, yet w is a direction the unrestricted optimum can use.  With
+    K P + 3 rows the free columns are independent, their pivots far above the cut, and
+    g = 2 A^T b lies in H's range.  kept marks the free columns; span holds each column's
+    addition to the range of the columns before it (the column, w or 0).
+    """
+    rng = np.random.default_rng(seed)
+    n = K * P
+    A, span, kept = np.zeros((n + 3, n)), np.zeros((n + 3, n)), np.zeros(n, dtype=bool)
+    for i, kind in enumerate(["free", *kinds][:n]):
+        col, mix = (i % K) * P + i // K, A[:, kept] @ rng.normal(size=kept.sum())
+        if kind == "free":
+            A[:, col] = span[:, col] = rng.normal(size=n + 3) * rng.uniform(0.5, 2.0)
+            kept[col] = True
+        elif kind == "copy":
+            A[:, col] = mix
+        elif kind == "near":
+            span[:, col] = rng.normal(size=n + 3)
+            A[:, col] = mix + 1e-7 * span[:, col]
+    A, b = scale * A, scale * rng.normal(size=n + 3)
+    qp = mq.QuadraticObjective(H=2.0 * A.T @ A, g=2.0 * A.T @ b, constant=b @ b, n_tasks=K,
+                               n_directions=P)
+    return qp, A, b, kept, span
+
+
+def _residual_energy(M, b):
+    """||b - P b||^2, P the projector onto the range of M's (independent) columns."""
+    q = np.linalg.qr(M)[0]
+    for _ in range(2):
+        b = b - q @ (q.T @ b)
+    return b @ b
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_tasks=st.integers(1, 3),
+    n_directions=st.integers(1, 4),
+    kinds=st.lists(st.sampled_from(["free", "zero", "copy", "near"]), min_size=11, max_size=11),
+    scale=st.sampled_from([1e-50, 1.0, 1e50]),
+)
+def test_prefix_optima_are_least_squares_over_the_kept_columns(
+    seed, n_tasks, n_directions, kinds, scale
+):
+    # prefix p's value is the least-squares residual of b over its kept (free) columns, and
+    # not below the one over all its columns, whose range its free columns and near ones' w
+    # span.  The rounding term is the factor's backward error E ~ eps ||H|| at the kept
+    # minimiser d*, d*' E d* / 2, plus rounding of the constant's size, a coordinate each
+    qp, A, b, kept, span = _planted_design(seed, n_tasks, n_directions, kinds, scale)
+    got, eps = qpmod.prefix_optima(qp), np.finfo(float).eps
+    for p in range(1, n_directions + 1):
+        prefix = (np.arange(qp.dim) % n_directions) < p
+        d = np.zeros(qp.dim)
+        d[prefix & kept] = np.linalg.lstsq(A[:, prefix & kept], -b, rcond=None)[0]
+        rounding = 4 * qp.dim * eps * (np.linalg.norm(qp.H, 2) * (d @ d) + qp.constant)
+        assert abs(got[p - 1] - _residual_energy(A[:, prefix & kept], b)) <= rounding, p
+        assert got[p - 1] >= _residual_energy(span[:, prefix & span.any(axis=0)], b) - rounding
 
 
 def _c_ordered(name):
