@@ -45,8 +45,8 @@ class CalibrationSet:
     optionally labels each sample with the task it came from, which is only
     used for per-task reporting, never by the objective itself.
 
-    task_groups and task_factors are computed on first use and cached:
-    reassigning a field drops them, and arrays must not change in place after.
+    task_groups is computed on first use and cached: reassigning a field drops
+    it, and arrays must not change in place after.
     """
 
     inputs: np.ndarray
@@ -69,8 +69,7 @@ class CalibrationSet:
 
     def __setattr__(self, name, value):
         super().__setattr__(name, value)
-        for view in ("task_groups", "task_factors"):  # computed from the old fields
-            vars(self).pop(view, None)
+        vars(self).pop("task_groups", None)  # computed from the old fields
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
@@ -82,21 +81,6 @@ class CalibrationSet:
             return {}, np.zeros(len(self), dtype=np.intp)
         code = {t: i for i, t in enumerate(sorted(set(self.task_ids), key=repr))}
         return code, np.fromiter(map(code.__getitem__, self.task_ids), np.intp, len(self))
-
-    @cached_property
-    def task_factors(self):
-        """(inputs, targets, counts): R of a thin QR of each group's [X_t | Y_t], stacked.
-
-        R_t'R_t = [X_t | Y_t]'[X_t | Y_t] in d + c rows.  None unless every group has
-        n_t >= 2 (d + c) rows: below that the QR saves little.
-        """
-        codes, d = self.task_groups[1], self.inputs.shape[1]
-        counts = np.bincount(codes)
-        if counts.min() < 2 * (d + self.targets.shape[1]):
-            return None
-        XY = np.hstack([self.inputs, self.targets])
-        R = np.vstack([np.linalg.qr(XY[codes == i], mode="r") for i in range(len(counts))])
-        return R[:, :d], R[:, d:], counts
 
     @classmethod
     def for_task(cls, task_id, inputs, targets) -> "CalibrationSet":
@@ -591,23 +575,16 @@ def calibration_mse(net: LinearNetwork, calib: CalibrationSet):
 
     Returns (pooled, per_task) where pooled = sum_j ||h(x_j) - y_j||^2 / n
     and per_task maps each task label to the same average over its samples.
-    With no ReLU gap h(x) = W x, so a task's sum is ||[X_t | Y_t] T||_F^2 =
-    ||R_t T||_F^2 with T = [W'; -I]: where calib.task_factors holds R_t, the
-    model runs on those d + c rows per task instead of on every sample, and
-    outputs equal to their targets read rounding (about eps^2 ||[X | Y]||^2 / n),
-    not 0.  A pooled error that overflows is a NumericalError.
+    Targets of another width than the outputs are a ValueError, and a pooled
+    error that overflows is a NumericalError.
     """
-    labels, codes = calib.task_groups
-    factors = None if RELU in net.activations else calib.task_factors
-    X, Y = (calib.inputs, calib.targets) if factors is None else factors[:2]
+    (labels, codes), Y = calib.task_groups, calib.targets
+    if Y.shape[1] != net.output_dim:
+        raise ValueError(f"targets have dim {Y.shape[1]}, network outputs {net.output_dim}")
     with np.errstate(over="ignore", invalid="ignore"):
-        E = forward(net, X) - Y
+        E = forward(net, calib.inputs) - Y
         sq = np.einsum("jc,jc->j", E, E)
-        if factors is None:
-            pooled, means = float(sq.mean()), [sq[codes == i].mean() for i in labels.values()]
-        else:
-            sums = sq.reshape(len(factors[2]), -1).sum(axis=1)
-            pooled, means = float(sums.sum() / len(calib)), sums / factors[2]
+        pooled = float(sq.mean())
     if not np.isfinite(pooled):
         raise NumericalError(f"calibration mse is {pooled!r}: the forward pass overflows")
-    return pooled, {t: float(m) for t, m in zip(labels, means)}
+    return pooled, {t: float(sq[codes == i].mean()) for t, i in labels.items()}

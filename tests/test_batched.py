@@ -293,7 +293,7 @@ def test_batched_input_validation():
 
 
 def _sample_path_mse(net, calib):
-    """calibration_mse's per-sample path: the model on every row, per-task means by label."""
+    """calibration_mse's reference: the model on every row, per-task means by label match."""
     E = mq.forward(net, calib.inputs) - calib.targets
     sq = np.einsum("jc,jc->j", E, E)
     labels = sorted(set(calib.task_ids or ()), key=repr)
@@ -302,11 +302,11 @@ def _sample_path_mse(net, calib):
 
 
 # Task layouts of a 4-in, 3-out calibration set, one label per row (None: an
-# unlabelled set).  The factor rule is n_t >= 2 (d + c) = 14 for every task.
+# unlabelled set): unequal, interleaved and small tasks, and a None label.
 LAYOUTS = {
     "unequal": [0] * 14 + [1] * 20 + [2] * 31,
     "interleaved": [k % 3 for k in range(45)],
-    "a-task-one-row-short": [0] * 13 + [1] * 20,
+    "a-13-row-task": [0] * 13 + [1] * 20,
     "unlabelled": None,
     "none-label": [None] * 15 + ["b"] * 16,
 }
@@ -335,32 +335,13 @@ def test_stacked_evaluators_match_per_sample_loops(net_name):
             total += grad * grad
         _close(fisher, total)
 
-    eps = np.finfo(float).eps
-    linear = "relu" not in net.activations
-    for name, ids in LAYOUTS.items():
+    for ids in LAYOUTS.values():  # every layout on every net, bit for bit
         n = 30 if ids is None else len(ids)
         sets = mq.CalibrationSet(rng.normal(size=(n, 4)), rng.normal(size=(n, 3)), ids)
-        factored = name in ("unequal", "interleaved", "unlabelled", "none-label")
-        assert (sets.task_factors is not None) == factored
         pooled, per_task = mq.calibration_mse(net, sets)
-        if not (linear and factored):
-            # ReLU nets and sets below the rule keep the per-sample path, bit for bit
-            want_pooled, want_tasks = _sample_path_mse(net, sets)
-            assert list(per_task) == list(want_tasks)
-            assert same_bits([pooled, *per_task.values()], [want_pooled, *want_tasks.values()])
-            continue
-        # the factor's error bound: eps (||h(X_t)||^2 + ||Y_t||^2), not a share of the mse
-        out = np.stack([mq.forward(net, x) for x in sets.inputs])
-        sq = np.array([float(np.sum((h - y) ** 2)) for h, y in zip(out, sets.targets)])
-        labels = np.array(ids or [None] * n, dtype=object)  # unlabelled: one group, the pool
-        for t in set(labels):
-            rows = labels == t
-            scale = (np.sum(out[rows] ** 2) + np.sum(sets.targets[rows] ** 2)) / rows.sum()
-            got = pooled if ids is None else per_task[t]
-            assert abs(got - sq[rows].mean()) <= 8 * 7 * eps * scale
-        scale = (np.sum(out ** 2) + np.sum(sets.targets ** 2)) / n
-        assert abs(pooled - sq.mean()) <= 8 * 7 * eps * scale
-        assert list(per_task) == sorted(set(ids or ()), key=repr)
+        want_pooled, want_tasks = _sample_path_mse(net, sets)
+        assert list(per_task) == list(want_tasks) == sorted(set(ids or ()), key=repr)
+        assert same_bits([pooled, *per_task.values()], [want_pooled, *want_tasks.values()])
 
     # fisher reads the set's grouping: the rows an object-array label match picks, bit for bit
     sets = mq.CalibrationSet(rng.normal(size=(45, 4)), rng.normal(size=(45, 3)), LAYOUTS["interleaved"])
@@ -389,17 +370,15 @@ def test_calibration_views_follow_reassigned_fields():
     calib.task_ids = ids[::-1]
     assert mq.calibration_mse(net, calib) == mq.calibration_mse(
         net, mq.CalibrationSet(2.0 * X, 0.5 * Y, ids[::-1]))
-    calib.task_ids = [0] * 13 + [1] * (len(ids) - 13)  # a task below the factor rule
-    assert calib.task_factors is None
+    calib.task_ids = [0] * 13 + [1] * (len(ids) - 13)
     assert mq.calibration_mse(net, calib) == _sample_path_mse(net, calib)
 
 
-def test_factor_path_overflow_is_a_numerical_error():
+def test_calibration_mse_overflow_is_a_numerical_error():
     net, _, _, rng = _instance(5, "linear", 8)
     ids = LAYOUTS["unequal"]
     calib = mq.CalibrationSet(rng.normal(size=(len(ids), 4)), rng.normal(size=(len(ids), 3)), ids)
     huge = mq.LinearNetwork([1e150 * W for W in net.layers], net.activations)
-    assert calib.task_factors is not None
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(mq.NumericalError, match="calibration mse is"):

@@ -548,6 +548,17 @@ def test_usage_errors_name_their_cause_and_write_nothing(tmp_path, capsys, argv,
     assert not out.exists()
 
 
+def test_eval_names_a_model_of_another_output_width(tmp_path, capsys):
+    model, out = tmp_path / "model.json", tmp_path / "eval.json"
+    narrow = _gen(tmp_path, "--dims", "8,6,4", name="narrow.json")
+    assert main(["merge", "--bundle", str(narrow), "--method", "soup", "--out", str(model)]) == 0
+    wide = _gen(tmp_path, "--dims", "8,6,5", name="wide.json")
+    capsys.readouterr()
+    assert main(["eval", "--model", str(model), "--bundle", str(wide), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: targets have dim 5, network outputs 4\n")
+    assert not out.exists()
+
+
 def _exit_code(argv):
     try:
         return main(argv)

@@ -648,6 +648,20 @@ def test_calibration_mse_pooled_and_per_task():
     assert np.isclose(per_task[1], 4.0)
 
 
+def test_an_exact_fit_reads_zero():
+    # one task's soup is its fine-tuned model bit for bit, whose outputs are the targets
+    bundle = mq.gen_linear_tasks(n_tasks=1, n_samples=40)
+    calib = bundle.pooled_calibration()
+    merged = mq.apply_merged_residual(bundle.base, 1, mq.soup(bundle.residuals[1]))
+    assert mq.calibration_mse(merged, calib) == (0.0, {0: 0.0})
+
+
+def test_calibration_mse_names_targets_of_another_width():
+    calib = mq.CalibrationSet(np.ones((3, 2)), np.ones((3, 4)))
+    with pytest.raises(ValueError, match=r"^targets have dim 4, network outputs 3$"):
+        mq.calibration_mse(make_linear_net(np.ones((3, 2))), calib)
+
+
 def test_calibration_set_concat_and_slice():
     a = mq.CalibrationSet.for_task(0, np.ones((2, 3)), np.zeros((2, 1)))
     b = mq.CalibrationSet.for_task(1, 2 * np.ones((1, 3)), np.ones((1, 1)))
